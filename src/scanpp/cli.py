@@ -8,7 +8,7 @@ be reproduced; identical inputs and seeds yield byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import logging
 import math
 import os
@@ -39,8 +39,7 @@ from .simulate import SimConfig, sample_scanpath, spawn_rngs
 
 log = logging.getLogger("scanpp")
 
-_CONFIG_FIELDS = ("learning_rate", "momentum", "weight_decay", "batch_size",
-                  "max_epochs", "patience", "seed", "split")
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def _setup_threads() -> None:
@@ -65,9 +64,8 @@ def _resolve_config(args) -> tuple[TrainConfig, Optional[GridSpec]]:
     grid = None
     path = getattr(args, "config", None)
     if path:
-        text = serialize.read_text(path)
-        config, grid = serialize.loads_config(text)
-        doc = json.loads(text) if text.strip() else {}
+        doc = serialize.config_doc(serialize.read_text(path))
+        config, grid = serialize.config_from_doc(doc)
         for f in doc.get("train", {}):
             sources[f] = "file"
     overrides = {}

@@ -11,6 +11,7 @@ least-squares fit.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -124,11 +125,7 @@ class DurationParams:
                    kernel_theta=np.full(k, t0), sigma2=sigma2)
 
     def replace(self, **changes) -> "DurationParams":
-        fields = {"w": self.w, "w_prime": self.w_prime, "kernel_alpha": self.kernel_alpha,
-                  "kernel_beta": self.kernel_beta, "kernel_theta": self.kernel_theta,
-                  "sigma2": self.sigma2, "shape": self.shape}
-        fields.update(changes)
-        return DurationParams(**fields)
+        return dataclasses.replace(self, **changes)
 
 
 def check_compatible(spec: DurationSpec, params: DurationParams) -> None:

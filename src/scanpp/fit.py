@@ -9,6 +9,14 @@ rescales the spatial axes by the larger screen dimension while fitting; the
 mapping is an exact reparameterization, so reported likelihoods and returned
 parameters are always in pixel units.
 
+Each adapter builds one ``ParamLayout`` from its spec: an ordered table of
+blocks, one per parameter field, each with its element labels, an
+elementwise transform (identity, softplus or log, with derivative and
+inverse) and a weight-decay rule. The entry names, ``pack``/``unpack``, the
+constrained values, the chain rule of ``grad_unit`` and the weight-decay mask
+are all generated from that table, so a field is declared in one place. The
+table's order is the order of the ``raw`` vector in fit documents.
+
 SGD does not step in the packed vector itself but in fitting coordinates z
 with ``raw = basis @ z``, where ``basis`` is an invertible matrix each model
 derives from its training data and the start of the fit (``fitting_basis``).
@@ -23,11 +31,12 @@ them.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,12 +94,7 @@ class TrainConfig:
             raise ValidationError(f"split fractions must sum to 1, got {self.split}")
 
     def replace(self, **changes) -> "TrainConfig":
-        base = {"learning_rate": self.learning_rate, "momentum": self.momentum,
-                "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-                "max_epochs": self.max_epochs, "patience": self.patience,
-                "seed": self.seed, "split": self.split}
-        base.update(changes)
-        return TrainConfig(**base)
+        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,115 @@ def kfold(data: Sequence, k: int, seed: int) -> list[tuple[tuple, tuple]]:
     return folds
 
 
+# --- Parameter layout --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Transform:
+    """Elementwise map from packed to constrained values.
+
+    ``deriv`` is the derivative of ``forward`` at the packed value; ``inverse``
+    maps a constrained value back, flooring it where the forward map cannot
+    reach it.
+    """
+
+    forward: Callable
+    deriv: Callable
+    inverse: Callable
+
+
+IDENTITY = Transform(lambda r: r, lambda r: 1.0, lambda v: v)
+# Log scale, for scalar blocks only.
+LOG = Transform(math.exp, math.exp, math.log)
+
+
+def _softplus(floor: float, shift: float = 0.0) -> Transform:
+    """shift + softplus(r); packing floors the value at shift + floor."""
+    return Transform(lambda r: shift + softplus(r), sigmoid,
+                     lambda v: softplus_inv(np.maximum(v - shift, floor)))
+
+
+# A kernel shift is softplus(r) - log 2 clipped at zero, so a shift of exactly
+# zero packs to raw 0 and has no gradient below it.
+KERNEL_SHIFT = Transform(lambda r: np.maximum(softplus(r) - LOG2, 0.0),
+                         lambda r: sigmoid(r) * (softplus(r) > LOG2),
+                         lambda v: np.where(v > 0, softplus_inv(v + LOG2), 0.0))
+
+
+@dataclass(frozen=True)
+class Block:
+    """One parameter field's entries in the packed vector.
+
+    ``axes`` labels each axis of the field, so a scalar has none. ``decay``
+    says which entries weight decay acts on: ``"none"``, ``"all"``, or
+    ``"slopes"``, all but the one labelled ``intercept``.
+    """
+
+    field: str
+    axes: tuple[tuple[str, ...], ...] = ()
+    transform: Transform = IDENTITY
+    decay: str = "none"
+
+
+class ParamLayout:
+    """The ordered blocks of a packed parameter vector.
+
+    Names, packing, unpacking, constrained values, the chain rule from
+    constrained to packed gradients and the weight-decay mask are all read
+    off this one table. Entry names are ``field[label]``, with comma-joined
+    labels for matrices, or the bare field name for a scalar. Fields no block
+    packs take their values from ``fill``, a parameter set whose arrays are
+    frozen because every unpacked set shares them.
+    """
+
+    def __init__(self, blocks: Sequence[Block], fill):
+        self.slices: dict[str, slice] = {}
+        self._parts = []  # (field, slice, shape, transform) per block
+        names: list[str] = []
+        mask: list[bool] = []
+        for blk in blocks:
+            labels = [",".join(idx) for idx in itertools.product(*blk.axes)]
+            s = self.slices[blk.field] = slice(len(names), len(names) + len(labels))
+            self._parts.append((blk.field, s, tuple(map(len, blk.axes)), blk.transform))
+            names += [f"{blk.field}[{lab}]" if blk.axes else blk.field for lab in labels]
+            mask += [blk.decay == "all" or (blk.decay == "slopes" and lab != "intercept")
+                     for lab in labels]
+        self.names = tuple(names)
+        self.dim = len(names)
+        self.decay_mask = np.array(mask, dtype=bool)
+        self.fixed = {f.name: getattr(fill, f.name) for f in dataclasses.fields(fill)
+                      if f.name not in self.slices}
+        for value in self.fixed.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def unpack(self, raw: np.ndarray) -> dict:
+        """Every field of the parameter set, by name."""
+        raw = np.asarray(raw, dtype=float)
+        values = dict(self.fixed)
+        for field, s, shape, transform in self._parts:
+            values[field] = transform.forward(raw[s].reshape(shape) if shape else raw[s.start])
+        return values
+
+    def pack(self, params) -> np.ndarray:
+        return np.concatenate([np.reshape(transform.inverse(getattr(params, field)), -1)
+                               for field, _, _, transform in self._parts])
+
+    def flatten(self, params) -> np.ndarray:
+        """The packed fields of ``params``, constrained, in name order."""
+        return np.concatenate([np.reshape(getattr(params, field), -1)
+                               for field, _, _, _ in self._parts])
+
+    def chain(self, raw: np.ndarray, grads: dict) -> np.ndarray:
+        """Gradient in the packed vector from gradients in the constrained fields."""
+        out = np.empty(self.dim)
+        for field, s, shape, transform in self._parts:
+            g = grads[field]
+            if transform is not IDENTITY:
+                g = g * transform.deriv(raw[s].reshape(shape) if shape else raw[s.start])
+            out[s] = g.reshape(-1) if shape else g
+        return out
+
+
 # --- Model adapters ----------------------------------------------------------
 
 def _whitener(U: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
@@ -177,10 +290,19 @@ def _whitener(U: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
 class SaccadeModel:
     """Flattens SaccadeParams to an unconstrained vector and evaluates batches.
 
+    The layout, in packed order: the base rate ``nu`` (softplus); for the
+    hawkes variant the excitation and decay weights ``alpha[c]`` and
+    ``beta[c]``, one per design column; under an affine or full center map
+    ``A`` (row-major) and ``b``; under the full map ``C[r,c]``; and, unless
+    the model is poisson, the spatial variance ``sigma2`` (log scale). Weight
+    decay acts on alpha and beta except their intercepts, and on all of C.
+
     Spatial quantities are rescaled by the larger screen dimension during
     fitting; base intensity, variance, shift, and predictor offsets transform
     exactly under that change of units, and the per-event Jacobian constant
-    is removed again so likelihoods are reported per squared pixel.
+    is removed again so likelihoods are reported per squared pixel. That
+    scaling is a separate step of ``pack`` and ``unpack``; the layout itself
+    works in fitting units.
 
     The trainer steps in the coordinates of ``fitting_basis``, a second exact
     change of variables on top of the packed vector. Under a center map
@@ -208,18 +330,20 @@ class SaccadeModel:
         L = self.scale
         self.omega_s = Rect(omega.x0 / L, omega.y0 / L, omega.width / L, omega.height / L)
         self.log_jac = 2.0 * math.log(L)
-        names: list[str] = ["nu"]
-        cols = spec.columns
+        cols = (spec.columns,)
+        xy = ("0", "1")
+        blocks = [Block("nu", transform=_softplus(1e-300))]
         if spec.variant == "hawkes":
-            names += [f"alpha[{c}]" for c in cols] + [f"beta[{c}]" for c in cols]
+            blocks += [Block("alpha", cols, decay="slopes"), Block("beta", cols, decay="slopes")]
             if spec.mean_fn in ("affine", "full"):
-                names += ["A[0,0]", "A[0,1]", "A[1,0]", "A[1,1]", "b[0]", "b[1]"]
+                blocks += [Block("A", (xy, xy)), Block("b", (xy,))]
             if spec.mean_fn == "full":
-                names += [f"C[0,{c}]" for c in cols] + [f"C[1,{c}]" for c in cols]
+                blocks.append(Block("C", (xy, spec.columns), decay="all"))
         if spec.variant != "poisson":
-            names += ["sigma2"]
-        self.names: tuple[str, ...] = tuple(names)
-        self.dim = len(names)
+            blocks.append(Block("sigma2", transform=LOG))
+        self.layout = ParamLayout(blocks, SaccadeParams.initial(spec, sigma2=1.0))
+        self.names: tuple[str, ...] = self.layout.names
+        self.dim = self.layout.dim
 
     def prepare_unit(self, pd: PathData) -> PathData:
         L = self.scale
@@ -228,28 +352,7 @@ class SaccadeModel:
         return PathData(pd.onsets, pd.durations, pd.locations / L, pd.design, pd.label)
 
     def _unpack_scaled(self, raw: np.ndarray) -> SaccadeParams:
-        raw = np.asarray(raw, dtype=float)
-        spec = self.spec
-        p = spec.p
-        i = 0
-        nu = softplus(raw[i]); i += 1
-        alpha = np.zeros(p)
-        beta = np.zeros(p)
-        A = np.eye(2)
-        b = np.zeros(2)
-        C = np.zeros((2, p))
-        sigma2 = 1.0
-        if spec.variant == "hawkes":
-            alpha = raw[i:i + p]; i += p
-            beta = raw[i:i + p]; i += p
-            if spec.mean_fn in ("affine", "full"):
-                A = raw[i:i + 4].reshape(2, 2); i += 4
-                b = raw[i:i + 2]; i += 2
-            if spec.mean_fn == "full":
-                C = raw[i:i + 2 * p].reshape(2, p); i += 2 * p
-        if spec.variant != "poisson":
-            sigma2 = math.exp(raw[i]); i += 1
-        return SaccadeParams(nu=nu, alpha=alpha, beta=beta, A=A, b=b, C=C, sigma2=sigma2)
+        return SaccadeParams(**self.layout.unpack(raw))
 
     def unpack(self, raw: np.ndarray) -> SaccadeParams:
         ps = self._unpack_scaled(raw)
@@ -257,39 +360,15 @@ class SaccadeModel:
         return ps.replace(nu=ps.nu / (L * L), b=ps.b * L, C=ps.C * L,
                           sigma2=ps.sigma2 * L * L)
 
-    def _pack_scaled(self, params: SaccadeParams) -> np.ndarray:
-        spec = self.spec
-        parts = [np.atleast_1d(softplus_inv(max(params.nu, 1e-300)))]
-        if spec.variant == "hawkes":
-            parts += [params.alpha, params.beta]
-            if spec.mean_fn in ("affine", "full"):
-                parts += [params.A.reshape(-1), params.b]
-            if spec.mean_fn == "full":
-                parts += [params.C.reshape(-1)]
-        if spec.variant != "poisson":
-            parts += [np.atleast_1d(math.log(params.sigma2))]
-        return np.concatenate(parts)
-
     def pack(self, params: SaccadeParams) -> np.ndarray:
         L = self.scale
         scaled = params.replace(nu=params.nu * L * L, b=params.b / L, C=params.C / L,
                                 sigma2=params.sigma2 / (L * L))
-        return self._pack_scaled(scaled)
+        return self.layout.pack(scaled)
 
     def constrained(self, raw: np.ndarray) -> np.ndarray:
         """Pixel-space parameter values aligned with ``names``."""
-        ps = self.unpack(raw)
-        spec = self.spec
-        parts = [np.atleast_1d(ps.nu)]
-        if spec.variant == "hawkes":
-            parts += [ps.alpha, ps.beta]
-            if spec.mean_fn in ("affine", "full"):
-                parts += [ps.A.reshape(-1), ps.b]
-            if spec.mean_fn == "full":
-                parts += [ps.C.reshape(-1)]
-        if spec.variant != "poisson":
-            parts += [np.atleast_1d(ps.sigma2)]
-        return np.concatenate(parts)
+        return self.layout.flatten(self.unpack(raw))
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
         params = self._unpack_scaled(raw)
@@ -305,27 +384,9 @@ class SaccadeModel:
 
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
         raw = np.asarray(raw, dtype=float)
-        params = self._unpack_scaled(raw)
-        terms, grads = loglik_grad(unit, self.spec, params, self.omega_s)
-        spec = self.spec
-        p = spec.p
-        out = np.zeros(self.dim)
-        i = 0
-        out[i] = float(grads["nu"]) * sigmoid(raw[i]); i += 1
-        if spec.variant == "hawkes":
-            out[i:i + p] = grads["alpha"]; i += p
-            out[i:i + p] = grads["beta"]; i += p
-            if spec.mean_fn in ("affine", "full"):
-                out[i:i + 4] = np.asarray(grads["A"]).reshape(-1); i += 4
-                out[i:i + 2] = np.asarray(grads["b"]).reshape(-1); i += 2
-            if spec.mean_fn == "full":
-                out[i:i + 2 * p] = np.asarray(grads["C"]).reshape(-1); i += 2 * p
-        if spec.variant != "poisson":
-            out[i] = float(grads["sigma2"]) * params.sigma2; i += 1
-        ll = terms.total - unit.n * self.log_jac
-        if terms.invalid_count:
-            ll = float("-inf")
-        return ll, unit.n, out
+        terms, grads = loglik_grad(unit, self.spec, self._unpack_scaled(raw), self.omega_s)
+        ll = float("-inf") if terms.invalid_count else terms.total - unit.n * self.log_jac
+        return ll, unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Invertible matrix taking fitting coordinates to ``raw``.
@@ -334,27 +395,20 @@ class SaccadeModel:
         ``raw``, of which only the spatial variance is read. The identity
         unless the model has a center map.
         """
-        spec = self.spec
         basis = np.eye(self.dim)
-        if spec.variant != "hawkes" or spec.mean_fn == "baseline" or not spec.columns:
+        slices = self.layout.slices
+        if "A" not in slices or not self.spec.columns:
             return basis
         # screen size over kernel width at the start of the fit
         size = max(self.omega_s.width, self.omega_s.height)
-        gain = max(1.0, size * math.exp(-0.5 * float(raw[self.names.index("sigma2")])))
+        gain = max(1.0, size * math.exp(-0.5 * float(raw[slices["sigma2"].start])))
         W = gain * _whitener(np.concatenate([u.design for u in units]))
         for part in ("alpha", "beta"):
-            idx = [self.names.index(f"{part}[{c}]") for c in spec.columns]
-            basis[np.ix_(idx, idx)] = W
+            basis[slices[part], slices[part]] = W
         return basis
 
     def decay_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dim, dtype=bool)
-        for i, name in enumerate(self.names):
-            if name.startswith(("alpha[", "beta[")) and "[intercept]" not in name:
-                mask[i] = True
-            elif name.startswith("C["):
-                mask[i] = True
-        return mask
+        return self.layout.decay_mask.copy()
 
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:
@@ -384,95 +438,54 @@ class SaccadeModel:
                 beta[:] = unit_a
             params = params.replace(alpha=alpha, beta=beta)
         # built from prepared units, so already in fitting units
-        return self._pack_scaled(params)
+        return self.layout.pack(params)
 
 
 class DurationModel:
-    """Flattens DurationParams; kernel shapes and scales stay in bounds by construction."""
+    """Flattens DurationParams; kernel shapes and scales stay in bounds by construction.
+
+    The layout, in packed order: ``w``, then ``w_prime`` per spillover column
+    (convolution) or per lag and column (markov), then the convolution
+    kernels' shape, rate and shift, then the dispersion on log scale.
+    """
 
     kind = "duration"
 
     def __init__(self, spec: DurationSpec):
         self.spec = spec
-        names: list[str] = [f"w[{c}]" for c in spec.columns]
+        spill = (spec.spillover,)
+        blocks = [Block("w", (spec.columns,), decay="slopes")]
         if spec.mean_variant == "convolution":
-            names += [f"w_prime[{k}]" for k in spec.spillover]
+            blocks += [Block("w_prime", spill, decay="all"),
+                       Block("kernel_alpha", spill, _softplus(1e-12, shift=1.0)),
+                       Block("kernel_beta", spill, _softplus(1e-12)),
+                       Block("kernel_theta", spill, KERNEL_SHIFT)]
         elif spec.mean_variant == "markov":
-            names += [f"w_prime[lag{j},{k}]"
-                      for j in range(1, spec.lags + 1) for k in spec.spillover]
-        if spec.mean_variant == "convolution":
-            for part in ("kernel_alpha", "kernel_beta", "kernel_theta"):
-                names += [f"{part}[{k}]" for k in spec.spillover]
-        names += ["shape" if spec.distribution == "gamma" else "sigma2"]
-        self.names: tuple[str, ...] = tuple(names)
-        self.dim = len(names)
+            lags = tuple(f"lag{j}" for j in range(1, spec.lags + 1))
+            blocks.append(Block("w_prime", (lags, spec.spillover), decay="all"))
+        blocks.append(Block("shape" if spec.distribution == "gamma" else "sigma2",
+                            transform=LOG))
+        # unpacked kernels of the other variants are (2, 1, 0), unused
+        fill = DurationParams.initial(spec, kernel=(2.0, 1.0, 0.0), sigma2=1.0)
+        self.layout = ParamLayout(blocks, fill)
+        self.names: tuple[str, ...] = self.layout.names
+        self.dim = self.layout.dim
 
     def prepare_unit(self, pd: PathData) -> PathData:
         return pd
 
     def unpack(self, raw: np.ndarray) -> DurationParams:
-        raw = np.asarray(raw, dtype=float)
-        spec = self.spec
-        p, k = spec.p, spec.n_spill
-        i = 0
-        w = raw[i:i + p]; i += p
-        if spec.mean_variant == "convolution":
-            w_prime = raw[i:i + k]; i += k
-        elif spec.mean_variant == "markov":
-            w_prime = raw[i:i + spec.lags * k].reshape(spec.lags, k); i += spec.lags * k
-        else:
-            w_prime = np.zeros(0)
-        if spec.mean_variant == "convolution":
-            ka = 1.0 + softplus(raw[i:i + k]); i += k
-            kb = softplus(raw[i:i + k]); i += k
-            kt = np.maximum(softplus(raw[i:i + k]) - LOG2, 0.0); i += k
-        else:
-            ka = np.full(k, 2.0); kb = np.full(k, 1.0); kt = np.zeros(k)
-        disp = math.exp(raw[i]); i += 1
-        if spec.distribution == "gamma":
-            return DurationParams(w=w, w_prime=w_prime, kernel_alpha=ka, kernel_beta=kb,
-                                  kernel_theta=kt, sigma2=1.0, shape=disp)
-        return DurationParams(w=w, w_prime=w_prime, kernel_alpha=ka, kernel_beta=kb,
-                              kernel_theta=kt, sigma2=disp)
+        return DurationParams(**self.layout.unpack(raw))
 
     def pack(self, params: DurationParams) -> np.ndarray:
-        spec = self.spec
-        parts = [params.w]
-        if spec.mean_variant in ("convolution", "markov"):
-            parts += [np.asarray(params.w_prime, dtype=float).reshape(-1)]
-        if spec.mean_variant == "convolution":
-            ka = np.atleast_1d(softplus_inv(np.maximum(params.kernel_alpha - 1.0, 1e-12)))
-            kb = np.atleast_1d(softplus_inv(np.maximum(params.kernel_beta, 1e-12)))
-            kt = np.atleast_1d(softplus_inv(params.kernel_theta + LOG2))
-            kt = np.where(params.kernel_theta > 0, kt, 0.0)
-            parts += [ka, kb, kt]
-        disp = params.shape if spec.distribution == "gamma" else params.sigma2
-        parts += [np.atleast_1d(math.log(disp))]
-        return np.concatenate(parts)
+        return self.layout.pack(params)
 
     def constrained(self, raw: np.ndarray) -> np.ndarray:
         """Constrained parameter values aligned with ``names``."""
-        params = self.unpack(raw)
-        spec = self.spec
-        parts = [params.w]
-        if spec.mean_variant in ("convolution", "markov"):
-            parts += [np.asarray(params.w_prime, dtype=float).reshape(-1)]
-        if spec.mean_variant == "convolution":
-            parts += [params.kernel_alpha, params.kernel_beta, params.kernel_theta]
-        disp = params.shape if spec.distribution == "gamma" else params.sigma2
-        parts += [np.atleast_1d(disp)]
-        return np.concatenate(parts)
+        return self.layout.flatten(self.unpack(raw))
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
-        if unit.n == 0:
-            return 0.0, 0
-        params = self.unpack(raw)
-        xi = duration_means(unit.onsets, unit.design, self.spec, params)
-        if self.spec.distribution == "gamma":
-            per = gamma_logpdf(unit.durations, xi, params.shape)
-        else:
-            per = lognormal_logpdf(unit.durations, xi, params.sigma2)
-        return float(np.sum(per)), unit.n
+        return float(np.sum(self.per_event_loglik(raw, unit))), unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
         if unit.n == 0:
@@ -485,46 +498,16 @@ class DurationModel:
 
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
         raw = np.asarray(raw, dtype=float)
-        spec = self.spec
-        params = self.unpack(raw)
         result, grads = duration_loglik_grad(unit.onsets, unit.durations, unit.design,
-                                             spec, params)
-        p, k = spec.p, spec.n_spill
-        out = np.zeros(self.dim)
-        i = 0
-        out[i:i + p] = grads["w"]; i += p
-        if spec.mean_variant == "convolution":
-            out[i:i + k] = np.asarray(grads["w_prime"]).reshape(-1); i += k
-        elif spec.mean_variant == "markov":
-            nk = spec.lags * k
-            out[i:i + nk] = np.asarray(grads["w_prime"]).reshape(-1); i += nk
-        if spec.mean_variant == "convolution":
-            ra = raw[i:i + k]
-            out[i:i + k] = np.asarray(grads["kernel_alpha"]) * sigmoid(ra); i += k
-            rb = raw[i:i + k]
-            out[i:i + k] = np.asarray(grads["kernel_beta"]) * sigmoid(rb); i += k
-            rc = raw[i:i + k]
-            active = (softplus(rc) > LOG2).astype(float)
-            out[i:i + k] = np.asarray(grads["kernel_theta"]) * sigmoid(rc) * active; i += k
-        if spec.distribution == "gamma":
-            out[i] = float(grads["shape"]) * params.shape
-        else:
-            out[i] = float(grads["sigma2"]) * params.sigma2
-        i += 1
-        return result.total, unit.n, out
+                                             self.spec, self.unpack(raw))
+        return result.total, unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Identity: duration models fit in the packed coordinates."""
         return np.eye(self.dim)
 
     def decay_mask(self) -> np.ndarray:
-        mask = np.zeros(self.dim, dtype=bool)
-        for i, name in enumerate(self.names):
-            if name.startswith("w[") and "[intercept]" not in name:
-                mask[i] = True
-            elif name.startswith("w_prime["):
-                mask[i] = True
-        return mask
+        return self.layout.decay_mask.copy()
 
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:

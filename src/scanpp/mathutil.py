@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtr, ndtri
 
@@ -75,17 +77,30 @@ def exp_interval_g0(x):
     return out if out.ndim else float(out)
 
 
+# Taylor coefficients of g1, (-1)^k (k+1) / (k+2)!; below the switch the
+# omitted terms are under 1e-17 of the value.
+_G1_SWITCH = 1.5
+_G1_SERIES = tuple((-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(21))
+
+
 def exp_interval_g1(x):
     """(1 - (1+x) e^-x)/x^2; g1(0) = 1/2.
 
-    Series switch below 1e-4 avoids cancellation: g1 = 1/2 - x/3 + x^2/8 - ...
+    The direct form loses about 1e-16/x^2 of relative accuracy to
+    cancellation, so below |x| = 1.5 the Taylor series is summed instead.
+    Relative error is below 1e-15 over [1e-8, 1e2].
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    exact = (1.0 - (1.0 + safe) * np.exp(-safe)) / (safe * safe)
-    series = 0.5 - x / 3.0 + x * x / 8.0
-    out = np.where(small, series, exact)
+    out = np.empty_like(x)
+    small = np.abs(x) < _G1_SWITCH
+    xs = x[small]
+    acc = np.full_like(xs, _G1_SERIES[-1])
+    for c in _G1_SERIES[-2::-1]:
+        acc *= xs
+        acc += c
+    out[small] = acc
+    xl = x[~small]
+    out[~small] = (1.0 - (1.0 + xl) * np.exp(-xl)) / (xl * xl)
     return out if out.ndim else float(out)
 
 
@@ -114,8 +129,3 @@ def norm_ppf(q):
 def norm_pdf(z):
     z = np.asarray(z, dtype=float)
     return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-
-def gaussian_interval_mass(mu, sigma, lo, hi):
-    """P(lo <= X < hi) for X ~ N(mu, sigma^2); vectorized over mu."""
-    return ndtr((hi - mu) / sigma) - ndtr((lo - mu) / sigma)

@@ -19,6 +19,7 @@ spatial mass integrals.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -125,10 +126,7 @@ class SaccadeParams:
                    b=np.zeros(2), C=np.zeros((2, p)), sigma2=sigma2)
 
     def replace(self, **changes) -> "SaccadeParams":
-        fields = {"nu": self.nu, "alpha": self.alpha, "beta": self.beta,
-                  "A": self.A, "b": self.b, "C": self.C, "sigma2": self.sigma2}
-        fields.update(changes)
-        return SaccadeParams(**fields)
+        return dataclasses.replace(self, **changes)
 
 
 def check_compatible(spec: SaccadeSpec, params: SaccadeParams) -> None:
@@ -261,13 +259,24 @@ def spatial_mass(mean, sigma2: float, omega: Rect):
     return float(mass[0]) if mean.ndim == 1 else mass
 
 
+def history_design(X: Optional[np.ndarray], n: int, spec: SaccadeSpec) -> np.ndarray:
+    """The n design rows of a history as an (n, p) array.
+
+    ``X`` may be omitted only when the spec has no predictor columns.
+    """
+    if X is None:
+        if spec.p:
+            raise UsageError(f"the spec has {spec.p} predictor columns, so the "
+                             "history's design rows X are required")
+        return np.zeros((n, 0))
+    return np.asarray(X, dtype=float).reshape(n, spec.p)
+
+
 def _history_state(history: Scanpath, X: Optional[np.ndarray], spec: SaccadeSpec,
                    params: SaccadeParams):
     """Clock values, excitation centers, and link outputs for a history."""
     n = len(history)
-    if X is None:
-        X = np.zeros((n, spec.p))
-    X = np.asarray(X, dtype=float).reshape(n, spec.p)
+    X = history_design(X, n, spec)
     pd = PathData(history.onsets, history.durations, history.locations, X)
     mu = _centers(pd.locations, X, spec, params)
     a = apply_link(spec.link, X @ params.alpha) if n else np.empty(0)
@@ -520,23 +529,10 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
             d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
         return terms, {"nu": d_nu, "sigma2": d_sigma2}
 
-    # Self-exciting variant.
-    pieces = _hawkes_pieces(pd, spec, params, omega, gaps) if n > 1 else None
+    # Self-exciting variant; one fixation has no sources, so its source
+    # gradients come out zero.
+    pieces = _hawkes_pieces(pd, spec, params, omega, gaps)
     grads = {}
-    if pieces is None:
-        terms = _finish(lam, comp, invalid)
-        with np.errstate(divide="ignore"):
-            grads["nu"] = float(np.sum(1.0 / lam) - area * np.sum(gaps))
-        grads["sigma2"] = 0.0
-        grads["alpha"] = np.zeros(spec.p)
-        grads["beta"] = np.zeros(spec.p)
-        if spec.mean_fn in ("affine", "full"):
-            grads["A"] = np.zeros((2, 2))
-            grads["b"] = np.zeros(2)
-        if spec.mean_fn == "full":
-            grads["C"] = np.zeros((2, spec.p))
-        return terms, grads
-
     X, a, b = pieces["X"], pieces["a"], pieces["b"]
     E, psi, mass, I0 = pieces["E"], pieces["psi"], pieces["mass"], pieces["I0"]
     tri, dhi, dlo = pieces["tri"], pieces["dhi"], pieces["dlo"]

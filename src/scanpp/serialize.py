@@ -9,6 +9,7 @@ and recompute the rest.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -299,8 +300,8 @@ def reports_csv(reports: Sequence[ComparisonReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_config(text: str) -> tuple[TrainConfig, Optional[GridSpec]]:
-    """JSON config with optional top-level "train" and "grid" sections."""
+def config_doc(text: str) -> dict:
+    """The parsed JSON of a config: an object with optional "train" and "grid" sections."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
@@ -310,6 +311,16 @@ def loads_config(text: str) -> tuple[TrainConfig, Optional[GridSpec]]:
     unknown = set(doc) - {"train", "grid"}
     if unknown:
         raise ParseError(f"unknown config sections {sorted(unknown)}")
+    return doc
+
+
+def loads_config(text: str) -> tuple[TrainConfig, Optional[GridSpec]]:
+    """JSON config with optional top-level "train" and "grid" sections."""
+    return config_from_doc(config_doc(text))
+
+
+def config_from_doc(doc: dict) -> tuple[TrainConfig, Optional[GridSpec]]:
+    """Training config and optional grid from a parsed config document."""
     train_doc = doc.get("train", {})
     grid_doc = doc.get("grid")
     try:
@@ -327,16 +338,9 @@ def loads_config(text: str) -> tuple[TrainConfig, Optional[GridSpec]]:
 
 
 def dumps_config(config: TrainConfig, grid: Optional[GridSpec] = None) -> str:
-    doc: dict = {"train": {
-        "learning_rate": config.learning_rate, "momentum": config.momentum,
-        "weight_decay": config.weight_decay, "batch_size": config.batch_size,
-        "max_epochs": config.max_epochs, "patience": config.patience,
-        "seed": config.seed, "split": list(config.split)}}
+    doc = {"train": dataclasses.asdict(config)}
     if grid is not None:
-        doc["grid"] = {"batch_sizes": list(grid.batch_sizes),
-                       "learning_rates": list(grid.learning_rates),
-                       "weight_decays": list(grid.weight_decays),
-                       "kernel_inits": [list(k) for k in grid.kernel_inits]}
+        doc["grid"] = dataclasses.asdict(grid)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

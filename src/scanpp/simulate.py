@@ -22,7 +22,7 @@ from .data import Fixation, Rect, Scanpath
 from .duration import DurationParams, DurationSpec, duration_means
 from .errors import DomainError, ValidationError
 from .mathutil import apply_link, norm_cdf, norm_ppf
-from .saccade import SaccadeParams, SaccadeSpec, check_compatible, spatial_mass
+from .saccade import SaccadeParams, SaccadeSpec, check_compatible, history_design, spatial_mass
 
 _MAX_CANDIDATES = 1_000_000
 _REJECTION_CAP = 1000
@@ -118,9 +118,7 @@ def intensity_upper_bound(t: float, history: Scanpath, spec: SaccadeSpec,
         return float(base)
     if spec.variant == "last_fixation":
         return float(base + spatial_mass(history.locations[-1], params.sigma2, omega))
-    if X is None:
-        X = np.zeros((n, spec.p))
-    X = np.asarray(X, dtype=float).reshape(n, spec.p)
+    X = history_design(X, n, spec)
     a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
     b = np.atleast_1d(apply_link(spec.link, X @ params.beta))
     clock = history.saccade_clock
@@ -232,9 +230,7 @@ def sample_next_fixation(history: Scanpath, spec: SaccadeSpec, params: SaccadePa
     check_compatible(spec, params)
     state = _State(spec, params, omega, x_row)
     if len(history):
-        if X is None:
-            X = np.zeros((len(history), spec.p))
-        X = np.asarray(X, dtype=float).reshape(len(history), spec.p)
+        X = history_design(X, len(history), spec)
         for i, fix in enumerate(history):
             state.push(fix.onset, np.array([fix.x, fix.y]), fix.duration, x=X[i])
     return _sample_next(rng, state, horizon)

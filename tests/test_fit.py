@@ -84,9 +84,11 @@ class TestAdapters:
         raw = rng.uniform(-0.5, 0.5, size=model.dim)
         assert_fd_matches(model, units, raw)
 
+    # seed 64 draws a negative kernel-shift raw value, where the shift is
+    # clipped at zero and its gradient must vanish
     @pytest.mark.parametrize("mean_variant,distribution,seed", [
         ("plain", "lognormal", 60), ("convolution", "lognormal", 61),
-        ("markov", "lognormal", 62), ("plain", "gamma", 63)])
+        ("markov", "lognormal", 62), ("plain", "gamma", 63), ("convolution", "gamma", 64)])
     def test_duration_gradients(self, mean_variant, distribution, seed):
         rng = np.random.default_rng(seed)
         spill = ("x1",) if mean_variant != "plain" else ()

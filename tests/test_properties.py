@@ -1,12 +1,14 @@
 """Property-based invariant checks over randomized structures."""
 import math
+from fractions import Fraction
 
+import numpy as np
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scanpp as sp
 from scanpp.fileio import dumps_scanpaths, loads_scanpaths
-from scanpp.mathutil import exp_integral_0, softplus, softplus_inv
+from scanpp.mathutil import exp_integral_0, exp_interval_g1, softplus, softplus_inv
 
 
 coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False,
@@ -72,6 +74,34 @@ def test_exp_integral_matches_quadrature(b, lo, length):
     want, _ = scipy.integrate.quad(lambda u: math.exp(-b * (lo + u)), 0.0, length,
                                    epsabs=1e-13, epsrel=1e-11)
     assert math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-13)
+
+
+def g1_exact(x: float) -> Fraction:
+    """(1 - (1+x) e^-x)/x^2 from its Taylor series in exact rational arithmetic.
+
+    The terms (-1)^k (k+1) x^k / (k+2)! alternate and shrink once k > x, so
+    the error is below the first omitted term, under 1e-30, while g1 is at
+    least about 1e-4 on (0, 100].
+    """
+    x = Fraction(x)
+    total, term, k = Fraction(0), Fraction(1, 2), 0
+    while k <= x or abs(term) > Fraction(1, 10 ** 30):
+        total += term
+        term = -term * x * (k + 2) / ((k + 1) * (k + 3))
+        k += 1
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-8.0, max_value=2.0).map(lambda e: 10.0 ** e))
+@example(1.07e-4)
+@example(np.nextafter(1.5, 0.0))
+@example(1.5)
+@example(100.0)
+def test_exp_interval_g1_near_machine_precision(x):
+    want = g1_exact(x)
+    rel = abs(Fraction(exp_interval_g1(x)) - want) / want
+    assert rel <= Fraction(1, 10 ** 15), float(rel)
 
 
 @settings(max_examples=60, deadline=None)

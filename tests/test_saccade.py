@@ -204,6 +204,21 @@ class TestPointwise:
         with pytest.raises(sp.ValidationError):
             sp.log_density(2.0, (5000.0, 0.0), simple_scanpath, spec, params, omega)
 
+    @pytest.mark.parametrize("op", ["intensity", "compensator", "log_density"])
+    def test_columns_require_history_design(self, op):
+        rng = np.random.default_rng(4)
+        path, design, spec, params, omega = small_instance(rng, n=3)
+        t = path.fixations[-1].end + 0.1
+        s = (omega.x0 + 0.5, omega.y0 + 0.5)
+        calls = {
+            "intensity": lambda X: sp.intensity(t, s, path, spec, params, X=X),
+            "compensator": lambda X: sp.compensator(t, path, spec, params, omega, X=X),
+            "log_density": lambda X: sp.log_density(t, s, path, spec, params, omega, X=X),
+        }
+        assert math.isfinite(calls[op](design))
+        with pytest.raises(sp.UsageError, match="design rows"):
+            calls[op](None)
+
     def test_intensity_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         path, design, spec, params, omega = small_instance(rng, n=5)

@@ -82,6 +82,14 @@ class TestUpperBound:
                                   X=np.ones((1, 1)))
 
 
+    def test_columns_require_history_design(self):
+        path = sp.Scanpath("r", "t", make_fixations([(0.5, 0.4)], [(0.5, 0.5)]))
+        spec, params = hawkes_setup()
+        assert intensity_upper_bound(1.0, path, spec, params, UNIT, X=np.ones((1, 1))) > 0
+        with pytest.raises(sp.UsageError, match="design rows"):
+            intensity_upper_bound(1.0, path, spec, params, UNIT)
+
+
 class TestPoissonSampling:
     def run(self, seed=0):
         spec = sp.SaccadeSpec(variant="poisson")
@@ -261,6 +269,16 @@ class TestHawkesSampling:
         nxt = sample_next_fixation(path, spec, params, UNIT, horizon=0.5,
                                    rng=np.random.default_rng(0))
         assert nxt is None
+
+    def test_next_fixation_with_columns_requires_history_design(self):
+        path = sp.Scanpath("r", "t", make_fixations([(0.2, 0.2)], [(0.5, 0.5)]))
+        spec, params = hawkes_setup()
+        assert sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
+                                    rng=np.random.default_rng(0), X=np.ones((1, 1)),
+                                    x_row=np.ones(1)) is not None
+        with pytest.raises(sp.UsageError, match="design rows"):
+            sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
+                                 rng=np.random.default_rng(0), x_row=np.ones(1))
 
 
 class TestRngs:
