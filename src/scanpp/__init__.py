@@ -30,6 +30,7 @@ from .duration import (
     DurationSpec,
     duration_loglik,
     duration_means,
+    event_mean,
     fit_linear_aggregated,
     fit_linear_log,
     gamma_kernel,
@@ -80,6 +81,7 @@ from .fit import (
 )
 from .plotting import PlotPage, intensity_grid, plot_intensity
 from .saccade import (
+    HistoryState,
     PathData,
     SaccadeParams,
     SaccadeSpec,

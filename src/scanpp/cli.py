@@ -8,6 +8,7 @@ be reproduced; identical inputs and seeds yield byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import logging
 import math
@@ -42,6 +43,36 @@ log = logging.getLogger("scanpp")
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
+def _blas_threads(n: Optional[int] = None) -> dict[str, int]:
+    """Thread count of each OpenBLAS loaded into this process, by file name.
+
+    Sets it to n first when n is given. numpy and scipy each load their own
+    OpenBLAS, whose functions carry a ``scipy_`` prefix and, with 64-bit
+    integers, a ``64_`` suffix. The libraries are found through
+    /proc/self/maps, so off Linux none is found.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, stem.format(op), None) for op in ("get", "set"))
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            if n is not None:
+                put(n)
+            counts[os.path.basename(path)] = get()
+            break
+    return counts
+
+
 def _setup_threads() -> None:
     value = os.environ.get("SCANPP_THREADS")
     if value is None or value == "":
@@ -52,9 +83,15 @@ def _setup_threads() -> None:
         raise UsageError(f"SCANPP_THREADS must be an integer, got {value!r}") from None
     if n < 1:
         raise UsageError(f"SCANPP_THREADS must be >= 1, got {n}")
+    # The loaded BLAS has read these already; they reach child processes.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
-    log.info("thread count %d (SCANPP_THREADS)", n)
+    counts = _blas_threads(n)
+    if not counts:
+        log.warning("SCANPP_THREADS=%d: no loaded OpenBLAS found; BLAS threads unchanged", n)
+        return
+    log.info("thread count %s (SCANPP_THREADS=%d, read back from OpenBLAS)",
+             ", ".join(f"{c} in {name}" for name, c in counts.items()), n)
 
 
 def _resolve_config(args) -> tuple[TrainConfig, Optional[GridSpec]]:

@@ -221,23 +221,6 @@ def _markov_features(design: np.ndarray, spec: DurationSpec) -> np.ndarray:
     return feats
 
 
-def conv_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
-              params: DurationParams) -> float:
-    """Mean log-duration of event n (0-based) under the convolution variant."""
-    onsets = np.asarray(onsets, dtype=float)[: n + 1]
-    design = np.asarray(design, dtype=float)[: n + 1]
-    feats = _conv_features(onsets, design, spec, params)
-    return float(design[n] @ params.w + feats[n] @ params.w_prime)
-
-
-def markov_mean(n: int, design: np.ndarray, spec: DurationSpec,
-                params: DurationParams) -> float:
-    """Mean log-duration of event n (0-based) under the fixed-lag variant."""
-    design = np.asarray(design, dtype=float)
-    feats = _markov_features(design, spec)
-    return float(design[n] @ params.w + np.sum(feats[n] * params.w_prime))
-
-
 def duration_means(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
                    params: DurationParams) -> np.ndarray:
     """Mean log-durations for every event of one scanpath."""
@@ -250,6 +233,31 @@ def duration_means(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
         feats = _markov_features(design, spec)
         xi = xi + np.einsum("njk,jk->n", feats, params.w_prime)
     return xi
+
+
+def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
+               params: DurationParams) -> float:
+    """Mean log-duration of event n (0-based) given the events before it, in O(n).
+
+    Reads ``onsets[:n + 1]`` and ``design[:n + 1]`` and equals
+    ``duration_means`` of those prefixes at n. The plain and markov means are
+    that very computation, so their value is bitwise the same. The
+    convolution term sums event n's sources as one dot product, which can
+    round differently in the last bits from the matrix product that
+    ``duration_means`` takes over all n + 1 events.
+    """
+    onsets = np.asarray(onsets, dtype=float)[: n + 1]
+    design = np.asarray(design, dtype=float)[: n + 1]
+    if spec.mean_variant != "convolution" or not spec.n_spill:
+        return float(duration_means(onsets, design, spec, params)[n])
+    check_compatible(spec, params)
+    tau = onsets[n] - onsets[:n]
+    feats = np.array([
+        gamma_kernel(tau, float(params.kernel_alpha[kk]), float(params.kernel_beta[kk]),
+                     float(params.kernel_theta[kk])) @ design[:n, col]
+        for kk, col in enumerate(spec.spill_indices)])
+    # Row n of the full product, as duration_means forms it.
+    return float((design @ params.w)[n] + feats @ params.w_prime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +308,7 @@ def duration_loglik_grad(onsets: np.ndarray, durations: np.ndarray, design: np.n
     xi = design @ params.w
     conv_feats = None
     markov_feats = None
-    if spec.mean_variant == "convolution" and k:
+    if spec.mean_variant == "convolution":
         conv_feats = _conv_features(onsets, design, spec, params)
         xi = xi + conv_feats @ params.w_prime
     elif spec.mean_variant == "markov" and k:

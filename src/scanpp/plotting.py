@@ -3,6 +3,11 @@
 The CSV is the testable artifact; each cell holds the conditional intensity
 evaluated at that cell's center. The SVG is presentation built from the same
 numbers, with past fixations and the upcoming fixation overlaid.
+
+A grid builds the history state once per timestamp and evaluates all its
+cells through ``HistoryState.intensity_at``, which works in blocks of
+bounded size; every cell value is bit-identical to calling the scalar
+``saccade.intensity`` at that cell's center.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from .data import Rect, Scanpath
 from .errors import DomainError, ValidationError
 from .fileio import format_float
-from .saccade import SaccadeParams, SaccadeSpec, intensity
+from .saccade import HistoryState, SaccadeParams, SaccadeSpec
 
 # dark-to-bright perceptual ramp, sampled at equal spacing
 _STOPS = ((68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37))
@@ -63,11 +68,9 @@ def intensity_grid(t: float, scanpath: Scanpath, spec: SaccadeSpec,
     history, _ = split_at_time(scanpath, t)
     hx = None if X is None else np.asarray(X, dtype=float)[:len(history)]
     xs, ys = grid_centers(omega, nx, ny)
-    values = np.empty((ny, nx))
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            values[j, i] = intensity(t, (x, y), history, spec, params, X=hx)
-    return xs, ys, values
+    state = HistoryState.build(history, hx, spec, params)
+    cells = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    return xs, ys, state.intensity_at(t, cells).reshape(ny, nx)
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:

@@ -9,12 +9,16 @@ reference models nest inside: a homogeneous Poisson baseline and a
 last-fixation model whose intensity depends only on the most recent landing
 site.
 
-Evaluation code comes in two layers: scalar reference operations
-(``intensity``, ``compensator``, ``log_density``) that follow the definitions
-term by term, and a vectorized per-scanpath layer (``loglik_terms``,
-``loglik_grad``) used by the fitting loop. Both share one convention: event
-times are seconds, locations are pixels, and the screen region bounds all
-spatial mass integrals.
+Evaluation code comes in two layers: pointwise operations on one observed
+history, and a vectorized per-scanpath layer (``loglik_terms``,
+``loglik_grad``) used by the fitting loop. The pointwise layer builds a
+``HistoryState`` once per history: the kernel clock, the link outputs, the
+excitation centers and their screen mass. ``HistoryState.intensity_at``
+evaluates the intensity at many points in blocks of bounded size, with each
+value bit-identical to the one-point reference ``intensity``;
+``compensator`` and ``log_density`` read the same state. Both layers share
+one convention: event times are seconds, locations are pixels, and the
+screen region bounds all spatial mass integrals.
 """
 
 from __future__ import annotations
@@ -272,18 +276,6 @@ def history_design(X: Optional[np.ndarray], n: int, spec: SaccadeSpec) -> np.nda
     return np.asarray(X, dtype=float).reshape(n, spec.p)
 
 
-def _history_state(history: Scanpath, X: Optional[np.ndarray], spec: SaccadeSpec,
-                   params: SaccadeParams):
-    """Clock values, excitation centers, and link outputs for a history."""
-    n = len(history)
-    X = history_design(X, n, spec)
-    pd = PathData(history.onsets, history.durations, history.locations, X)
-    mu = _centers(pd.locations, X, spec, params)
-    a = apply_link(spec.link, X @ params.alpha) if n else np.empty(0)
-    b = apply_link(spec.link, X @ params.beta) if n else np.empty(0)
-    return pd, mu, np.atleast_1d(a), np.atleast_1d(b)
-
-
 def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
              params: SaccadeParams) -> np.ndarray:
     if spec.mean_fn == "baseline":
@@ -294,66 +286,149 @@ def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
     return mu
 
 
-def _require_after_history(t: float, history: Scanpath) -> float:
-    """Return the window start (end of the last fixation, or zero)."""
-    last_end = history.fixations[-1].end if len(history) else 0.0
-    if t < last_end - _GAP_TOL:
-        raise DomainError(
-            f"time {t} falls before the end of the previous fixation at {last_end}"
-        )
-    return last_end
+# Point-source pairs HistoryState.intensity_at evaluates at once; each of
+# the two temporary arrays of a block then takes 128 KB.
+_BLOCK_PAIRS = 1 << 14
+
+
+def _density(points: np.ndarray, centers: np.ndarray, sigma2: float) -> np.ndarray:
+    """Spherical Gaussian density of each point (row) around each center (column).
+
+    Computed in place, in the order of ``spatial_density``: the x then the y
+    term of the squared distance, as ``np.sum`` over the two axes adds them,
+    then exp(-r2 / (2 sigma2)) / (2 pi sigma2). So each entry is
+    bit-identical to ``spatial_density``.
+    """
+    r2 = np.subtract.outer(points[:, 0], centers[:, 0])
+    dy = np.subtract.outer(points[:, 1], centers[:, 1])
+    r2 *= r2
+    dy *= dy
+    r2 += dy
+    np.negative(r2, out=r2)
+    r2 /= 2.0 * sigma2
+    np.exp(r2, out=r2)
+    r2 /= 2.0 * np.pi * sigma2
+    return r2
+
+
+@dataclass(frozen=True, eq=False)
+class HistoryState:
+    """One observed history, prepared once for evaluation at many (t, s).
+
+    ``path.clock`` is the kernel clock; ``a`` and ``b`` are each source's link
+    outputs (empty unless the variant is self-exciting) and ``mu`` its
+    excitation center, whose screen mass ``mass`` gives.
+    """
+
+    spec: SaccadeSpec
+    params: SaccadeParams
+    path: PathData
+    a: np.ndarray
+    b: np.ndarray
+    mu: np.ndarray
+    last_end: float
+    total_duration: float
+
+    @classmethod
+    def build(cls, history: Scanpath, X: Optional[np.ndarray], spec: SaccadeSpec,
+              params: SaccadeParams) -> "HistoryState":
+        """``X`` may be omitted when the spec has no columns or the history is empty."""
+        check_compatible(spec, params)
+        n = len(history)
+        if spec.variant == "hawkes" and n:
+            X = history_design(X, n, spec)
+        else:
+            X = np.zeros((n, spec.p))
+        pd = PathData(history.onsets, history.durations, history.locations, X)
+        if spec.variant == "hawkes":
+            a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
+            b = np.atleast_1d(apply_link(spec.link, X @ params.beta))
+        else:
+            a = b = np.empty(0)
+        return cls(spec, params, pd, a, b, _centers(pd.locations, X, spec, params),
+                   history.fixations[-1].end if n else 0.0, float(np.sum(pd.durations)))
+
+    def _require_after_history(self, t: float) -> None:
+        if t < self.last_end - _GAP_TOL:
+            raise DomainError(f"time {t} falls before the end of the previous "
+                              f"fixation at {self.last_end}")
+
+    def ages(self, t: float) -> np.ndarray:
+        """Kernel age of each source at time t, on the kernel clock."""
+        return (t - self.total_duration) - self.path.clock
+
+    def mass(self, omega: Rect) -> np.ndarray:
+        """Gaussian mass of each excitation center inside the screen."""
+        return spatial_mass(self.mu, self.params.sigma2, omega)
+
+    def intensity_at(self, t: float, points) -> np.ndarray:
+        """Conditional intensity at time t at each row of an (m, 2) array of points.
+
+        Points go in blocks of at most ``_BLOCK_PAIRS`` point-source pairs,
+        so memory stays bounded on fine grids and long histories. Each value
+        is bit-identical to the one-point case, ``intensity``.
+        """
+        self._require_after_history(t)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        nu = float(self.params.nu)
+        n = self.path.n
+        if self.spec.variant == "poisson" or n == 0:
+            return np.full(points.shape[0], nu)
+        s2 = self.params.sigma2
+        if self.spec.variant == "last_fixation":
+            return nu + _density(points, self.path.locations[-1:], s2)[:, 0]
+        phi = self.a * np.exp(-self.b * self.ages(t))
+        out = np.empty(points.shape[0])
+        step = max(1, _BLOCK_PAIRS // n)
+        for lo in range(0, points.shape[0], step):
+            psi = _density(points[lo:lo + step], self.mu, s2)
+            psi *= phi
+            out[lo:lo + step] = nu + np.sum(psi, axis=1)
+        return out
+
+    def compensator(self, t: float, omega: Rect) -> float:
+        """Integrated intensity over (end of last fixation, t] x screen."""
+        self._require_after_history(t)
+        params = self.params
+        gap = max(t - self.last_end, 0.0)
+        base = params.nu * omega.area * gap
+        if self.spec.variant == "poisson" or self.path.n == 0:
+            return float(base)
+        mass = self.mass(omega)
+        if self.spec.variant == "last_fixation":
+            return float(base + mass[-1] * gap)
+        # The window start mapped onto the kernel clock coincides with the
+        # last event's clock value, so each source's age runs from there.
+        lo = self.ages(self.last_end)
+        return float(base + np.sum(mass * self.a * exp_integral_0(self.b, lo, gap)))
 
 
 def intensity(t: float, s, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
               X: Optional[np.ndarray] = None) -> float:
     """Conditional intensity at (t, s), per second per squared pixel."""
-    check_compatible(spec, params)
-    _require_after_history(t, history)
-    s = np.asarray(s, dtype=float).reshape(2)
-    if spec.variant == "poisson" or len(history) == 0:
-        return float(params.nu)
-    if spec.variant == "last_fixation":
-        return float(params.nu) + spatial_density(s, history.locations[-1], params.sigma2)
-    pd, mu, a, b = _history_state(history, X, spec, params)
-    age = (t - float(np.sum(pd.durations))) - pd.clock
-    phi = a * np.exp(-b * age)
-    psi = np.exp(-np.sum((s - mu) ** 2, axis=1) / (2.0 * params.sigma2)) / (2.0 * np.pi * params.sigma2)
-    return float(params.nu + np.sum(phi * psi))
+    s = np.asarray(s, dtype=float).reshape(1, 2)
+    return float(HistoryState.build(history, X, spec, params).intensity_at(t, s)[0])
 
 
 def compensator(t: float, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
                 omega: Rect, X: Optional[np.ndarray] = None) -> float:
     """Integrated intensity over (end of last fixation, t] x screen."""
-    check_compatible(spec, params)
-    last_end = _require_after_history(t, history)
-    gap = max(t - last_end, 0.0)
-    base = params.nu * omega.area * gap
-    if spec.variant == "poisson" or len(history) == 0:
-        return float(base)
-    if spec.variant == "last_fixation":
-        return float(base + spatial_mass(history.locations[-1], params.sigma2, omega) * gap)
-    pd, mu, a, b = _history_state(history, X, spec, params)
-    # The window start mapped onto the kernel clock coincides with the last
-    # event's clock value, so each source's age runs from there.
-    lo = (last_end - float(np.sum(pd.durations))) - pd.clock
-    mass = spatial_mass(mu, params.sigma2, omega)
-    return float(base + np.sum(mass * a * exp_integral_0(b, lo, gap)))
+    return HistoryState.build(history, X, spec, params).compensator(t, omega)
 
 
 def log_density(t: float, s, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
                 omega: Rect, X: Optional[np.ndarray] = None) -> float:
     """Log joint density of the next fixation occurring at (t, s)."""
-    check_compatible(spec, params)
-    s = np.asarray(s, dtype=float).reshape(2)
-    if not omega.contains(s[0], s[1]):
-        raise ValidationError(f"location {tuple(s)} lies outside the screen region")
-    last_end = history.fixations[-1].end if len(history) else 0.0
-    if t < last_end - _GAP_TOL:
+    s = np.asarray(s, dtype=float).reshape(1, 2)
+    if not omega.contains(s[0, 0], s[0, 1]):
+        raise ValidationError(f"location {tuple(s[0])} lies outside the screen region")
+    state = HistoryState.build(history, X, spec, params)
+    if t < state.last_end - _GAP_TOL:
         return float("-inf")
-    lam = intensity(t, s, history, spec, params, X)
+    lam = float(state.intensity_at(t, s)[0])
     if lam <= 0.0:
         return float("-inf")
-    return float(np.log(lam) - compensator(t, history, spec, params, omega, X))
+    return float(np.log(lam) - state.compensator(t, omega))
 
 
 # --- Vectorized per-scanpath evaluation -------------------------------------

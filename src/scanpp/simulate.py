@@ -19,10 +19,17 @@ from typing import Optional
 import numpy as np
 
 from .data import Fixation, Rect, Scanpath
-from .duration import DurationParams, DurationSpec, duration_means
+from .duration import DurationParams, DurationSpec, event_mean
 from .errors import DomainError, ValidationError
 from .mathutil import apply_link, norm_cdf, norm_ppf
-from .saccade import SaccadeParams, SaccadeSpec, check_compatible, history_design, spatial_mass
+from .saccade import (
+    HistoryState,
+    SaccadeParams,
+    SaccadeSpec,
+    check_compatible,
+    history_design,
+    spatial_mass,
+)
 
 _MAX_CANDIDATES = 1_000_000
 _REJECTION_CAP = 1000
@@ -111,21 +118,16 @@ def intensity_upper_bound(t: float, history: Scanpath, spec: SaccadeSpec,
     Each spatial component is bounded by mass one, and kernels only decay, so
     this bounds the spatially integrated intensity on [t, infinity).
     """
-    check_compatible(spec, params)
+    state = HistoryState.build(history, X, spec, params)
     base = params.nu * omega.area
-    n = len(history)
-    if n == 0 or spec.variant == "poisson":
+    if state.path.n == 0 or spec.variant == "poisson":
         return float(base)
     if spec.variant == "last_fixation":
-        return float(base + spatial_mass(history.locations[-1], params.sigma2, omega))
-    X = history_design(X, n, spec)
-    a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
-    b = np.atleast_1d(apply_link(spec.link, X @ params.beta))
-    clock = history.saccade_clock
-    age = (t - float(np.sum(history.durations))) - clock
+        return float(base + state.mass(omega)[-1])
+    age = state.ages(t)
     if np.any(age < -1e-9):
         raise DomainError(f"time {t} precedes the end of the history")
-    return float(base + np.sum(a * np.exp(-b * np.maximum(age, 0.0))))
+    return float(base + np.sum(state.a * np.exp(-state.b * np.maximum(age, 0.0))))
 
 
 def _truncated_normal_axis(rng: np.random.Generator, mu: float, sigma: float,
@@ -239,8 +241,7 @@ def sample_next_fixation(history: Scanpath, spec: SaccadeSpec, params: SaccadePa
 def sample_duration(onsets: np.ndarray, design: np.ndarray, dur_spec: DurationSpec,
                     dur_params: DurationParams, rng: np.random.Generator) -> float:
     """Duration of the newest fixation, whose onset is the last entry of onsets."""
-    xi = float(duration_means(np.asarray(onsets, dtype=float),
-                              np.asarray(design, dtype=float), dur_spec, dur_params)[-1])
+    xi = event_mean(len(onsets) - 1, onsets, design, dur_spec, dur_params)
     if dur_spec.distribution == "gamma":
         return float(rng.gamma(dur_params.shape, math.exp(xi) / dur_params.shape))
     return float(math.exp(xi + math.sqrt(dur_params.sigma2) * rng.standard_normal()))

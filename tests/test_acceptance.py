@@ -344,6 +344,7 @@ def _fit_rse_chain(paths):
     return m_full, r4
 
 
+@pytest.mark.slow
 def test_criterion_04_simulate_refit_recovery(capsys, rse_dataset):
     _, truth, paths, sim_seconds = rse_dataset
     n_fix = sum(len(p) for p in paths)
@@ -396,6 +397,7 @@ def test_criterion_05_time_rescaling_ks(capsys, rse_dataset):
             f"{elapsed:.1f}s (budget 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_06_model_ladder_ordering(capsys, rse_dataset):
     _, _, paths, _ = rse_dataset
     t0 = time.monotonic()

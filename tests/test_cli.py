@@ -1,10 +1,14 @@
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scanpp as sp
-from scanpp import fileio, serialize
+from scanpp import cli, fileio, serialize
 from scanpp.cli import main
 from scanpp.fit import DurationModel, SaccadeModel, TrainConfig, GridSpec, split
 from scanpp.saccade import intensity
@@ -12,6 +16,7 @@ from scanpp.saccade import intensity
 from conftest import make_fixations, random_scanpath
 
 OMEGA = sp.Rect(0.0, 0.0, 640.0, 480.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_dataset(tmp_path, count=8, seed=21, n=8):
@@ -62,6 +67,13 @@ class TestParsing:
 
 
 class TestThreads:
+    @pytest.fixture(autouse=True)
+    def restore_blas_threads(self):
+        before = cli._blas_threads()
+        yield
+        if before:
+            cli._blas_threads(max(before.values()))
+
     def run_ingest(self, tmp_path):
         data, _ = write_dataset(tmp_path)
         return main(["ingest", "--data", data, "--out", str(tmp_path / "o.csv")])
@@ -80,6 +92,26 @@ class TestThreads:
         monkeypatch.setenv("SCANPP_THREADS", "3")
         assert self.run_ingest(tmp_path) == 0
         assert os.environ["OMP_NUM_THREADS"] == "3"
+
+    def test_limit_reaches_the_loaded_blas(self, tmp_path):
+        """The count is set in the OpenBLAS numpy loaded, and the log reads it back."""
+        data, _ = write_dataset(tmp_path)
+        script = (
+            "import ctypes, sys\n"
+            "from scanpp.cli import main\n"
+            f"code = main(['ingest', '--data', {data!r}, '--out', {str(tmp_path / 'o.csv')!r}])\n"
+            "maps = open('/proc/self/maps').read().splitlines()\n"
+            "libs = [line.split()[-1] for line in maps if 'libscipy_openblas64_' in line]\n"
+            "get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_ if libs else None\n"
+            "print(code, get() if get else 'none')\n")
+        env = dict(os.environ, SCANPP_THREADS="1", OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        if run.stdout.split()[1:] == ["none"]:
+            pytest.skip("numpy is not linked against scipy-openblas64")
+        assert run.stdout.split() == ["0", "1"], run.stderr
+        assert "INFO thread count 1 in libscipy_openblas64_" in run.stderr
 
 
 class TestIngest:
@@ -223,6 +255,19 @@ class TestFit:
         loaded = serialize.loads_fit(serialize.read_text(str(out)))
         assert loaded.model.kind == "duration"
         assert loaded.model.spec.columns == ("intercept",)
+
+    def test_convolution_duration_fit_without_spillover(self, tmp_path):
+        data, _ = write_dataset(tmp_path, count=6)
+        cfg, _ = write_config(tmp_path)
+        out = tmp_path / "c.fit"
+        assert main(["fit", "--data", data, "--out", str(out),
+                     "--kind", "duration", "--duration-variant", "convolution",
+                     "--config", cfg]) == 0
+        loaded = serialize.loads_fit(serialize.read_text(str(out)))
+        assert loaded.model.spec.mean_variant == "convolution"
+        assert loaded.model.spec.spillover == ()
+        assert loaded.result.train_trace and np.all(np.isfinite(loaded.result.train_trace))
+        assert math.isfinite(loaded.result.test_loglik)
 
     def test_grid_search_uses_config_grid(self, tmp_path):
         data, _ = write_dataset(tmp_path)

@@ -9,9 +9,9 @@ import scanpp as sp
 from scanpp.duration import (
     DurationParams,
     DurationSpec,
-    conv_mean,
     duration_loglik_grad,
     duration_means,
+    event_mean,
     extend_with_lags,
     fit_linear_aggregated,
     fit_linear_log,
@@ -19,7 +19,6 @@ from scanpp.duration import (
     gamma_kernel_mass,
     gamma_logpdf,
     lognormal_logpdf,
-    markov_mean,
 )
 
 from conftest import make_fixations
@@ -127,7 +126,7 @@ class TestMeans:
         k = 9.0 * math.exp(-3.0)
         assert xi[0] == pytest.approx(1.0, rel=1e-12)
         assert xi[1] == pytest.approx(0.5 + 0.3 * 2.0 * k, rel=1e-12)
-        assert conv_mean(1, path.onsets, design, spec, params) == pytest.approx(
+        assert event_mean(1, path.onsets, design, spec, params) == pytest.approx(
             xi[1], rel=1e-12)
 
     def test_markov_hand_value(self):
@@ -140,7 +139,8 @@ class TestMeans:
         assert xi[0] == pytest.approx(0.0, abs=1e-15)
         assert xi[1] == pytest.approx(0.5, rel=1e-12)
         assert xi[2] == pytest.approx(0.75, rel=1e-12)
-        assert markov_mean(2, design, spec, params) == pytest.approx(0.75, rel=1e-12)
+        assert event_mean(2, np.array([0.1, 0.5, 1.0]), design, spec, params) == pytest.approx(
+            0.75, rel=1e-12)
 
     def test_markov_masks_before_start(self):
         spec = DurationSpec(mean_variant="markov", spillover=("e",),
@@ -179,6 +179,62 @@ class TestMeans:
         assert np.allclose(ll_ln.per_event, want_ln, rtol=1e-12)
         assert np.allclose(ll_ga.per_event, want_ga, rtol=1e-12)
         assert float(ll_ln) == pytest.approx(np.sum(want_ln), rel=1e-12)
+
+
+def mean_setup(variant, distribution, rng, n=40):
+    """Random onsets and a three-column design; spillover from both effects."""
+    spill = () if variant == "plain" else ("e", "f")
+    spec = DurationSpec(mean_variant=variant, spillover=spill,
+                        lags=3 if variant == "markov" else 0,
+                        distribution=distribution, columns=("c", "e", "f"))
+    params = DurationParams.initial(spec, kernel=(2.2, 3.0, 0.05)).replace(
+        w=np.array([0.3, -0.2, 0.45]), shape=2.5)
+    if variant != "plain":
+        params = params.replace(
+            w_prime=rng.uniform(-0.8, 0.8, size=np.shape(params.w_prime)))
+    onsets = np.cumsum(rng.uniform(0.1, 0.5, size=n))
+    design = rng.normal(size=(n, 3))
+    design[:, 0] = 1.0
+    return spec, params, onsets, design
+
+
+class TestEventMean:
+    @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
+    @pytest.mark.parametrize("variant", ["plain", "markov"])
+    def test_bitwise_prefix_means(self, variant, distribution):
+        spec, params, onsets, design = mean_setup(variant, distribution,
+                                                  np.random.default_rng(21))
+        for n in range(len(onsets)):
+            want = duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
+            # rows past n must not matter
+            assert event_mean(n, onsets, design, spec, params) == want, n
+
+    @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
+    def test_convolution_prefix_means(self, distribution):
+        spec, params, onsets, design = mean_setup("convolution", distribution,
+                                                  np.random.default_rng(22))
+        got = [event_mean(n, onsets, design, spec, params) for n in range(len(onsets))]
+        want = [duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
+                for n in range(len(onsets))]
+        # the spillover sum is a dot product here and a matrix product there;
+        # 40 terms of size O(1) round apart by at most about 40 * 2.2e-16
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
+    def test_convolution_bitwise_without_spillover_values(self, distribution):
+        """The sampler's default duration row: intercept only, spillover columns zero."""
+        spec, params, onsets, _ = mean_setup("convolution", distribution,
+                                             np.random.default_rng(23))
+        design = np.tile([1.0, 0.0, 0.0], (len(onsets), 1))
+        for n in range(len(onsets)):
+            want = duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
+            assert event_mean(n, onsets, design, spec, params) == want, n
+
+    def test_first_event_has_no_spillover(self):
+        spec, params, onsets, design = mean_setup("convolution", "lognormal",
+                                                  np.random.default_rng(24), n=3)
+        assert event_mean(0, onsets, design, spec, params) == pytest.approx(
+            float(design[0] @ params.w), rel=1e-15)
 
 
 def fd_check(spec, params, onsets, durations, design, fields, eps=1e-6, tol=2e-5):
@@ -239,6 +295,18 @@ class TestGradients:
             w=rng.uniform(-0.5, 0.5, size=2),
             w_prime=rng.uniform(-0.3, 0.3, size=(2, 2)), shape=2.2)
         fd_check(spec, params, onsets, durations, design, ("w", "w_prime", "shape"))
+
+    def test_convolution_without_spillover_columns(self):
+        rng = np.random.default_rng(10)
+        n = 5
+        onsets = np.cumsum(rng.uniform(0.2, 0.6, size=n))
+        durations = rng.uniform(0.1, 0.4, size=n)
+        spec = DurationSpec(mean_variant="convolution", columns=("c",))
+        params = DurationParams.initial(spec, sigma2=0.7).replace(w=np.array([-1.2]))
+        _, grads = duration_loglik_grad(onsets, durations, np.ones((n, 1)), spec, params)
+        for key in ("w_prime", "kernel_alpha", "kernel_beta", "kernel_theta"):
+            assert grads[key].shape == (0,), key
+        fd_check(spec, params, onsets, durations, np.ones((n, 1)), ("w", "sigma2"))
 
     def test_plain_sigma2(self):
         rng = np.random.default_rng(9)

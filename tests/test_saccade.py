@@ -237,6 +237,96 @@ class TestPointwise:
         assert got == pytest.approx(total, rel=1e-12)
 
 
+def history_case(variant, mean_fn, link, columns, n, seed=31):
+    """A history of n fixations; X is None unless the spec has columns."""
+    rng = np.random.default_rng(seed)
+    path, design, spec, params, omega = small_instance(
+        rng, variant=variant, mean_fn=mean_fn, p=2, n=max(n, 1), link=link)
+    path = sp.Scanpath("r", "t", path.fixations[:n])
+    if variant != "hawkes":
+        return path, None, spec, params, omega
+    if not columns:
+        spec = sp.SaccadeSpec(variant="hawkes", mean_fn=mean_fn, link=link)
+        params = params.replace(alpha=np.zeros(0), beta=np.zeros(0), C=np.zeros((2, 0)))
+        return path, None, spec, params, omega
+    return path, design[:n], spec, params, omega
+
+
+def reference_intensity(t, s, path, X, spec, params):
+    """The scalar intensity as written term by term before HistoryState."""
+    s = np.asarray(s, dtype=float).reshape(2)
+    if spec.variant == "poisson" or len(path) == 0:
+        return float(params.nu)
+    if spec.variant == "last_fixation":
+        return float(params.nu) + spatial_density(s, path.locations[-1], params.sigma2)
+    X = np.zeros((len(path), 0)) if X is None else X
+    a = sp.mathutil.apply_link(spec.link, X @ params.alpha)
+    b = sp.mathutil.apply_link(spec.link, X @ params.beta)
+    mu = path.locations
+    if spec.mean_fn != "baseline":
+        mu = path.locations @ params.A.T + params.b
+        if spec.mean_fn == "full":
+            mu = mu + X @ params.C.T
+    age = (t - float(np.sum(path.durations))) - path.saccade_clock
+    phi = a * np.exp(-b * age)
+    psi = np.exp(-np.sum((s - mu) ** 2, axis=1) / (2.0 * params.sigma2)) \
+        / (2.0 * np.pi * params.sigma2)
+    return float(params.nu + np.sum(phi * psi))
+
+
+HISTORY_CASES = ([("poisson", "baseline", "softplus", False),
+                  ("last_fixation", "baseline", "softplus", False)]
+                 + [("hawkes", mean_fn, link, columns)
+                    for mean_fn in ("baseline", "affine", "full")
+                    for link in ("softplus", "relu") for columns in (False, True)])
+
+
+class TestHistoryState:
+    @pytest.mark.parametrize("n", [0, 1, 7, 150])
+    @pytest.mark.parametrize("variant,mean_fn,link,columns", HISTORY_CASES)
+    def test_intensity_at_equals_scalar(self, monkeypatch, variant, mean_fn, link,
+                                        columns, n):
+        path, X, spec, params, omega = history_case(variant, mean_fn, link, columns, n)
+        t = (path.fixations[-1].end if n else 0.0) + 0.13
+        gx, gy = np.meshgrid(np.linspace(omega.x0 - 0.2, omega.x1 + 0.2, 37),
+                             np.linspace(omega.y0, omega.y1, 3))
+        points = np.stack([gx.ravel(), gy.ravel()], axis=1)[:37]
+        state = sp.HistoryState.build(path, X, spec, params)
+        scalar = np.array([sp.intensity(t, s, path, spec, params, X=X) for s in points])
+        reference = np.array([reference_intensity(t, s, path, X, spec, params)
+                              for s in points])
+        assert np.array_equal(scalar, reference)
+        assert np.array_equal(state.intensity_at(t, points), scalar)
+        # 37 points in blocks of max(1, 20 // n) rows: a ragged last block
+        monkeypatch.setattr(sp.saccade, "_BLOCK_PAIRS", 20)
+        assert np.array_equal(state.intensity_at(t, points), scalar)
+
+    def test_columns_require_history_design(self):
+        path, X, spec, params, _ = history_case("hawkes", "full", "softplus", True, 3)
+        with pytest.raises(sp.UsageError, match="design rows"):
+            sp.HistoryState.build(path, None, spec, params)
+        empty = sp.Scanpath("r", "t", ())
+        state = sp.HistoryState.build(empty, None, spec, params)
+        assert np.array_equal(state.intensity_at(0.5, np.zeros((4, 2))),
+                              np.full(4, params.nu))
+
+    def test_refuses_time_inside_history(self):
+        path, X, spec, params, omega = history_case("hawkes", "affine", "softplus", True, 3)
+        state = sp.HistoryState.build(path, X, spec, params)
+        with pytest.raises(sp.DomainError):
+            state.intensity_at(path.fixations[-1].end - 0.05, np.zeros((1, 2)))
+
+    def test_intensity_grid_equals_cell_loop(self):
+        path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 7)
+        t = (path.fixations[3].end + path.fixations[4].onset) / 2.0
+        xs, ys, values = sp.intensity_grid(t, path, spec, params, omega, 7, 5, X=X)
+        history = sp.Scanpath("r", "t", path.fixations[:4])
+        loop = np.array([[sp.intensity(t, (x, y), history, spec, params, X=X[:4])
+                          for x in xs] for y in ys])
+        assert values.shape == (5, 7)
+        assert np.array_equal(values, loop)
+
+
 class TestCompensatorOracle:
     @pytest.mark.parametrize("variant,mean_fn,seed", [
         ("poisson", "baseline", 41), ("last_fixation", "baseline", 42),
