@@ -126,18 +126,6 @@ class Scanpath:
     def locations(self) -> np.ndarray:
         return np.array([[f.x, f.y] for f in self.fixations], dtype=float).reshape(len(self.fixations), 2)
 
-    @cached_property
-    def saccade_clock(self) -> np.ndarray:
-        """Onsets with all preceding fixation durations removed.
-
-        Differences of these values are exactly the cumulative inter-saccade
-        (non-fixation) time separating two events, which is the argument the
-        temporal excitation kernel sees.
-        """
-        if not self.fixations:
-            return np.empty(0, dtype=float)
-        return self.onsets - np.concatenate(([0.0], np.cumsum(self.durations[:-1])))
-
 
 @dataclass(frozen=True)
 class Box:

@@ -51,7 +51,14 @@ from .duration import (
 )
 from .errors import ScanppError, UsageError, ValidationError
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
-from .saccade import PathData, SaccadeParams, SaccadeSpec, loglik_grad, loglik_terms
+from .saccade import (
+    PathData,
+    SaccadeParams,
+    SaccadeSpec,
+    event_intensities,
+    loglik_grad,
+    loglik_terms,
+)
 
 
 class DivergenceError(ScanppError):
@@ -382,6 +389,19 @@ class SaccadeModel:
         terms = loglik_terms(unit, self.spec, params, self.omega_s)
         return terms.per_event - self.log_jac
 
+    def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
+        """The first event with a non-finite term, its intensity and compensator increment."""
+        params = self._unpack_scaled(raw)
+        lam, comp, invalid = event_intensities(unit, self.spec, params, self.omega_s)
+        bad = np.flatnonzero(~np.isfinite(loglik_terms(unit, self.spec, params,
+                                                       self.omega_s).per_event))
+        if not bad.size:
+            return "every event's term is finite"
+        k = int(bad[0])
+        overlap = ", and starts before the previous fixation ends" if invalid[k] else ""
+        return (f"event {k} has intensity {lam[k] / self.scale ** 2:.6g} per s per px^2 "
+                f"and compensator increment {comp[k]:.6g}{overlap}")
+
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
         raw = np.asarray(raw, dtype=float)
         terms, grads = loglik_grad(unit, self.spec, self._unpack_scaled(raw), self.omega_s)
@@ -496,6 +516,16 @@ class DurationModel:
             return np.atleast_1d(gamma_logpdf(unit.durations, xi, params.shape))
         return np.atleast_1d(lognormal_logpdf(unit.durations, xi, params.sigma2))
 
+    def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
+        """The first event with a non-finite term, its duration and log-density."""
+        per_event = self.per_event_loglik(raw, unit)
+        bad = np.flatnonzero(~np.isfinite(per_event))
+        if not bad.size:
+            return "every event's term is finite"
+        k = int(bad[0])
+        return (f"event {k} has log-density {per_event[k]:.6g} at duration "
+                f"{unit.durations[k]:.6g} s")
+
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
         raw = np.asarray(raw, dtype=float)
         result, grads = duration_loglik_grad(unit.onsets, unit.durations, unit.design,
@@ -544,7 +574,10 @@ def objective(model: Model, units: Sequence[PathData], raw: np.ndarray,
             ll, n = model.loglik_unit(raw, unit)
             g = None
         if not np.isfinite(ll):
-            raise DivergenceError(f"non-finite log-likelihood on scanpath {unit.label!r}")
+            values = ", ".join(f"{name}={value:.6g}"
+                               for name, value in zip(model.names, model.constrained(raw)))
+            raise DivergenceError(f"non-finite log-likelihood on scanpath {unit.label!r}: "
+                                  f"{model.nonfinite_event(raw, unit)}; parameters {values}")
         total_ll += ll
         total_n += n
         if want_grad:

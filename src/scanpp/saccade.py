@@ -19,11 +19,54 @@ value bit-identical to the one-point reference ``intensity``;
 ``compensator`` and ``log_density`` read the same state. Both layers share
 one convention: event times are seconds, locations are pixels, and the
 screen region bounds all spatial mass integrals.
+
+The per-scanpath layer evaluates the self-exciting variant on a band, in
+O(n·w) time and memory, and forms no n x n array. A source's kernel
+a_j·exp(-b_j·age) decays exponentially in its age on the kernel clock c, so
+event i keeps only the sources j < i at most w old at the start of its
+window, min(c_{i-1}, c_i); a source is dropped only once the running
+maximum of the clock up to it is that old, so the rule holds on a clock
+that runs backwards at an overlapping event. Rows go in blocks of at most
+``_BLOCK_PAIRS`` kept pairs; each row's intensity is complete within its
+block, and the per-source sums of the gradient are scatter-adds over the
+block's pairs.
+
+The cutoff w is derived on each call from (a, b, nu, sigma2, n), so that
+the dropped pairs change each event's log-density by at most
+``_TAIL_EPS`` = 1e-13 nats, and each event's contribution to the gradient
+in every a_j, b_j, sigma2 and excitation-center coordinate by at most the
+same. With q = 1/(2π·sigma2·nu), the largest psi/lambda since
+lambda >= nu and psi <= 1/(2π·sigma2); c = 1/b_min; and A = max a, a pair
+whose age and window start both exceed w contributes at most
+exp(-b_min·w) times
+
+- log-density: A·(q + c), since the compensator term is at most
+  a_j·exp(-b_j·w)/b_j;
+- d/da_j, which has no factor a_j: q + c;
+- d/db_j, which has a factor of age: A·(q·w + c·w + c²), as
+  age·exp(-b·age) falls for age >= 1/b and the tail integral of
+  u·exp(-b·u) from w is exp(-b·w)·(w/b + 1/b²); so w >= c always;
+- d/dsigma2: A·(q + c/2)/sigma2, as |dpsi/dsigma2| <= psi_max/sigma2 and
+  |dmass/dsigma2| <= 1/(2·sigma2);
+- d/dmu_j, per axis: A·(q/sqrt(e) + c/sqrt(2π))/sigma, as
+  psi·|s - mu|/sigma2 <= psi_max/(sqrt(e)·sigma) and
+  |dmass/dmu| <= 1/(sqrt(2π)·sigma).
+
+An event has at most n dropped sources, so w is any value with
+n·exp(-b_min·w)·(k0 + k1·w) <= eps, where k0 and k1 are the largest
+constant and linear coefficients above. Iterating
+w <- c·log(n·(k0 + k1·w)/eps) from a start above the least such w keeps
+every iterate valid. The gradients in alpha, beta, A, b and C carry the
+chain-rule factors x_jk·h'(x_j·theta) and s_j on top; the kept terms are
+weighted by 1/lambda_i, which the tail moves by a relative amount below
+eps. When b_min = 0 (relu) or nu = 0 there is no such w, and no pair is
+dropped.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -286,9 +329,14 @@ def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
     return mu
 
 
-# Point-source pairs HistoryState.intensity_at evaluates at once; each of
-# the two temporary arrays of a block then takes 128 KB.
+# Point-source pairs HistoryState.intensity_at evaluates at once, and
+# source-target pairs per row block of the band; each temporary array of a
+# block then takes 128 KB.
 _BLOCK_PAIRS = 1 << 14
+
+# Most that dropping the sources beyond the band's cutoff may change an
+# event's log-density, or its contribution to a gradient entry, in nats.
+_TAIL_EPS = 1e-13
 
 
 def _density(points: np.ndarray, centers: np.ndarray, sigma2: float) -> np.ndarray:
@@ -317,7 +365,8 @@ class HistoryState:
 
     ``path.clock`` is the kernel clock; ``a`` and ``b`` are each source's link
     outputs (empty unless the variant is self-exciting) and ``mu`` its
-    excitation center, whose screen mass ``mass`` gives.
+    excitation center, whose screen mass ``mass`` gives. The per-scanpath
+    layer reads the same fields, built by ``from_path``.
     """
 
     spec: SaccadeSpec
@@ -339,14 +388,22 @@ class HistoryState:
             X = history_design(X, n, spec)
         else:
             X = np.zeros((n, spec.p))
-        pd = PathData(history.onsets, history.durations, history.locations, X)
+        return cls.from_path(PathData(history.onsets, history.durations,
+                                      history.locations, X), spec, params)
+
+    @classmethod
+    def from_path(cls, pd: PathData, spec: SaccadeSpec,
+                  params: SaccadeParams) -> "HistoryState":
+        """The state of a history whose design rows ``pd`` already holds."""
+        X = pd.design
         if spec.variant == "hawkes":
             a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
             b = np.atleast_1d(apply_link(spec.link, X @ params.beta))
         else:
             a = b = np.empty(0)
+        last_end = float(pd.onsets[-1] + pd.durations[-1]) if pd.n else 0.0
         return cls(spec, params, pd, a, b, _centers(pd.locations, X, spec, params),
-                   history.fixations[-1].end if n else 0.0, float(np.sum(pd.durations)))
+                   last_end, float(np.sum(pd.durations)))
 
     def _require_after_history(self, t: float) -> None:
         if t < self.last_end - _GAP_TOL:
@@ -480,49 +537,137 @@ def _last_fixation_pieces(pd: PathData, params: SaccadeParams, omega: Rect):
     return r2, psi, gx, gy, (zx0, zx1, zy0, zy1)
 
 
-def _hawkes_pieces(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-                   gaps: np.ndarray):
+def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> float:
+    """Kernel age beyond which a source is dropped; see the module docstring."""
+    b_min = float(np.min(b)) if n > 1 else 0.0
+    if not (b_min > 0.0 and nu > 0.0):
+        return math.inf
+    a_max = float(np.max(a))
+    q = 1.0 / (2.0 * math.pi * sigma2 * nu)
+    c = 1.0 / b_min
+    sigma = math.sqrt(sigma2)
+    # Largest constant and linear coefficient of the per-pair bounds; np.max
+    # lets a nan through to the finiteness test below.
+    k0 = np.max([a_max * (q + c), q + c, a_max * c * c,
+                 a_max * (q + c / 2.0) / sigma2,
+                 a_max * (q / math.sqrt(math.e) + c / math.sqrt(2.0 * math.pi)) / sigma])
+    k1 = a_max * (q + c)
+
+    def cutoff(w):
+        return max(math.log(n * (k0 + k1 * w) / _TAIL_EPS) * c, c)
+
+    # From above: every iterate meets the bound, and they fall towards the
+    # smallest w that does.
+    w = 2.0 * cutoff(c)
+    for _ in range(3):
+        w = cutoff(w)
+    return w if math.isfinite(w) else math.inf
+
+
+def _band(clock: np.ndarray, w: float):
+    """Row blocks of the band: (first row, end row, rows, sources) of its pairs.
+
+    Row i keeps the sources lo_i <= j < i, where lo_i is the first source at
+    which the running maximum of the clock reaches min(c_{i-1}, c_i) - w. So
+    every dropped source is older than w at both ends of event i's window,
+    also where the clock is not monotone. A block holds at most
+    ``_BLOCK_PAIRS`` pairs, or one row.
+    """
+    n = clock.shape[0]
+    idx = np.arange(n)
+    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
+    lo = np.minimum(np.searchsorted(np.maximum.accumulate(clock), start - w), idx)
+    ends = np.cumsum(idx - lo)
+    r0 = 0
+    while r0 < n:
+        before = int(ends[r0 - 1]) if r0 else 0
+        r1 = max(int(np.searchsorted(ends, before + _BLOCK_PAIRS, side="right")), r0 + 1)
+        counts = idx[r0:r1] - lo[r0:r1]
+        rows = np.repeat(idx[r0:r1], counts)
+        shift = lo[r0:r1] - (ends[r0:r1] - counts - before)
+        yield r0, r1, rows, np.arange(int(ends[r1 - 1]) - before) + np.repeat(shift, counts)
+        r0 = r1
+
+
+@dataclass
+class _SourceSums:
+    """Per-source sums over the kept pairs that the gradient needs."""
+
+    d_a: np.ndarray      # sum_i P_i E_ij psi_ij
+    d_b: np.ndarray      # sum_i P_i W_ij dhi_ij
+    I0: np.ndarray
+    I1: np.ndarray
+    mu: np.ndarray       # sum_i P_i W_ij (s_i - mu_j), (n, 2)
+    sigma2: float = 0.0  # sum_ij P_i W_ij (r2_ij / (2 s2^2) - 1 / s2)
+
+
+def _hawkes_band(state: HistoryState, mass: np.ndarray, gaps: np.ndarray, lam: np.ndarray,
+                 comp: np.ndarray, grad: bool) -> Optional[_SourceSums]:
+    """Add the excitation to lam and comp in place, one block of the band at a time.
+
+    ``mass`` is each source's screen mass. With ``grad`` the per-source
+    gradient sums come back too; each row's lam is complete within its
+    block, so they take the same pass.
+    """
+    pd, a, b, mu = state.path, state.a, state.b, state.mu
     n = pd.n
-    X = pd.design
-    a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
-    b = np.atleast_1d(apply_link(spec.link, X @ params.beta))
     clock = pd.clock
     clock_prev = np.concatenate(([0.0], clock[:-1]))
-    tri = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    dhi = np.where(tri, clock[:, None] - clock[None, :], 0.0)
-    dlo = np.where(tri, clock_prev[:, None] - clock[None, :], 0.0)
-    E = np.where(tri, np.exp(-b[None, :] * dhi), 0.0)
-    mu = _centers(pd.locations, X, spec, params)
-    diff = pd.locations[:, None, :] - mu[None, :, :]
-    r2 = np.sum(diff * diff, axis=2)
-    s2 = params.sigma2
-    psi = np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
-    sigma = np.sqrt(s2)
-    zx0 = (omega.x0 - mu[:, 0]) / sigma
-    zx1 = (omega.x1 - mu[:, 0]) / sigma
-    zy0 = (omega.y0 - mu[:, 1]) / sigma
-    zy1 = (omega.y1 - mu[:, 1]) / sigma
-    gx = norm_cdf(zx1) - norm_cdf(zx0)
-    gy = norm_cdf(zy1) - norm_cdf(zy0)
-    mass = gx * gy
-    I0 = np.where(tri, exp_integral_0(b[None, :], dlo, gaps[:, None]), 0.0)
-    return dict(X=X, a=a, b=b, tri=tri, dhi=dhi, dlo=dlo, E=E, mu=mu, diff=diff,
-                r2=r2, psi=psi, gx=gx, gy=gy, mass=mass, I0=I0,
-                z=(zx0, zx1, zy0, zy1))
+    s2 = state.params.sigma2
+    am = mass * a
+    sums = _SourceSums(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
+                       np.zeros((n, 2))) if grad else None
+    for r0, r1, rows, cols in _band(clock, _window(a, b, state.params.nu, s2, n)):
+        if not cols.size:
+            continue
+        bj = b[cols]
+        dhi = clock[rows] - clock[cols]
+        E = np.exp(-bj * dhi)
+        dx = pd.locations[rows, 0] - mu[cols, 0]
+        dy = pd.locations[rows, 1] - mu[cols, 1]
+        r2 = dx * dx + dy * dy
+        EP = E * (np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2))
+        W = a[cols] * EP
+        dlo = clock_prev[rows] - clock[cols]
+        g = gaps[rows]
+        I0 = exp_integral_0(bj, dlo, g)
+        local = rows - r0
+        lam[r0:r1] += np.bincount(local, W, minlength=r1 - r0)
+        comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
+        if not grad:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            P = (1.0 / lam[r0:r1])[local]
+        j0 = int(cols.min())
+        src = cols - j0
+
+        def add(total, weights):
+            total[j0:r1] += np.bincount(src, weights, minlength=r1 - j0)
+
+        PW = P * W
+        add(sums.d_a, P * EP)
+        add(sums.d_b, PW * dhi)
+        add(sums.I0, I0)
+        add(sums.I1, exp_integral_1(bj, dlo, g))
+        sums.sigma2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
+        if state.spec.mean_fn != "baseline":
+            add(sums.mu[:, 0], PW * dx)
+            add(sums.mu[:, 1], PW * dy)
+    return sums
 
 
-def _lam_comp(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
-              omega: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Event intensities, compensator increments, and the invalid-gap mask."""
+def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
+                      omega: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intensity at each event, compensator increments, and the invalid-gap mask."""
+    check_compatible(spec, params)
     gaps, invalid, lam, comp = _gap_terms(pd, params.nu, omega.area)
     if spec.variant == "last_fixation" and pd.n > 1:
         _, psi, gx, gy, _ = _last_fixation_pieces(pd, params, omega)
         lam[1:] += psi
         comp[1:] += gx * gy * gaps[1:]
     elif spec.variant == "hawkes" and pd.n > 1:
-        pieces = _hawkes_pieces(pd, spec, params, omega, gaps)
-        lam = lam + (pieces["E"] * pieces["psi"]) @ pieces["a"]
-        comp = comp + pieces["I0"] @ (pieces["mass"] * pieces["a"])
+        state = HistoryState.from_path(pd, spec, params)
+        _hawkes_band(state, state.mass(omega), gaps, lam, comp, grad=False)
     return lam, comp, invalid
 
 
@@ -532,7 +677,7 @@ def loglik_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     check_compatible(spec, params)
     if pd.n == 0:
         return ScanpathLoglik(np.empty(0), 0)
-    lam, comp, invalid = _lam_comp(pd, spec, params, omega)
+    lam, comp, invalid = event_intensities(pd, spec, params, omega)
     return _finish(lam, comp, invalid)
 
 
@@ -546,8 +691,7 @@ def compensator_increments(pd: PathData, spec: SaccadeSpec, params: SaccadeParam
     check_compatible(spec, params)
     if pd.n == 0:
         return np.empty(0)
-    _, comp, _ = _lam_comp(pd, spec, params, omega)
-    return comp
+    return event_intensities(pd, spec, params, omega)[1]
 
 
 def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
@@ -606,49 +750,39 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
 
     # Self-exciting variant; one fixation has no sources, so its source
     # gradients come out zero.
-    pieces = _hawkes_pieces(pd, spec, params, omega, gaps)
-    grads = {}
-    X, a, b = pieces["X"], pieces["a"], pieces["b"]
-    E, psi, mass, I0 = pieces["E"], pieces["psi"], pieces["mass"], pieces["I0"]
-    tri, dhi, dlo = pieces["tri"], pieces["dhi"], pieces["dlo"]
-    EP = E * psi
-    lam = lam + EP @ a
-    comp = comp + I0 @ (mass * a)
+    X = pd.design
+    state = HistoryState.from_path(pd, spec, params)
+    a, mu = state.a, state.mu
+    sigma = np.sqrt(s2)
+    zx0 = (omega.x0 - mu[:, 0]) / sigma
+    zx1 = (omega.x1 - mu[:, 0]) / sigma
+    zy0 = (omega.y0 - mu[:, 1]) / sigma
+    zy1 = (omega.y1 - mu[:, 1]) / sigma
+    gx = norm_cdf(zx1) - norm_cdf(zx0)
+    gy = norm_cdf(zy1) - norm_cdf(zy0)
+    mass = gx * gy
+    sums = _hawkes_band(state, mass, gaps, lam, comp, grad=True)
     terms = _finish(lam, comp, invalid)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P = 1.0 / lam
-    W = a[None, :] * EP
-    I0_sum = np.sum(I0, axis=0)
-    sigma = np.sqrt(s2)
+    grads = {}
+    with np.errstate(divide="ignore"):
+        grads["nu"] = float(np.sum(1.0 / lam) - area * np.sum(gaps))
 
-    grads["nu"] = float(np.sum(P) - area * np.sum(gaps))
-
-    d_a = P @ EP - mass * I0_sum
+    d_a = sums.d_a - mass * sums.I0
     grads["alpha"] = X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))
-
-    I1 = np.where(tri, exp_integral_1(b[None, :], dlo, gaps[:, None]), 0.0)
-    d_b = -(P @ (W * dhi)) + mass * a * np.sum(I1, axis=0)
+    d_b = mass * a * sums.I1 - sums.d_b
     grads["beta"] = X.T @ (d_b * link_deriv(spec.link, X @ params.beta))
 
     # Shared spatial-variance gradient.
-    r2 = pieces["r2"]
-    dpsi_ds2 = psi * (r2 / (2.0 * s2 * s2) - 1.0 / s2)
-    zx0, zx1, zy0, zy1 = pieces["z"]
-    gx, gy = pieces["gx"], pieces["gy"]
     dgx_dsig = (zx0 * norm_pdf(zx0) - zx1 * norm_pdf(zx1)) / sigma
     dgy_dsig = (zy0 * norm_pdf(zy0) - zy1 * norm_pdf(zy1)) / sigma
     dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
-    grads["sigma2"] = float(np.einsum("i,ij,ij->", P, a[None, :] * E, dpsi_ds2)
-                            - np.sum(a * I0_sum * dmass_ds2))
+    grads["sigma2"] = sums.sigma2 - float(np.sum(a * sums.I0 * dmass_ds2))
 
     if spec.mean_fn in ("affine", "full"):
-        diff = pieces["diff"]
-        grad_mu = np.einsum("i,ij,ijk->jk", P, W, diff) / s2
-        dmass_dmux = gy * (norm_pdf(zx0) - norm_pdf(zx1)) / sigma
-        dmass_dmuy = gx * (norm_pdf(zy0) - norm_pdf(zy1)) / sigma
-        grad_mu[:, 0] -= a * I0_sum * dmass_dmux
-        grad_mu[:, 1] -= a * I0_sum * dmass_dmuy
+        grad_mu = sums.mu / s2
+        grad_mu[:, 0] -= a * sums.I0 * gy * (norm_pdf(zx0) - norm_pdf(zx1)) / sigma
+        grad_mu[:, 1] -= a * sums.I0 * gx * (norm_pdf(zy0) - norm_pdf(zy1)) / sigma
         grads["A"] = grad_mu.T @ pd.locations
         grads["b"] = np.sum(grad_mu, axis=0)
         if spec.mean_fn == "full":

@@ -53,7 +53,7 @@ class TestScanpath:
         assert len(path) == 2
 
     def test_saccade_clock(self, simple_scanpath):
-        clock = simple_scanpath.saccade_clock
+        clock = sp.PathData.from_scanpath(simple_scanpath).clock
         onsets = simple_scanpath.onsets
         durs = simple_scanpath.durations
         expected = [onsets[0], onsets[1] - durs[0], onsets[2] - durs[0] - durs[1],

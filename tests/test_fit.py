@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -504,6 +505,31 @@ class TestTraining:
         with pytest.raises(sp.DivergenceError):
             train(model, Split(train=(pd,), val=(), test=()),
                   TrainConfig(max_epochs=2, patience=2))
+
+    def test_divergence_names_event_and_parameters(self):
+        # event 3 starts 0.05 s before fixation 2 ends
+        onsets = [0.1, 0.6, 1.1, 1.35, 1.9]
+        pd = sp.PathData(onsets=onsets, durations=[0.3] * 5,
+                         locations=[(100.0 * k, 200.0) for k in range(1, 6)],
+                         design=np.ones((5, 1)), label="r/t")
+        spec = sp.SaccadeSpec(variant="hawkes", mean_fn="affine", columns=("intercept",))
+        model = SaccadeModel(spec, PIXEL_OMEGA)
+        params = sp.SaccadeParams.initial(spec, nu=1e-6, sigma2=900.0).replace(
+            alpha=np.array([0.5]), beta=np.array([1.0]))
+        raw = model.pack(params)
+        unit = model.prepare_unit(pd)
+        lam, comp, _ = sp.saccade.event_intensities(pd, spec, params, PIXEL_OMEGA)
+        for want_grad in (True, False):
+            with pytest.raises(sp.DivergenceError) as info:
+                objective(model, [unit], raw, want_grad=want_grad)
+            msg = str(info.value)
+            found = re.search(r"scanpath 'r/t': event 3 has intensity (\S+) per s per "
+                              r"px\^2 and compensator increment (\S+), and starts before "
+                              r"the previous fixation ends", msg)
+            assert found, msg
+            assert float(found[1]) == pytest.approx(lam[3], rel=1e-5)
+            assert float(found[2]) == pytest.approx(comp[3], rel=1e-5)
+            assert "sigma2=900" in msg and "nu=1e-06" in msg and "alpha[intercept]=" in msg
 
 
 class TestGridSearch:

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import dense_saccade as dense
 import scanpp as sp
+from scanpp import saccade
 from scanpp.saccade import loglik_terms, spatial_density, spatial_mass, temporal_kernel
 
 from conftest import make_fixations, small_instance
+from test_golden import OMEGA as RSE_OMEGA, rse_model
 
 
 def softplus_ref(x):
@@ -267,7 +271,7 @@ def reference_intensity(t, s, path, X, spec, params):
         mu = path.locations @ params.A.T + params.b
         if spec.mean_fn == "full":
             mu = mu + X @ params.C.T
-    age = (t - float(np.sum(path.durations))) - path.saccade_clock
+    age = (t - float(np.sum(path.durations))) - sp.PathData.from_scanpath(path).clock
     phi = a * np.exp(-b * age)
     psi = np.exp(-np.sum((s - mu) ** 2, axis=1) / (2.0 * params.sigma2)) \
         / (2.0 * np.pi * params.sigma2)
@@ -494,3 +498,173 @@ class TestLoglik:
         assert result.invalid_count == 1
         assert result.per_event[1] == -np.inf
         assert np.isfinite(result.per_event[0])
+
+
+# --- The band against the dense evaluation -----------------------------------
+
+def assert_terms_match(got, want):
+    """Same -inf positions and count; finite terms within 1e-12, relative or absolute."""
+    assert got.invalid_count == want.invalid_count
+    assert np.array_equal(np.isfinite(got.per_event), np.isfinite(want.per_event))
+    fin = np.isfinite(want.per_event)
+    assert np.array_equal(got.per_event[~fin], want.per_event[~fin])
+    err = np.abs(got.per_event[fin] - want.per_event[fin])
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want.per_event[fin])))
+
+
+def assert_matches_dense(pd, spec, params, omega):
+    """Terms, increments and, where every term is finite, each gradient key."""
+    terms, grads = saccade.loglik_grad(pd, spec, params, omega)
+    with np.errstate(invalid="ignore"):  # 0 * inf where a term is -inf
+        want, want_grads = dense.loglik_grad(pd, spec, params, omega)
+    assert_terms_match(terms, want)
+    assert_terms_match(loglik_terms(pd, spec, params, omega), want)
+    comp = sp.compensator_increments(pd, spec, params, omega)
+    want_comp = dense.lam_comp(pd, spec, params, omega)[1]
+    assert np.all(np.abs(comp - want_comp) <= 1e-12 * np.maximum(1.0, np.abs(want_comp)))
+    assert grads.keys() == want_grads.keys()
+    if want.invalid_count:
+        return terms, grads
+    for key, value in want_grads.items():
+        err = np.linalg.norm(np.asarray(grads[key]) - value)
+        assert err <= 1e-10 * np.linalg.norm(value), key
+    return terms, grads
+
+
+def kept_pairs(pd, spec, params):
+    state = sp.HistoryState.from_path(pd, spec, params)
+    w = saccade._window(state.a, state.b, params.nu, params.sigma2, pd.n)
+    return sum(cols.size for *_, cols in saccade._band(pd.clock, w)), w
+
+
+@pytest.fixture(scope="module")
+def rse_long():
+    """A 4000-event path simulated from the full RSE model, as PathData."""
+    spec, params = rse_model()
+    dur_spec = sp.DurationSpec(columns=("intercept",))
+    dur_params = sp.DurationParams.initial(dur_spec, sigma2=0.1).replace(
+        w=np.array([math.log(0.2)]))
+    config = sp.SimConfig(horizon=1e5, omega=RSE_OMEGA, seed=4242, max_events=4000)
+    x = np.array([1.0, 0.0, 1.0, 0.0])
+    sim = sp.sample_scanpath(spec, params, dur_spec, dur_params, config, x_row=x,
+                             x_dur_row=np.ones(1), reader_id="r1", text_id="long")
+    assert len(sim.scanpath) == 4000
+    return sp.PathData.from_scanpath(sim.scanpath, np.tile(x, (4000, 1)))
+
+
+def prefix(pd, n):
+    return sp.PathData(pd.onsets[:n], pd.durations[:n], pd.locations[:n], pd.design[:n])
+
+
+def long_case(link, alpha, beta):
+    """A full-map path of 300 events on a 3x2 screen over columns (intercept, z), z = +-1."""
+    n = 300
+    rng = np.random.default_rng(57)
+    gaps = rng.uniform(0.05, 0.4, n)
+    durs = rng.uniform(0.1, 0.3, n)
+    onsets = np.cumsum(gaps) + np.concatenate(([0.0], np.cumsum(durs[:-1])))
+    locs = np.column_stack([rng.uniform(0.1, 2.9, n), rng.uniform(0.1, 1.9, n)])
+    design = np.column_stack([np.ones(n), rng.choice([-1.0, 1.0], n)])
+    spec = sp.SaccadeSpec(variant="hawkes", mean_fn="full", link=link,
+                          columns=("intercept", "z"))
+    params = sp.SaccadeParams.initial(spec, nu=0.5, sigma2=0.2).replace(
+        alpha=np.asarray(alpha, dtype=float), beta=np.asarray(beta, dtype=float),
+        A=np.array([[0.95, 0.03], [-0.02, 1.05]]), b=np.array([0.05, -0.03]),
+        C=np.array([[0.02, -0.04], [0.03, 0.01]]))
+    return (sp.PathData(onsets, durs, locs, design), spec, params,
+            sp.Rect(0.0, 0.0, 3.0, 2.0))
+
+
+class TestBandAgainstDense:
+    @pytest.mark.parametrize("n", [0, 1, 2, 90])
+    @pytest.mark.parametrize("variant,mean_fn,link,columns", HISTORY_CASES)
+    def test_variants(self, monkeypatch, variant, mean_fn, link, columns, n):
+        path, X, spec, params, omega = history_case(variant, mean_fn, link, columns, n)
+        pd = sp.PathData.from_scanpath(path, X)
+        assert_matches_dense(pd, spec, params, omega)
+        # blocks of 20 pairs: most rows alone in a block, many longer than it
+        monkeypatch.setattr(saccade, "_BLOCK_PAIRS", 20)
+        assert_matches_dense(pd, spec, params, omega)
+
+    def test_long_path_drops_most_pairs(self, rse_long):
+        pd = prefix(rse_long, 1500)
+        spec, params = rse_model()
+        kept, w = kept_pairs(pd, spec, params)
+        assert math.isfinite(w)
+        assert kept <= 0.2 * pd.n * (pd.n - 1) / 2
+        terms, _ = assert_matches_dense(pd, spec, params, RSE_OMEGA)
+        assert terms.invalid_count == 0
+        # the same in the units the trainer fits in
+        model = sp.SaccadeModel(spec, RSE_OMEGA)
+        scaled = model._unpack_scaled(model.pack(params))
+        assert_matches_dense(model.prepare_unit(pd), spec, scaled, model.omega_s)
+
+    def test_relu_zero_decay_keeps_every_pair(self):
+        pd, spec, params, omega = long_case("relu", alpha=[1.0, 0.3], beta=[0.0, 1.5])
+        kept, w = kept_pairs(pd, spec, params)
+        assert w == math.inf and kept == pd.n * (pd.n - 1) // 2
+        assert_matches_dense(pd, spec, params, omega)
+
+    def test_relu_zero_amplitude_sources(self):
+        # a = relu(1 - 2z) is 0 where z = 1; the decay is 1.5 or 2.5 everywhere
+        pd, spec, params, omega = long_case("relu", alpha=[-1.0, -2.0], beta=[2.0, 0.5])
+        a = sp.HistoryState.from_path(pd, spec, params).a
+        assert np.any(a == 0.0) and np.any(a > 0.0)
+        kept, w = kept_pairs(pd, spec, params)
+        assert kept < 0.8 * pd.n * (pd.n - 1) / 2
+        _, grads = assert_matches_dense(pd, spec, params, omega)
+        assert np.all(grads["alpha"] != 0.0)
+
+    def test_vanishing_amplitude_keeps_its_gradient(self):
+        # a is about 1e-13, so lambda and the compensator hardly see the
+        # sources, but d/da, which has no factor a, does
+        pd, spec, params, omega = long_case("softplus", alpha=[-30.0, 0.0], beta=[2.5, 0.5])
+        kept, w = kept_pairs(pd, spec, params)
+        assert kept < 0.8 * pd.n * (pd.n - 1) / 2
+        assert_matches_dense(pd, spec, params, omega)
+
+    def test_zero_base_rate_keeps_every_pair(self):
+        pd, spec, params, omega = long_case("softplus", alpha=[0.5, 0.2], beta=[1.0, 0.3])
+        params = params.replace(nu=0.0)
+        kept, w = kept_pairs(pd, spec, params)
+        assert w == math.inf and kept == pd.n * (pd.n - 1) // 2
+        terms, _ = assert_matches_dense(pd, spec, params, omega)
+        assert terms.per_event[0] == -np.inf and np.all(np.isfinite(terms.per_event[1:]))
+
+    @pytest.mark.parametrize("k,overlap", [(200, 0.5), (60, 20.0)])
+    def test_overlapping_event_on_a_banded_path(self, k, overlap):
+        pd, spec, params, omega = long_case("softplus", alpha=[0.5, 0.2], beta=[2.5, 0.5])
+        onsets = pd.onsets.copy()
+        # event k starts `overlap` seconds before the end of event k - 1, so
+        # the clock runs backwards there; 20 s is more than the cutoff, and
+        # sources before event 60 are then within it of later events
+        onsets[k:] -= onsets[k] - (onsets[k - 1] + pd.durations[k - 1] - overlap)
+        pd = sp.PathData(onsets, pd.durations, pd.locations, pd.design)
+        assert np.any(np.diff(pd.clock) < 0)
+        kept, w = kept_pairs(pd, spec, params)
+        assert kept < 0.8 * pd.n * (pd.n - 1) / 2 and w < 20.0
+        terms, _ = assert_matches_dense(pd, spec, params, omega)
+        assert terms.invalid_count == 1 and terms.per_event[k] == -np.inf
+
+    def test_pause_longer_than_the_cutoff(self):
+        # sources just before a 30 s pause are older than the cutoff at its
+        # end, but still count towards the compensator over the pause
+        pd, spec, params, omega = long_case("softplus", alpha=[0.5, 0.2], beta=[2.5, 0.5])
+        onsets = pd.onsets.copy()
+        onsets[150:] += 30.0
+        pd = sp.PathData(onsets, pd.durations, pd.locations, pd.design)
+        kept, w = kept_pairs(pd, spec, params)
+        assert w < 30.0 and kept < 0.8 * pd.n * (pd.n - 1) / 2
+        assert_matches_dense(pd, spec, params, omega)
+
+    def test_gradient_memory_is_bounded(self, rse_long):
+        spec, params = rse_model()
+        tracemalloc.start()
+        try:
+            terms, grads = saccade.loglik_grad(rse_long, spec, params, RSE_OMEGA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms.invalid_count == 0 and np.all(np.isfinite(grads["C"]))
+        # dense n x n arrays at n = 4000 take 128 MB each
+        assert peak < 64 * 2**20

@@ -60,8 +60,9 @@ class TestUpperBound:
             t0 = path.fixations[-1].end + float(rng.uniform(0.0, 0.5))
             bound = intensity_upper_bound(t0, path, spec, params, omega, X=design)
             total_dur = float(np.sum(path.durations))
+            clock = sp.PathData.from_scanpath(path).clock
             for u in t0 + np.linspace(0.0, 4.0, 25):
-                age = (u - total_dur) - path.saccade_clock
+                age = (u - total_dur) - clock
                 marg = params.nu * omega.area + float(np.sum(a * np.exp(-b * age) * mass))
                 assert marg <= bound + 1e-12
                 checked += 1
