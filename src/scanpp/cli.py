@@ -368,17 +368,23 @@ def cmd_simulate(args) -> int:
              args.count, args.horizon, args.seed)
     rngs = spawn_rngs(args.seed, args.count)
     out = []
-    truncated = 0
+    truncated = candidates = accepted = fallbacks = 0
     for i in range(args.count):
         result = sample_scanpath(spec, params, dur_spec, dur_params, config,
                                  x_row=x_row, x_dur_row=x_dur_row,
                                  reader_id=args.reader, text_id=f"sim{i}",
                                  rng=rngs[i])
         truncated += int(result.truncated)
+        candidates += result.candidates
+        accepted += result.accepted
+        fallbacks += result.location_fallbacks
         out.append(result.scanpath)
     if truncated:
         log.warning("%d of %d scanpaths hit the event cap before the horizon",
                     truncated, args.count)
+    log.info("thinning accepted %d of %d candidates (rate %s); %d location draws "
+             "fell back to the truncated normal", accepted, candidates,
+             f"{accepted / candidates:.4f}" if candidates else "n/a", fallbacks)
     fileio.write_scanpaths(args.out, out)
     log.info("wrote %d scanpaths (%d fixations) to %s",
              len(out), sum(len(sp) for sp in out), args.out)

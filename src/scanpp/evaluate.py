@@ -9,12 +9,13 @@ Kolmogorov-Smirnov.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import expm1, kolmogorov
 
 from .data import Rect, Scanpath, design_for_columns
 from .errors import ScanppError, ValidationError
@@ -97,8 +98,14 @@ def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
         raise ValidationError("cannot test an empty sample")
     if np.any(gaps <= 0):
         raise ValidationError("rescaled gaps must be > 0")
-    result = stats.kstest(gaps, "expon", args=(0.0, 1.0), mode="asymp")
-    return float(result.statistic), float(result.pvalue)
+    # The asymptotic two-sided test, as scipy.stats.kstest(..., mode="asymp")
+    # computes it, without importing scipy.stats.
+    n = gaps.size
+    cdf = -expm1(-np.sort(gaps))
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    d = d_plus if d_plus > d_minus else d_minus
+    return float(d), float(np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0))
 
 
 def time_rescaling_gaps(paths: Sequence[PathData], spec: SaccadeSpec,

@@ -68,12 +68,18 @@ def link_deriv(name, x):
 def exp_interval_g0(x):
     """(1 - e^-x)/x, the mean of e^-bt over [0, x/b]; g0(0) = 1.
 
-    Accurate for all x >= 0 including x near 0.
+    Accurate for all x >= 0 including x near 0. Each branch is evaluated
+    only where it applies.
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-12
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
+    if not small.any():
+        out = -np.expm1(-x) / x
+    else:
+        out = np.empty_like(x)
+        out[small] = 1.0 - x[small] / 2.0
+        xl = x[~small]
+        out[~small] = -np.expm1(-xl) / xl
     return out if out.ndim else float(out)
 
 
@@ -113,9 +119,20 @@ def exp_integral_0(b, lo, gap):
 
 def exp_integral_1(b, lo, gap):
     """∫ (lo + u) exp(-b(lo + u)) du over u in [0, gap]."""
+    return exp_integrals(b, lo, gap)[1]
+
+
+def exp_integrals(b, lo, gap):
+    """Both ``exp_integral_0`` and ``exp_integral_1``, sharing exp(-b·lo) and g0.
+
+    Each value is bitwise the one the single integral gives.
+    """
     b = np.asarray(b, dtype=float)
     x = b * gap
-    return np.exp(-b * lo) * (lo * gap * exp_interval_g0(x) + gap * gap * exp_interval_g1(x))
+    decay = np.exp(-b * lo)
+    g0 = exp_interval_g0(x)
+    return (decay * gap * g0,
+            decay * (lo * gap * g0 + gap * gap * exp_interval_g1(x)))
 
 
 def norm_cdf(z):

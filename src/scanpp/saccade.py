@@ -16,7 +16,8 @@ history, and a vectorized per-scanpath layer (``loglik_terms``,
 excitation centers and their screen mass. ``HistoryState.intensity_at``
 evaluates the intensity at many points in blocks of bounded size, with each
 value bit-identical to the one-point reference ``intensity``;
-``compensator`` and ``log_density`` read the same state. Both layers share
+``compensator`` and ``log_density`` read the same state, and the sampler
+grows one by ``HistoryState.append``. Both layers share
 one convention: event times are seconds, locations are pixels, and the
 screen region bounds all spatial mass integrals.
 
@@ -78,7 +79,7 @@ from .errors import DomainError, UsageError, ValidationError
 from .mathutil import (
     apply_link,
     exp_integral_0,
-    exp_integral_1,
+    exp_integrals,
     link_deriv,
     norm_cdf,
     norm_pdf,
@@ -359,28 +360,63 @@ def _density(points: np.ndarray, centers: np.ndarray, sigma2: float) -> np.ndarr
     return r2
 
 
-@dataclass(frozen=True, eq=False)
 class HistoryState:
-    """One observed history, prepared once for evaluation at many (t, s).
+    """One history, prepared for evaluation at many (t, s) and grown event by event.
 
-    ``path.clock`` is the kernel clock; ``a`` and ``b`` are each source's link
-    outputs (empty unless the variant is self-exciting) and ``mu`` its
-    excitation center, whose screen mass ``mass`` gives. The per-scanpath
-    layer reads the same fields, built by ``from_path``.
+    ``clock`` is the kernel clock; ``a`` and ``b`` are each source's link
+    outputs (empty unless the variant is self-exciting), ``mu`` its
+    excitation center and ``mass`` that center's Gaussian mass inside the
+    screen ``omega`` (None for a state built without one). ``build`` and
+    ``from_path`` prepare a whole history at once; the per-scanpath layer
+    reads the fields that ``from_path`` builds. ``append`` adds one event,
+    computing its row as the one-event formulas (``spatial_mean``,
+    ``spatial_mass``) do. Every field is a view of the first ``n`` rows of a
+    buffer whose capacity doubles when full, so n appends cost O(n) array
+    work in all, and a view taken before an append does not see the new row.
     """
 
     spec: SaccadeSpec
     params: SaccadeParams
-    path: PathData
+    omega: Optional[Rect]
+    n: int
+    onsets: np.ndarray
+    durations: np.ndarray
+    locations: np.ndarray
+    clock: np.ndarray
     a: np.ndarray
     b: np.ndarray
     mu: np.ndarray
+    mass: Optional[np.ndarray]
     last_end: float
     total_duration: float
 
+    def __init__(self, spec: SaccadeSpec, params: SaccadeParams, omega: Optional[Rect],
+                 n: int, buffers: dict[str, np.ndarray], last_end: float,
+                 total_duration: float):
+        self.spec = spec
+        self.params = params
+        self.omega = omega
+        self.a = self.b = np.empty(0)
+        self.mass = None
+        self.last_end = last_end
+        self.total_duration = total_duration
+        self._adopt(n, buffers)
+
+    def _adopt(self, n: int, buffers: dict[str, np.ndarray]) -> None:
+        self.n = n
+        self._buffers = buffers
+        for name, buf in buffers.items():
+            setattr(self, name, buf[:n])
+
+    @classmethod
+    def empty(cls, spec: SaccadeSpec, params: SaccadeParams,
+              omega: Optional[Rect] = None) -> "HistoryState":
+        """A history of no events, to grow by ``append``."""
+        return cls.build(Scanpath("", "", ()), None, spec, params, omega)
+
     @classmethod
     def build(cls, history: Scanpath, X: Optional[np.ndarray], spec: SaccadeSpec,
-              params: SaccadeParams) -> "HistoryState":
+              params: SaccadeParams, omega: Optional[Rect] = None) -> "HistoryState":
         """``X`` may be omitted when the spec has no columns or the history is empty."""
         check_compatible(spec, params)
         n = len(history)
@@ -389,21 +425,71 @@ class HistoryState:
         else:
             X = np.zeros((n, spec.p))
         return cls.from_path(PathData(history.onsets, history.durations,
-                                      history.locations, X), spec, params)
+                                      history.locations, X), spec, params, omega)
 
     @classmethod
-    def from_path(cls, pd: PathData, spec: SaccadeSpec,
-                  params: SaccadeParams) -> "HistoryState":
-        """The state of a history whose design rows ``pd`` already holds."""
+    def from_path(cls, pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
+                  omega: Optional[Rect] = None) -> "HistoryState":
+        """The state of a history whose design rows ``pd`` already holds.
+
+        The buffers are ``pd``'s own arrays, full to capacity, so the first
+        ``append`` copies them before it writes.
+        """
         X = pd.design
+        buffers = dict(onsets=pd.onsets, durations=pd.durations, locations=pd.locations,
+                       clock=pd.clock, mu=_centers(pd.locations, X, spec, params))
         if spec.variant == "hawkes":
-            a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
-            b = np.atleast_1d(apply_link(spec.link, X @ params.beta))
-        else:
-            a = b = np.empty(0)
+            buffers.update(a=np.atleast_1d(apply_link(spec.link, X @ params.alpha)),
+                           b=np.atleast_1d(apply_link(spec.link, X @ params.beta)))
+        if omega is not None:
+            buffers["mass"] = spatial_mass(buffers["mu"], params.sigma2, omega)
         last_end = float(pd.onsets[-1] + pd.durations[-1]) if pd.n else 0.0
-        return cls(spec, params, pd, a, b, _centers(pd.locations, X, spec, params),
-                   last_end, float(np.sum(pd.durations)))
+        return cls(spec, params, omega, pd.n, buffers, last_end, float(np.sum(pd.durations)))
+
+    def _reserve(self) -> None:
+        """Make room for row n, doubling the capacity when the buffers are full."""
+        n = self.n
+        if n < self._buffers["onsets"].shape[0]:
+            return
+        grown = {}
+        for name, buf in self._buffers.items():
+            grown[name] = np.empty((max(2 * n, 16),) + buf.shape[1:])
+            grown[name][:n] = buf[:n]
+        self._buffers = grown
+
+    def append(self, onset: float, duration: float, location,
+               x: Optional[np.ndarray] = None) -> None:
+        """Add an event after the history; ``x`` is its design row (zeros when omitted)."""
+        spec, params = self.spec, self.params
+        x = np.zeros(spec.p) if x is None else x
+        row = dict(onsets=onset, durations=duration, locations=location,
+                   clock=onset - self.total_duration,
+                   mu=spatial_mean(location, x, spec, params))
+        if spec.variant == "hawkes":
+            row["a"], row["b"] = apply_link(spec.link, np.array([x @ params.alpha,
+                                                                 x @ params.beta]))
+        if self.omega is not None:
+            row["mass"] = spatial_mass(row["mu"], params.sigma2, self.omega)
+        self._reserve()
+        for name, value in row.items():
+            self._buffers[name][self.n] = value
+        # A running sum, so the clock of each appended event is exact
+        # against the durations before it.
+        self.total_duration += duration
+        self.last_end = onset + duration
+        self._adopt(self.n + 1, self._buffers)
+
+    def onsets_with(self, t: float) -> np.ndarray:
+        """The onsets followed by an upcoming one at t; a view valid until the next append."""
+        self._reserve()
+        buf = self._buffers["onsets"]
+        buf[self.n] = t
+        return buf[:self.n + 1]
+
+    def _screen(self) -> Rect:
+        if self.omega is None:
+            raise UsageError("this history state was built without a screen region")
+        return self.omega
 
     def _require_after_history(self, t: float) -> None:
         if t < self.last_end - _GAP_TOL:
@@ -412,11 +498,27 @@ class HistoryState:
 
     def ages(self, t: float) -> np.ndarray:
         """Kernel age of each source at time t, on the kernel clock."""
-        return (t - self.total_duration) - self.path.clock
+        return (t - self.total_duration) - self.clock
 
-    def mass(self, omega: Rect) -> np.ndarray:
-        """Gaussian mass of each excitation center inside the screen."""
-        return spatial_mass(self.mu, self.params.sigma2, omega)
+    def kernels(self, t: float) -> np.ndarray:
+        """Temporal kernel a_j·exp(-b_j·age_j) of each source at time t."""
+        return self.a * np.exp(-self.b * self.ages(t))
+
+    def intensity_upper_bound(self, t: float, kernels: Optional[np.ndarray] = None) -> float:
+        """Dominating rate of the screen-integrated intensity on [t, infinity).
+
+        Each spatial component carries at most unit mass inside the screen,
+        and kernels only decay, so the base rate plus the kernels at t bounds
+        the intensity from t on. ``kernels`` may pass ``self.kernels(t)``
+        when the caller has it already.
+        """
+        self._require_after_history(t)
+        base = self.params.nu * self._screen().area
+        if self.spec.variant == "poisson" or self.n == 0:
+            return float(base)
+        if self.spec.variant == "last_fixation":
+            return float(base + self.mass[-1])
+        return float(base + np.sum(self.kernels(t) if kernels is None else kernels))
 
     def intensity_at(self, t: float, points) -> np.ndarray:
         """Conditional intensity at time t at each row of an (m, 2) array of points.
@@ -428,13 +530,13 @@ class HistoryState:
         self._require_after_history(t)
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         nu = float(self.params.nu)
-        n = self.path.n
+        n = self.n
         if self.spec.variant == "poisson" or n == 0:
             return np.full(points.shape[0], nu)
         s2 = self.params.sigma2
         if self.spec.variant == "last_fixation":
-            return nu + _density(points, self.path.locations[-1:], s2)[:, 0]
-        phi = self.a * np.exp(-self.b * self.ages(t))
+            return nu + _density(points, self.locations[-1:], s2)[:, 0]
+        phi = self.kernels(t)
         out = np.empty(points.shape[0])
         step = max(1, _BLOCK_PAIRS // n)
         for lo in range(0, points.shape[0], step):
@@ -443,21 +545,20 @@ class HistoryState:
             out[lo:lo + step] = nu + np.sum(psi, axis=1)
         return out
 
-    def compensator(self, t: float, omega: Rect) -> float:
+    def compensator(self, t: float) -> float:
         """Integrated intensity over (end of last fixation, t] x screen."""
         self._require_after_history(t)
         params = self.params
         gap = max(t - self.last_end, 0.0)
-        base = params.nu * omega.area * gap
-        if self.spec.variant == "poisson" or self.path.n == 0:
+        base = params.nu * self._screen().area * gap
+        if self.spec.variant == "poisson" or self.n == 0:
             return float(base)
-        mass = self.mass(omega)
         if self.spec.variant == "last_fixation":
-            return float(base + mass[-1] * gap)
+            return float(base + self.mass[-1] * gap)
         # The window start mapped onto the kernel clock coincides with the
         # last event's clock value, so each source's age runs from there.
         lo = self.ages(self.last_end)
-        return float(base + np.sum(mass * self.a * exp_integral_0(self.b, lo, gap)))
+        return float(base + np.sum(self.mass * self.a * exp_integral_0(self.b, lo, gap)))
 
 
 def intensity(t: float, s, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
@@ -470,7 +571,7 @@ def intensity(t: float, s, history: Scanpath, spec: SaccadeSpec, params: Saccade
 def compensator(t: float, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
                 omega: Rect, X: Optional[np.ndarray] = None) -> float:
     """Integrated intensity over (end of last fixation, t] x screen."""
-    return HistoryState.build(history, X, spec, params).compensator(t, omega)
+    return HistoryState.build(history, X, spec, params, omega).compensator(t)
 
 
 def log_density(t: float, s, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
@@ -479,13 +580,13 @@ def log_density(t: float, s, history: Scanpath, spec: SaccadeSpec, params: Sacca
     s = np.asarray(s, dtype=float).reshape(1, 2)
     if not omega.contains(s[0, 0], s[0, 1]):
         raise ValidationError(f"location {tuple(s[0])} lies outside the screen region")
-    state = HistoryState.build(history, X, spec, params)
+    state = HistoryState.build(history, X, spec, params, omega)
     if t < state.last_end - _GAP_TOL:
         return float("-inf")
     lam = float(state.intensity_at(t, s)[0])
     if lam <= 0.0:
         return float("-inf")
-    return float(np.log(lam) - state.compensator(t, omega))
+    return float(np.log(lam) - state.compensator(t))
 
 
 # --- Vectorized per-scanpath evaluation -------------------------------------
@@ -609,9 +710,9 @@ def _hawkes_band(state: HistoryState, mass: np.ndarray, gaps: np.ndarray, lam: n
     gradient sums come back too; each row's lam is complete within its
     block, so they take the same pass.
     """
-    pd, a, b, mu = state.path, state.a, state.b, state.mu
-    n = pd.n
-    clock = pd.clock
+    a, b, mu, locations = state.a, state.b, state.mu, state.locations
+    n = state.n
+    clock = state.clock
     clock_prev = np.concatenate(([0.0], clock[:-1]))
     s2 = state.params.sigma2
     am = mass * a
@@ -623,14 +724,17 @@ def _hawkes_band(state: HistoryState, mass: np.ndarray, gaps: np.ndarray, lam: n
         bj = b[cols]
         dhi = clock[rows] - clock[cols]
         E = np.exp(-bj * dhi)
-        dx = pd.locations[rows, 0] - mu[cols, 0]
-        dy = pd.locations[rows, 1] - mu[cols, 1]
+        dx = locations[rows, 0] - mu[cols, 0]
+        dy = locations[rows, 1] - mu[cols, 1]
         r2 = dx * dx + dy * dy
         EP = E * (np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2))
         W = a[cols] * EP
         dlo = clock_prev[rows] - clock[cols]
         g = gaps[rows]
-        I0 = exp_integral_0(bj, dlo, g)
+        if grad:
+            I0, I1 = exp_integrals(bj, dlo, g)
+        else:
+            I0 = exp_integral_0(bj, dlo, g)
         local = rows - r0
         lam[r0:r1] += np.bincount(local, W, minlength=r1 - r0)
         comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
@@ -648,7 +752,7 @@ def _hawkes_band(state: HistoryState, mass: np.ndarray, gaps: np.ndarray, lam: n
         add(sums.d_a, P * EP)
         add(sums.d_b, PW * dhi)
         add(sums.I0, I0)
-        add(sums.I1, exp_integral_1(bj, dlo, g))
+        add(sums.I1, I1)
         sums.sigma2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
         if state.spec.mean_fn != "baseline":
             add(sums.mu[:, 0], PW * dx)
@@ -666,8 +770,8 @@ def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
         lam[1:] += psi
         comp[1:] += gx * gy * gaps[1:]
     elif spec.variant == "hawkes" and pd.n > 1:
-        state = HistoryState.from_path(pd, spec, params)
-        _hawkes_band(state, state.mass(omega), gaps, lam, comp, grad=False)
+        state = HistoryState.from_path(pd, spec, params, omega)
+        _hawkes_band(state, state.mass, gaps, lam, comp, grad=False)
     return lam, comp, invalid
 
 

@@ -386,6 +386,17 @@ class TestSimulate:
                 assert fix.duration > 0.0
                 assert OMEGA.contains(fix.x, fix.y)
 
+    def test_logs_thinning_counts(self, tmp_path, capsys):
+        params = self.poisson_params(tmp_path)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--params", params, "--horizon", "4",
+                     "--count", "2", "--seed", "7", "--out", str(out)]) == 0
+        events = sum(len(p) for p in fileio.load_scanpaths(str(out)))
+        err = capsys.readouterr().err
+        # the Poisson bound is the intensity, so every candidate is accepted
+        assert (f"INFO thinning accepted {events} of {events} candidates (rate 1.0000); "
+                "0 location draws fell back to the truncated normal") in err
+
     def test_seed_controls_output_bytes(self, tmp_path):
         params = self.poisson_params(tmp_path)
         outs = {}

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -112,6 +116,24 @@ class TestKs:
             ks_exponential(np.empty(0))
         with pytest.raises(sp.ValidationError):
             ks_exponential(np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 4400])
+    def test_equals_scipy_asymptotic_kstest(self, n):
+        samples = [np.random.default_rng(n).exponential(1.3, size=n)]
+        if n >= 50:
+            # ties, and a sample far enough off to give a tiny p-value
+            samples.append(np.round(samples[0], 1) + 0.1)
+            samples.append(0.2 * samples[0])
+        for gaps in samples:
+            want = stats.kstest(gaps, "expon", args=(0.0, 1.0), mode="asymp")
+            assert ks_exponential(gaps) == (float(want.statistic), float(want.pvalue))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, scanpp; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestTimeRescaling:

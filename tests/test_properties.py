@@ -8,7 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import scanpp as sp
 from scanpp.fileio import dumps_scanpaths, loads_scanpaths
-from scanpp.mathutil import exp_integral_0, exp_interval_g1, softplus, softplus_inv
+from scanpp.mathutil import (
+    exp_integral_0,
+    exp_integral_1,
+    exp_integrals,
+    exp_interval_g0,
+    exp_interval_g1,
+    softplus,
+    softplus_inv,
+)
 
 
 coord = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False,
@@ -74,6 +82,30 @@ def test_exp_integral_matches_quadrature(b, lo, length):
     want, _ = scipy.integrate.quad(lambda u: math.exp(-b * (lo + u)), 0.0, length,
                                    epsabs=1e-13, epsrel=1e-11)
     assert math.isclose(got, want, rel_tol=1e-8, abs_tol=1e-13)
+
+
+def test_exp_integrals_bitwise_equal_the_single_integrals():
+    # The single integrals as written before they shared one kernel, with
+    # g0's two branches taken by np.where.
+    def g0(x):
+        small = np.abs(x) < 1e-12
+        safe = np.where(small, 1.0, x)
+        return np.where(small, 1.0 - x / 2.0, -np.expm1(-safe) / safe)
+
+    xs = np.array([0.0, 1e-13, 5e-13, 1e-8, 1e-3, 0.7, np.nextafter(1.5, 0.0), 1.5, 3.0, 50.0])
+    b = np.repeat([0.0, 0.4, 2.5, 40.0], xs.size)
+    gap = np.where(b > 0.0, np.tile(xs, 4) / np.where(b > 0.0, b, 1.0), np.tile(xs, 4))
+    lo = np.linspace(0.0, 3.0, b.size)
+    x = b * gap
+    want0 = np.exp(-b * lo) * gap * g0(x)
+    want1 = np.exp(-b * lo) * (lo * gap * g0(x) + gap * gap * exp_interval_g1(x))
+    i0, i1 = exp_integrals(b, lo, gap)
+    assert np.array_equal(i0, want0) and np.array_equal(i1, want1)
+    assert np.array_equal(exp_integral_0(b, lo, gap), want0)
+    assert np.array_equal(exp_integral_1(b, lo, gap), want1)
+    assert np.array_equal(exp_interval_g0(x), g0(x))
+    for k in (0, 1, 3, 8):
+        assert exp_integrals(b[k], lo[k], gap[k]) == (want0[k], want1[k])
 
 
 def g1_exact(x: float) -> Fraction:

@@ -330,6 +330,62 @@ class TestHistoryState:
         assert values.shape == (5, 7)
         assert np.array_equal(values, loop)
 
+    def test_append_matches_build_on_a_simulated_path(self):
+        # The benchmark's generating model: an intercept plus reader one-hot
+        # design and identity center map, where the one-event and the
+        # whole-history formulas round alike.
+        columns = ("intercept", "reader:r0", "reader:r1", "reader:r2")
+        spec = sp.SaccadeSpec(variant="hawkes", mean_fn="full", columns=columns)
+        C = np.array([[0.0, -25.0, 0.0, 25.0], [0.0, 10.0, -12.0, 5.0]])
+        params = sp.SaccadeParams.initial(spec, nu=4.82e-7, sigma2=1600.0).replace(
+            alpha=np.array([0.0, 1.04, 1.51, 1.85]), beta=np.array([0.0, 2.31, 2.95, 3.37]),
+            b=np.array([127.3, 0.0]), C=C)
+        omega = sp.Rect(0.0, 0.0, 1920.0, 1080.0)
+        dur_spec = sp.DurationSpec(columns=("intercept",))
+        dur_params = sp.DurationParams.initial(dur_spec, sigma2=0.1).replace(
+            w=np.array([np.log(0.2)]))
+        row = np.array([1.0, 0.0, 1.0, 0.0])
+        config = sp.SimConfig(horizon=1e4, omega=omega, seed=8, max_events=300)
+        path = sp.sample_scanpath(spec, params, dur_spec, dur_params, config, x_row=row,
+                                  x_dur_row=np.ones(1)).scanpath
+        assert len(path) == 300
+        built = sp.HistoryState.build(path, np.tile(row, (300, 1)), spec, params, omega)
+        grown = sp.HistoryState.empty(spec, params, omega)
+        for fix in path:
+            grown.append(fix.onset, fix.duration, (fix.x, fix.y), row)
+        assert grown.n == built.n == 300
+        for field in ("onsets", "durations", "locations", "clock", "a", "b", "mu", "mass"):
+            assert np.array_equal(getattr(grown, field), getattr(built, field)), field
+        assert grown.last_end == built.last_end
+
+    @pytest.mark.parametrize("variant,mean_fn,link,columns", HISTORY_CASES)
+    def test_append_matches_build_to_rounding(self, variant, mean_fn, link, columns):
+        # 40 events cross two capacity doublings. With general design rows
+        # and center maps, a row's matrix product can round differently from
+        # the whole history's, and the total duration is a running sum
+        # rather than a pairwise one.
+        path, X, spec, params, omega = history_case(variant, mean_fn, link, columns, 40)
+        built = sp.HistoryState.build(path, X, spec, params, omega)
+        grown = sp.HistoryState.empty(spec, params, omega)
+        for i, fix in enumerate(path):
+            grown.append(fix.onset, fix.duration, (fix.x, fix.y), None if X is None else X[i])
+        assert np.array_equal(grown.clock, built.clock)
+        for field in ("a", "b", "mu", "mass"):
+            np.testing.assert_allclose(getattr(grown, field), getattr(built, field),
+                                       rtol=1e-14, atol=1e-15, err_msg=field)
+        t = built.last_end + 0.3
+        points = np.array([[omega.x0 + 0.3, omega.y0 + 0.4], [omega.x1 - 0.2, omega.y1 - 0.7]])
+        np.testing.assert_allclose(grown.intensity_at(t, points), built.intensity_at(t, points),
+                                   rtol=1e-13)
+        assert grown.compensator(t) == pytest.approx(built.compensator(t), rel=1e-13)
+
+    def test_screen_operations_need_a_screen(self):
+        path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 3)
+        state = sp.HistoryState.build(path, X, spec, params)
+        assert state.mass is None
+        with pytest.raises(sp.UsageError, match="screen"):
+            state.compensator(path.fixations[-1].end + 0.1)
+
 
 class TestCompensatorOracle:
     @pytest.mark.parametrize("variant,mean_fn,seed", [

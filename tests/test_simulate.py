@@ -68,6 +68,30 @@ class TestUpperBound:
                 checked += 1
         assert checked >= 1000 / 5
 
+    @pytest.mark.parametrize("variant", ["last_fixation", "hawkes"])
+    def test_dominates_after_appends_that_grow_the_buffers(self, variant):
+        rng = np.random.default_rng(71)
+        path, design, spec, params, omega = small_instance(rng, variant=variant, n=40)
+        base = params.nu * omega.area
+        state = sp.HistoryState.empty(spec, params, omega)
+        for i, fix in enumerate(path):
+            state.append(fix.onset, fix.duration, (fix.x, fix.y), design[i])
+            if i + 1 not in (16, 17, 32, 33, 40):
+                continue
+            # The buffers hold 16 rows, then 32, then 64.
+            history = sp.Scanpath("r", "t", path.fixations[:i + 1])
+            oracle = sp.HistoryState.build(history, design[:i + 1], spec, params, omega)
+            times = fix.end + np.linspace(0.0, 3.0, 16)
+            if variant == "hawkes":
+                marginal = [base + float(np.sum(oracle.kernels(u) * oracle.mass))
+                            for u in times]
+            else:
+                marginal = [base + oracle.mass[-1]] * times.size
+            for k, u in enumerate(times):
+                bound = state.intensity_upper_bound(u)
+                assert bound == pytest.approx(oracle.intensity_upper_bound(u), rel=1e-13)
+                assert max(marginal[k:]) <= bound * (1.0 + 1e-12)
+
     def test_poisson_bound_is_base_rate(self):
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=2.0)
@@ -188,12 +212,14 @@ class TestLocationSampling:
         assert py > 0.01
 
     def test_fallback_path_matches_truncated_normal(self):
-        # a huge sigma defeats rejection sampling, forcing the exact
-        # inverse-CDF fallback; per-axis truncation stays the right law
+        # a huge sigma defeats rejection sampling (1000 tries land with
+        # probability about 0.04), forcing the exact inverse-CDF fallback;
+        # per-axis truncation stays the right law
         rng = np.random.default_rng(12)
         mu = np.array([0.7, 0.8])
-        draws = np.array([_draw_gaussian_location(rng, mu, 60.0, UNIT)
-                          for _ in range(400)])
+        results = [_draw_gaussian_location(rng, mu, 60.0, UNIT) for _ in range(400)]
+        assert sum(fell_back for _, fell_back in results) > 350
+        draws = np.array([loc for loc, _ in results])
         assert np.all((draws >= 0.0) & (draws < 1.0))
         _, px = stats.kstest(draws[:, 0], truncated_normal_cdf(0.7, 60.0, 0.0, 1.0))
         _, py = stats.kstest(draws[:, 1], truncated_normal_cdf(0.8, 60.0, 0.0, 1.0))
@@ -252,6 +278,18 @@ class TestHawkesSampling:
         assert np.array_equal(a.scanpath.onsets, b.scanpath.onsets)
         assert np.array_equal(a.scanpath.locations, b.scanpath.locations)
         assert np.array_equal(a.scanpath.durations, b.scanpath.durations)
+
+    def test_thinning_counts(self):
+        spec, params = hawkes_setup()
+        dspec, dparams = plain_durations()
+        config = SimConfig(horizon=100.0, omega=UNIT, seed=4)
+        result = sample_scanpath(spec, params, dspec, dparams, config,
+                                 x_row=np.ones(1), x_dur_row=np.ones(1))
+        assert result.accepted == len(result.scanpath) > 10
+        # the bound leaves out the screen mass and the decay since the
+        # last candidate, so some candidates are rejected
+        assert result.accepted < result.candidates
+        assert result.location_fallbacks == 0
 
     def test_truncation_flag(self):
         spec, params = hawkes_setup()
