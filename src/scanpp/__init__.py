@@ -10,7 +10,6 @@ from .data import (
     AggregatedRecord,
     AnnotatedFixation,
     AnnotatedScanpath,
-    DesignMatrix,
     Fixation,
     MEASURES,
     Rect,
@@ -19,7 +18,6 @@ from .data import (
     aggregate,
     annotate,
     assign_fixations,
-    build_design,
     design_columns,
     design_for_columns,
     filter_scanpath,

@@ -150,6 +150,7 @@ def _effects_table(args):
 
 
 def _units(scanpaths, columns, table) -> list[PathData]:
+    """Each scanpath with its design rows over ``columns``, effects joined from ``table``."""
     units = []
     for sp in scanpaths:
         eff = table.for_scanpath(sp.reader_id, sp.text_id) if table else None
@@ -261,12 +262,8 @@ def cmd_fit(args) -> int:
 
 def _test_per_event(loaded, scanpaths, idx_test, table) -> np.ndarray:
     model = loaded.model
-    values = []
-    for i in idx_test:
-        sp = scanpaths[i]
-        eff = table.for_scanpath(sp.reader_id, sp.text_id) if table else None
-        unit = PathData.from_scanpath(sp, design_for_columns(sp, model.spec.columns, eff))
-        values.append(model.per_event_loglik(loaded.result.raw, model.prepare_unit(unit)))
+    units = _units([scanpaths[i] for i in idx_test], model.spec.columns, table)
+    values = [model.per_event_loglik(loaded.result.raw, model.prepare_unit(u)) for u in units]
     return np.concatenate(values) if values else np.empty(0)
 
 
@@ -360,7 +357,7 @@ def cmd_simulate(args) -> int:
     spec = sacc.model.spec
     params = sacc.params
     omega = sacc.model.omega
-    x_row = _parse_row(args.x_row, spec.columns, "--x-row") if spec.columns else None
+    x_row = _parse_row(args.x_row, spec.columns, "--x-row")
     x_dur_row = _parse_row(args.x_dur_row, dur_spec.columns, "--x-dur-row")
     config = SimConfig(horizon=args.horizon, omega=omega, seed=args.seed,
                        max_events=args.max_events)
@@ -410,11 +407,7 @@ def cmd_plot(args) -> int:
         raise UsageError(f"--times must be comma-separated numbers, got {args.times!r}") from None
     if not times:
         raise UsageError("--times must name at least one timestamp")
-    table = _effects_table(args)
-    X = None
-    if sacc.model.spec.columns:
-        eff = table.for_scanpath(sp.reader_id, sp.text_id) if table else None
-        X = design_for_columns(sp, sacc.model.spec.columns, eff)
+    X = _units([sp], sacc.model.spec.columns, _effects_table(args))[0].design
     pages = plot_intensity(sp, sacc.model.spec, sacc.params, sacc.model.omega,
                            times, nx=args.grid, ny=args.grid, X=X)
     for i, page in enumerate(pages):

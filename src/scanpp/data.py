@@ -5,7 +5,8 @@ reader's ordered fixation sequence over one text. Fixations are mapped to
 character bounding boxes of a text layout, filtered down to word-assigned
 subsequences, and aggregated into the four standard word-level reading-time
 measures. Per-fixation predictor vectors are assembled into design matrices
-with reader one-hots, effect columns, interactions, and presence indicators.
+with reader one-hots, effect columns, interactions, and presence indicators,
+and ``check_design`` is the one rule for when design rows may be omitted.
 
 All times are seconds, all coordinates screen pixels. Every type here is
 immutable after construction; the functions are pure.
@@ -13,7 +14,7 @@ immutable after construction; the functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -367,50 +368,14 @@ def presence_column(effect: str) -> str:
     return f"has:{effect}"
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Per-fixation predictor rows with a fixed, documented column order.
+def design_columns(readers: Sequence[str], effects: Sequence[str],
+                   reader_encoding: bool = True, interactions: bool = True) -> tuple[str, ...]:
+    """Column schema shared by every scanpath of a dataset.
 
     Columns appear as: intercept, reader one-hots (readers sorted), effect
     values (declared order), effect x reader interactions, then one presence
-    indicator per effect. Effect values are zeroed wherever the presence
-    indicator is zero.
+    indicator per effect.
     """
-
-    columns: tuple[str, ...]
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[1] != len(self.columns):
-            raise ValidationError(
-                f"design matrix shape {m.shape} does not match {len(self.columns)} columns"
-            )
-        object.__setattr__(self, "matrix", m)
-        if len(set(self.columns)) != len(self.columns):
-            raise ValidationError("duplicate design columns")
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.matrix.shape[1]
-
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.matrix[:, self.columns.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def presence_mask(self, effect: str) -> np.ndarray:
-        return self.column(presence_column(effect)) > 0
-
-
-def design_columns(readers: Sequence[str], effects: Sequence[str],
-                   reader_encoding: bool = True, interactions: bool = True) -> tuple[str, ...]:
-    """Column schema shared by every scanpath of a dataset."""
     cols = [INTERCEPT]
     readers = sorted(readers)
     if reader_encoding:
@@ -431,21 +396,29 @@ def design_for_columns(scanpath: "Scanpath", columns: Sequence[str],
     ``has:{name}`` presence indicators, ``{name}*reader:{id}`` interactions,
     and bare effect names with zeros where no value is supplied. Lets every
     scanpath of a dataset share one schema regardless of which reader or
-    effects it carries.
+    effects it carries. ``effects`` maps effect name -> {fixation index ->
+    value}; an index outside the scanpath, of any effect a column names, is
+    a ``ValidationError``.
     """
-    effects = dict(effects or {})
+    effects = effects or {}
     n = len(scanpath)
-    mat = np.zeros((n, len(columns)), dtype=float)
-
-    def effect_vector(name: str) -> np.ndarray:
-        vec = np.zeros(n)
+    values: dict[str, np.ndarray] = {}
+    present: dict[str, np.ndarray] = {}
+    for col in columns:
+        if col == INTERCEPT or col.startswith("reader:"):
+            continue
+        name = col[len("has:"):] if col.startswith("has:") else col.partition("*reader:")[0]
+        if name in values:
+            continue
+        values[name], present[name] = np.zeros(n), np.zeros(n)
         for idx, val in effects.get(name, {}).items():
             if not 0 <= idx < n:
                 raise ValidationError(
                     f"effect {name!r}: fixation index {idx} outside scanpath of length {n}")
-            vec[idx] = float(val)
-        return vec
+            values[name][idx] = float(val)
+            present[name][idx] = 1.0
 
+    mat = np.zeros((n, len(columns)), dtype=float)
     for j, col in enumerate(columns):
         if col == INTERCEPT:
             mat[:, j] = 1.0
@@ -453,56 +426,31 @@ def design_for_columns(scanpath: "Scanpath", columns: Sequence[str],
             if scanpath.reader_id == col[len("reader:"):]:
                 mat[:, j] = 1.0
         elif col.startswith("has:"):
-            name = col[len("has:"):]
-            for idx in effects.get(name, {}):
-                if 0 <= idx < n:
-                    mat[idx, j] = 1.0
-        elif "*reader:" in col:
-            name, _, reader = col.partition("*reader:")
-            if scanpath.reader_id == reader:
-                mat[:, j] = effect_vector(name)
+            mat[:, j] = present[col[len("has:"):]]
         else:
-            mat[:, j] = effect_vector(col)
+            name, _, reader = col.partition("*reader:")
+            if not reader or scanpath.reader_id == reader:
+                mat[:, j] = values[name]
     return mat
 
 
-def build_design(annotated: AnnotatedScanpath,
-                 effects: Mapping[str, Mapping[int, float]] | None = None,
-                 readers: Sequence[str] = (),
-                 reader_encoding: bool = True,
-                 interactions: bool = True) -> DesignMatrix:
-    """Assemble the predictor matrix for one annotated scanpath.
+def check_design(X: Optional[np.ndarray], p: int, n: Optional[int] = None) -> np.ndarray:
+    """Design rows checked against a schema of p columns.
 
-    ``effects`` maps effect name -> {fixation index -> value}. Fixations with
-    no supplied value get a zero in the effect column and a zero presence
-    indicator; an index outside the scanpath is an error.
+    ``X`` holds the (n, p) rows of n events, or with ``n`` None one (p,)
+    row. It may be omitted only where there is nothing to leave out (no
+    columns, or no events), and then reads as zeros; omitting rows that
+    have columns is a ``UsageError``, and rows of any other shape are a
+    ``ValidationError``.
     """
-    effects = dict(effects or {})
-    n = len(annotated.scanpath)
-    for name, values in effects.items():
-        for idx in values:
-            if not 0 <= idx < n:
-                raise ValidationError(
-                    f"effect {name!r}: fixation index {idx} outside scanpath of length {n}"
-                )
-    reader_ids = sorted(set(readers) | ({annotated.reader_id} if reader_encoding else set()))
-    if reader_encoding and annotated.reader_id not in reader_ids:
-        raise ValidationError(f"reader {annotated.reader_id!r} missing from roster")
-    effect_names = list(effects.keys())
-    cols = design_columns(reader_ids, effect_names, reader_encoding, interactions)
-    mat = np.zeros((n, len(cols)), dtype=float)
-    mat[:, 0] = 1.0
-    col_index = {c: i for i, c in enumerate(cols)}
-    if reader_encoding:
-        mat[:, col_index[reader_column(annotated.reader_id)]] = 1.0
-    for name in effect_names:
-        values = effects[name]
-        e_col = col_index[name]
-        p_col = col_index[presence_column(name)]
-        for idx, val in values.items():
-            mat[idx, e_col] = float(val)
-            mat[idx, p_col] = 1.0
-        if reader_encoding and interactions:
-            i_col = col_index[interaction_column(name, annotated.reader_id)]
-            mat[:, i_col] = mat[:, e_col]
-    return DesignMatrix(cols, mat)
+    shape = (p,) if n is None else (n, p)
+    if X is None:
+        if p and n != 0:
+            raise UsageError(f"the spec has {p} predictor columns, so the design rows "
+                             "are required")
+        return np.zeros(shape)
+    X = np.asarray(X, dtype=float)
+    if X.shape != shape:
+        raise ValidationError(f"design rows have shape {X.shape}, but the spec's {p} "
+                              f"columns need {shape}")
+    return X

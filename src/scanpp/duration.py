@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import digamma, gammaincc, gammaln
 
-from .data import AggregatedRecord, DesignMatrix, Scanpath
+from .data import AggregatedRecord, Scanpath, check_design
 from .errors import UsageError, ValidationError
 
 MEAN_VARIANTS = ("plain", "convolution", "markov")
@@ -221,14 +221,22 @@ def _markov_features(design: np.ndarray, spec: DurationSpec) -> np.ndarray:
     return feats
 
 
-def duration_means(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
+def duration_means(onsets: np.ndarray, design: Optional[np.ndarray], spec: DurationSpec,
                    params: DurationParams) -> np.ndarray:
-    """Mean log-durations for every event of one scanpath."""
+    """Mean log-durations for every event of one scanpath.
+
+    ``design`` holds the events' rows, under ``data.check_design``.
+    """
     check_compatible(spec, params)
-    design = np.asarray(design, dtype=float)
+    onsets = np.asarray(onsets, dtype=float)
+    return _means(onsets, check_design(design, spec.p, onsets.shape[0]), spec, params)
+
+
+def _means(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
+           params: DurationParams) -> np.ndarray:
     xi = design @ params.w
     if spec.mean_variant == "convolution" and spec.n_spill:
-        xi = xi + _conv_features(np.asarray(onsets, dtype=float), design, spec, params) @ params.w_prime
+        xi = xi + _conv_features(onsets, design, spec, params) @ params.w_prime
     elif spec.mean_variant == "markov" and spec.n_spill:
         feats = _markov_features(design, spec)
         xi = xi + np.einsum("njk,jk->n", feats, params.w_prime)
@@ -244,13 +252,14 @@ def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpe
     that very computation, so their value is bitwise the same. The
     convolution term sums event n's sources as one dot product, which can
     round differently in the last bits from the matrix product that
-    ``duration_means`` takes over all n + 1 events.
+    ``duration_means`` takes over all n + 1 events. The sampler calls it once
+    per event, so it leaves the design rows unchecked.
     """
+    check_compatible(spec, params)
     onsets = np.asarray(onsets, dtype=float)[: n + 1]
     design = np.asarray(design, dtype=float)[: n + 1]
     if spec.mean_variant != "convolution" or not spec.n_spill:
-        return float(duration_means(onsets, design, spec, params)[n])
-    check_compatible(spec, params)
+        return float(_means(onsets, design, spec, params)[n])
     tau = onsets[n] - onsets[:n]
     feats = np.array([
         gamma_kernel(tau, float(params.kernel_alpha[kk]), float(params.kernel_beta[kk]),
@@ -272,16 +281,17 @@ class DurationLoglik:
         return self.total
 
 
-def duration_loglik(scanpath: Scanpath, design: DesignMatrix | np.ndarray | None,
+def duration_loglik(scanpath: Scanpath, design: Optional[np.ndarray],
                     spec: DurationSpec, params: DurationParams) -> DurationLoglik:
-    """Joint log-likelihood of the fixation durations of one scanpath."""
-    if isinstance(design, DesignMatrix):
-        design = design.matrix
-    if design is None:
-        design = np.zeros((len(scanpath), spec.p))
+    """Joint log-likelihood of the fixation durations of one scanpath.
+
+    ``design`` holds the fixations' rows, under ``data.check_design``.
+    """
+    check_compatible(spec, params)
+    design = check_design(design, spec.p, len(scanpath))
     if len(scanpath) == 0:
         return DurationLoglik(np.empty(0))
-    xi = duration_means(scanpath.onsets, design, spec, params)
+    xi = _means(scanpath.onsets, design, spec, params)
     if spec.distribution == "gamma":
         per = gamma_logpdf(scanpath.durations, xi, params.shape)
     else:
@@ -296,13 +306,14 @@ def duration_loglik_grad(onsets: np.ndarray, durations: np.ndarray, design: np.n
 
     Keys: w always; w_prime plus kernel_alpha/kernel_beta/kernel_theta for
     the convolution variant; w_prime for markov; sigma2 (log-normal) or
-    shape (gamma).
+    shape (gamma). ``design`` holds the events' rows, under
+    ``data.check_design``.
     """
     check_compatible(spec, params)
     onsets = np.asarray(onsets, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    design = np.asarray(design, dtype=float)
     n = onsets.shape[0]
+    design = check_design(design, spec.p, n)
     k = spec.n_spill
 
     xi = design @ params.w

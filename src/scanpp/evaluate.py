@@ -96,7 +96,7 @@ def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
     gaps = np.asarray(gaps, dtype=float).reshape(-1)
     if gaps.size == 0:
         raise ValidationError("cannot test an empty sample")
-    if np.any(gaps <= 0):
+    if not np.all(gaps > 0):
         raise ValidationError("rescaled gaps must be > 0")
     # The asymptotic two-sided test, as scipy.stats.kstest(..., mode="asymp")
     # computes it, without importing scipy.stats.

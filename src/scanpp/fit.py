@@ -55,6 +55,7 @@ from .saccade import (
     PathData,
     SaccadeParams,
     SaccadeSpec,
+    _finish,
     event_intensities,
     loglik_grad,
     loglik_terms,
@@ -393,8 +394,7 @@ class SaccadeModel:
         """The first event with a non-finite term, its intensity and compensator increment."""
         params = self._unpack_scaled(raw)
         lam, comp, invalid = event_intensities(unit, self.spec, params, self.omega_s)
-        bad = np.flatnonzero(~np.isfinite(loglik_terms(unit, self.spec, params,
-                                                       self.omega_s).per_event))
+        bad = np.flatnonzero(~np.isfinite(_finish(lam, comp, invalid).per_event))
         if not bad.size:
             return "every event's term is finite"
         k = int(bad[0])

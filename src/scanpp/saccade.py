@@ -74,7 +74,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import DesignMatrix, Rect, Scanpath
+from .data import Rect, Scanpath, check_design
 from .errors import DomainError, UsageError, ValidationError
 from .mathutil import (
     apply_link,
@@ -210,15 +210,9 @@ class PathData:
         object.__setattr__(self, "design", x)
 
     @classmethod
-    def from_scanpath(cls, scanpath: Scanpath,
-                      design: DesignMatrix | np.ndarray | None = None) -> "PathData":
-        n = len(scanpath)
-        if design is None:
-            x = np.zeros((n, 0))
-        elif isinstance(design, DesignMatrix):
-            x = design.matrix
-        else:
-            x = np.asarray(design, dtype=float)
+    def from_scanpath(cls, scanpath: Scanpath, design: np.ndarray | None = None) -> "PathData":
+        """``design`` defaults to no columns, for specs that declare none."""
+        x = np.zeros((len(scanpath), 0)) if design is None else design
         label = f"{scanpath.reader_id}/{scanpath.text_id}"
         return cls(scanpath.onsets, scanpath.durations, scanpath.locations, x, label)
 
@@ -305,19 +299,6 @@ def spatial_mass(mean, sigma2: float, omega: Rect):
     gy = norm_cdf((omega.y1 - mu[:, 1]) / sigma) - norm_cdf((omega.y0 - mu[:, 1]) / sigma)
     mass = gx * gy
     return float(mass[0]) if mean.ndim == 1 else mass
-
-
-def history_design(X: Optional[np.ndarray], n: int, spec: SaccadeSpec) -> np.ndarray:
-    """The n design rows of a history as an (n, p) array.
-
-    ``X`` may be omitted only when the spec has no predictor columns.
-    """
-    if X is None:
-        if spec.p:
-            raise UsageError(f"the spec has {spec.p} predictor columns, so the "
-                             "history's design rows X are required")
-        return np.zeros((n, 0))
-    return np.asarray(X, dtype=float).reshape(n, spec.p)
 
 
 def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
@@ -417,13 +398,9 @@ class HistoryState:
     @classmethod
     def build(cls, history: Scanpath, X: Optional[np.ndarray], spec: SaccadeSpec,
               params: SaccadeParams, omega: Optional[Rect] = None) -> "HistoryState":
-        """``X`` may be omitted when the spec has no columns or the history is empty."""
+        """``X`` holds the history's design rows, under ``data.check_design``."""
         check_compatible(spec, params)
-        n = len(history)
-        if spec.variant == "hawkes" and n:
-            X = history_design(X, n, spec)
-        else:
-            X = np.zeros((n, spec.p))
+        X = check_design(X, spec.p, len(history))
         return cls.from_path(PathData(history.onsets, history.durations,
                                       history.locations, X), spec, params, omega)
 
@@ -459,9 +436,9 @@ class HistoryState:
 
     def append(self, onset: float, duration: float, location,
                x: Optional[np.ndarray] = None) -> None:
-        """Add an event after the history; ``x`` is its design row (zeros when omitted)."""
+        """Add an event after the history; ``x`` is its design row, under ``data.check_design``."""
         spec, params = self.spec, self.params
-        x = np.zeros(spec.p) if x is None else x
+        x = check_design(x, spec.p)
         row = dict(onsets=onset, durations=duration, locations=location,
                    clock=onset - self.total_duration,
                    mu=spatial_mean(location, x, spec, params))
@@ -760,10 +737,16 @@ def _hawkes_band(state: HistoryState, mass: np.ndarray, gaps: np.ndarray, lam: n
     return sums
 
 
+def _check_path(pd: PathData, spec: SaccadeSpec, params: SaccadeParams) -> None:
+    """The per-scanpath layer's entry check: params and design rows against the spec."""
+    check_compatible(spec, params)
+    check_design(pd.design, spec.p, pd.n)
+
+
 def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
                       omega: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intensity at each event, compensator increments, and the invalid-gap mask."""
-    check_compatible(spec, params)
+    _check_path(pd, spec, params)
     gaps, invalid, lam, comp = _gap_terms(pd, params.nu, omega.area)
     if spec.variant == "last_fixation" and pd.n > 1:
         _, psi, gx, gy, _ = _last_fixation_pieces(pd, params, omega)
@@ -778,11 +761,7 @@ def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
 def loglik_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
                  omega: Rect) -> ScanpathLoglik:
     """Per-event log-densities of a whole scanpath, first event included."""
-    check_compatible(spec, params)
-    if pd.n == 0:
-        return ScanpathLoglik(np.empty(0), 0)
-    lam, comp, invalid = event_intensities(pd, spec, params, omega)
-    return _finish(lam, comp, invalid)
+    return _finish(*event_intensities(pd, spec, params, omega))
 
 
 def compensator_increments(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
@@ -792,9 +771,6 @@ def compensator_increments(pd: PathData, spec: SaccadeSpec, params: SaccadeParam
     Under the generating model these increments are unit-exponential by the
     time-rescaling property.
     """
-    check_compatible(spec, params)
-    if pd.n == 0:
-        return np.empty(0)
     return event_intensities(pd, spec, params, omega)[1]
 
 
@@ -807,7 +783,7 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     self-exciting variant; A and b under the affine center map; C under the
     full map. Values are only meaningful when every term is finite.
     """
-    check_compatible(spec, params)
+    _check_path(pd, spec, params)
     n = pd.n
     area = omega.area
     if n == 0:
@@ -895,10 +871,7 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     return terms, grads
 
 
-def scanpath_loglik(scanpath: Scanpath, design: DesignMatrix | np.ndarray | None,
+def scanpath_loglik(scanpath: Scanpath, design: np.ndarray | None,
                     spec: SaccadeSpec, params: SaccadeParams, omega: Rect) -> ScanpathLoglik:
     """Joint log-likelihood of one scanpath under the model."""
-    pd = PathData.from_scanpath(scanpath, design)
-    if spec.variant == "hawkes" and pd.p != spec.p:
-        raise ValidationError(f"design has {pd.p} columns but the spec declares {spec.p}")
-    return loglik_terms(pd, spec, params, omega)
+    return loglik_terms(PathData.from_scanpath(scanpath, design), spec, params, omega)

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Fixation, Rect, Scanpath
+from .data import Fixation, Rect, Scanpath, check_design
 from .duration import DurationParams, DurationSpec, event_mean
 from .errors import DomainError, ValidationError
 from .mathutil import norm_cdf, norm_ppf
@@ -187,22 +187,15 @@ def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
 
 def sample_next_fixation(history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
                          omega: Rect, horizon: float, rng: np.random.Generator,
-                         X: Optional[np.ndarray] = None,
-                         x_row: Optional[np.ndarray] = None
+                         X: Optional[np.ndarray] = None
                          ) -> Optional[tuple[float, np.ndarray]]:
     """Sample the next (onset, location) after an observed history, or None.
 
     ``X`` carries the predictor rows of the history. Only past events
-    excite, so ``x_row``, the upcoming event's row, is checked for shape and
-    does not enter the draw.
+    excite, so the upcoming event's own row does not enter the draw.
     """
     state = HistoryState.build(history, X, spec, params, omega)
-    _design_row(x_row, spec.p)
     return _sample_next(rng, state, horizon, _Counts())
-
-
-def _design_row(row: Optional[np.ndarray], p: int) -> np.ndarray:
-    return np.zeros(p) if row is None else np.asarray(row, dtype=float).reshape(p)
 
 
 def sample_duration(onsets: np.ndarray, design: np.ndarray, dur_spec: DurationSpec,
@@ -223,13 +216,14 @@ def sample_scanpath(spec: SaccadeSpec, params: SaccadeParams, dur_spec: Duration
     """Alternate onset/location and duration sampling until the horizon.
 
     Predictor rows are constant within one simulated scanpath: ``x_row`` for
-    the saccade design and ``x_dur_row`` for the duration design.
+    the saccade design and ``x_dur_row`` for the duration design, each under
+    ``data.check_design``.
     """
     state = HistoryState.empty(spec, params, config.omega)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    x_row = _design_row(x_row, spec.p)
-    dur_row = _design_row(x_dur_row, dur_spec.p)
+    x_row = check_design(x_row, spec.p)
+    dur_row = check_design(x_dur_row, dur_spec.p)
     # The duration design as contiguous rows, regrown by doubling: a matrix
     # product over broadcast rows can round differently.
     dur_design = np.empty((0, dur_spec.p))

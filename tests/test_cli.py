@@ -430,9 +430,11 @@ class TestSimulate:
         # log-normal around 500 ms with tiny spread
         assert 0.3 < np.median(durs) < 0.85
 
-    def test_x_row_length_checked(self, tmp_path):
-        spec = sp.SaccadeSpec(variant="hawkes", mean_fn="full",
-                              columns=("intercept", "reader:r0"))
+    @pytest.mark.parametrize("spec", [
+        sp.SaccadeSpec(variant="hawkes", mean_fn="full", columns=("intercept", "reader:r0")),
+        sp.SaccadeSpec(variant="poisson"),
+    ])
+    def test_x_row_length_checked(self, tmp_path, spec):
         model = SaccadeModel(spec, OMEGA)
         params = sp.SaccadeParams.initial(spec, nu=2e-5, sigma2=400.0)
         path = tmp_path / "params.txt"

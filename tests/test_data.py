@@ -207,30 +207,33 @@ class TestDesign:
                         "freq*reader:r1", "freq*reader:r2", "has:freq")
         assert len(cols) == 7
 
-    def test_build_design_values(self, word_layout):
+    def test_design_values(self, word_layout):
         path = path_on_words(word_layout, [0, 1], [0.1, 0.1], reader="r1")
-        ann = sp.annotate(path, word_layout)
-        dm = sp.build_design(ann, effects={"freq": {0: 2.5}}, readers=["r1", "r2"])
-        assert dm.columns == ("intercept", "reader:r1", "reader:r2", "freq",
-                              "freq*reader:r1", "freq*reader:r2", "has:freq")
-        m = dm.matrix
+        cols = sp.design_columns(["r1", "r2"], ["freq"])
+        m = sp.design_for_columns(path, cols, {"freq": {0: 2.5}})
+        assert cols == ("intercept", "reader:r1", "reader:r2", "freq",
+                        "freq*reader:r1", "freq*reader:r2", "has:freq")
         assert m.shape == (2, 7)
         assert np.allclose(m[0], [1, 1, 0, 2.5, 2.5, 0, 1])
         assert np.allclose(m[1], [1, 1, 0, 0, 0, 0, 0])
 
-    def test_out_of_range_effect_index(self, word_layout):
+    @pytest.mark.parametrize("columns", [
+        sp.design_columns(["r1"], ["freq"]),
+        ("intercept", "freq*reader:r1"),
+        ("intercept", "has:freq"),
+    ])
+    def test_out_of_range_effect_index(self, word_layout, columns):
         path = path_on_words(word_layout, [0], [0.1])
-        ann = sp.annotate(path, word_layout)
-        with pytest.raises(sp.ValidationError):
-            sp.build_design(ann, effects={"freq": {5: 1.0}}, readers=["r1"])
+        with pytest.raises(sp.ValidationError, match="fixation index 5"):
+            sp.design_for_columns(path, columns, {"freq": {5: 1.0}})
 
-    def test_design_for_columns_matches_build_design(self, word_layout):
+    def test_design_values_other_reader(self, word_layout):
         path = path_on_words(word_layout, [0, 1, 2], [0.1, 0.2, 0.1], reader="r2")
-        ann = sp.annotate(path, word_layout)
-        effects = {"freq": {1: -0.5, 2: 1.5}}
-        dm = sp.build_design(ann, effects=effects, readers=["r1", "r2"])
-        direct = sp.design_for_columns(path, dm.columns, effects)
-        assert np.array_equal(dm.matrix, direct)
+        cols = sp.design_columns(["r1", "r2"], ["freq"])
+        m = sp.design_for_columns(path, cols, {"freq": {1: -0.5, 2: 1.5}})
+        assert np.array_equal(m, [[1, 0, 1, 0.0, 0, 0.0, 0],
+                                  [1, 0, 1, -0.5, 0, -0.5, 1],
+                                  [1, 0, 1, 1.5, 0, 1.5, 1]])
 
     def test_design_for_columns_unknown_reader_is_zero(self):
         path = random_scanpath(np.random.default_rng(0), 3,

@@ -181,6 +181,33 @@ class TestMeans:
         assert float(ll_ln) == pytest.approx(np.sum(want_ln), rel=1e-12)
 
 
+class TestDesignRows:
+    def case(self):
+        spec = DurationSpec(columns=("intercept",))
+        params = DurationParams.initial(spec, sigma2=0.4).replace(w=np.array([-1.5]))
+        return two_event_path(), spec, params
+
+    def test_columns_require_design_rows(self):
+        path, spec, params = self.case()
+        assert np.isfinite(float(sp.duration_loglik(path, np.ones((2, 1)), spec, params)))
+        with pytest.raises(sp.UsageError, match="design rows"):
+            sp.duration_loglik(path, None, spec, params)
+        with pytest.raises(sp.UsageError, match="design rows"):
+            sp.duration_means(path.onsets, None, spec, params)
+        with pytest.raises(sp.UsageError, match="design rows"):
+            duration_loglik_grad(path.onsets, path.durations, None, spec, params)
+
+    @pytest.mark.parametrize("design", [np.ones((2, 2)), np.ones((3, 1)), np.ones(2)])
+    def test_design_shape_checked(self, design):
+        path, spec, params = self.case()
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            sp.duration_loglik(path, design, spec, params)
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            sp.duration_means(path.onsets, design, spec, params)
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            duration_loglik_grad(path.onsets, path.durations, design, spec, params)
+
+
 def mean_setup(variant, distribution, rng, n=40):
     """Random onsets and a three-column design; spillover from both effects."""
     spill = () if variant == "plain" else ("e", "f")

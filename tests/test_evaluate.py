@@ -114,8 +114,9 @@ class TestKs:
     def test_input_validation(self):
         with pytest.raises(sp.ValidationError):
             ks_exponential(np.empty(0))
-        with pytest.raises(sp.ValidationError):
-            ks_exponential(np.array([0.5, 0.0]))
+        for gaps in ([0.5, 0.0], [1.0, -0.3], [1.0, np.nan, 0.3]):
+            with pytest.raises(sp.ValidationError):
+                ks_exponential(np.array(gaps))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 4400])
     def test_equals_scipy_asymptotic_kstest(self, n):

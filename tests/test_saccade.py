@@ -8,7 +8,14 @@ from scipy import integrate
 import dense_saccade as dense
 import scanpp as sp
 from scanpp import saccade
-from scanpp.saccade import loglik_terms, spatial_density, spatial_mass, temporal_kernel
+from scanpp.saccade import (
+    compensator_increments,
+    loglik_grad,
+    loglik_terms,
+    spatial_density,
+    spatial_mass,
+    temporal_kernel,
+)
 
 from conftest import make_fixations, small_instance
 from test_golden import OMEGA as RSE_OMEGA, rse_model
@@ -313,6 +320,14 @@ class TestHistoryState:
         state = sp.HistoryState.build(empty, None, spec, params)
         assert np.array_equal(state.intensity_at(0.5, np.zeros((4, 2))),
                               np.full(4, params.nu))
+        fix = path.fixations[0]
+        with pytest.raises(sp.UsageError, match="design rows"):
+            state.append(fix.onset, fix.duration, (fix.x, fix.y))
+        for wrong in (X[:, :1], X[:2]):
+            with pytest.raises(sp.ValidationError, match="design rows"):
+                sp.HistoryState.build(path, wrong, spec, params)
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            state.append(fix.onset, fix.duration, (fix.x, fix.y), X[0, :1])
 
     def test_refuses_time_inside_history(self):
         path, X, spec, params, omega = history_case("hawkes", "affine", "softplus", True, 3)
@@ -541,6 +556,16 @@ class TestLoglik:
         ll_pois = float(sp.scanpath_loglik(path, np.zeros((5, 0)), pois,
                                            pois_params, omega))
         assert ll_hawkes == pytest.approx(ll_pois, rel=1e-12)
+
+    @pytest.mark.parametrize("op", [loglik_terms, loglik_grad, compensator_increments])
+    def test_design_width_checked(self, op):
+        path, design, spec, params, omega = small_instance(np.random.default_rng(8), n=4)
+        assert op(sp.PathData.from_scanpath(path, design), spec, params, omega) is not None
+        for wrong in (design[:, :1], np.hstack([design, design]), None):
+            with pytest.raises(sp.ValidationError, match="design rows"):
+                op(sp.PathData.from_scanpath(path, wrong), spec, params, omega)
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            sp.scanpath_loglik(path, design[:, :1], spec, params, omega)
 
     def test_overlapping_events_marked_invalid(self, omega):
         # PathData accepts raw arrays, so an event that starts inside the

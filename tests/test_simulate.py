@@ -199,7 +199,7 @@ class TestLocationSampling:
         xs, ys = [], []
         for rng in spawn_rngs(11, 1200):
             nxt = sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
-                                       rng=rng, X=X, x_row=np.ones(1))
+                                       rng=rng, X=X)
             assert nxt is not None
             t, loc = nxt
             assert t > 0.2
@@ -291,6 +291,23 @@ class TestHawkesSampling:
         assert result.accepted < result.candidates
         assert result.location_fallbacks == 0
 
+    @pytest.mark.parametrize("rows", [dict(x_dur_row=np.ones(1)), dict(x_row=np.ones(1)),
+                                      dict(x_row=np.ones(1), x_dur_row=None)])
+    def test_columns_require_design_rows(self, rows):
+        spec, params = hawkes_setup()
+        dspec, dparams = plain_durations()
+        config = SimConfig(horizon=10.0, omega=UNIT, seed=21)
+        with pytest.raises(sp.UsageError, match="design rows"):
+            sample_scanpath(spec, params, dspec, dparams, config, **rows)
+
+    def test_design_row_width_checked(self):
+        spec, params = hawkes_setup()
+        dspec, dparams = plain_durations()
+        config = SimConfig(horizon=10.0, omega=UNIT, seed=21)
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            sample_scanpath(spec, params, dspec, dparams, config,
+                            x_row=np.ones(2), x_dur_row=np.ones(1))
+
     def test_truncation_flag(self):
         spec, params = hawkes_setup()
         dspec, dparams = plain_durations()
@@ -313,11 +330,11 @@ class TestHawkesSampling:
         path = sp.Scanpath("r", "t", make_fixations([(0.2, 0.2)], [(0.5, 0.5)]))
         spec, params = hawkes_setup()
         assert sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
-                                    rng=np.random.default_rng(0), X=np.ones((1, 1)),
-                                    x_row=np.ones(1)) is not None
+                                    rng=np.random.default_rng(0),
+                                    X=np.ones((1, 1))) is not None
         with pytest.raises(sp.UsageError, match="design rows"):
             sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
-                                 rng=np.random.default_rng(0), x_row=np.ones(1))
+                                 rng=np.random.default_rng(0))
 
 
 class TestRngs:
