@@ -262,9 +262,10 @@ def cmd_fit(args) -> int:
 
 def _test_per_event(loaded, scanpaths, idx_test, table) -> np.ndarray:
     model = loaded.model
+    if not idx_test:
+        return np.empty(0)
     units = _units([scanpaths[i] for i in idx_test], model.spec.columns, table)
-    values = [model.per_event_loglik(loaded.result.raw, model.prepare_unit(u)) for u in units]
-    return np.concatenate(values) if values else np.empty(0)
+    return model.per_event_loglik(loaded.result.raw, model.prepare_unit(PathData.concat(units)))
 
 
 def cmd_eval(args) -> int:

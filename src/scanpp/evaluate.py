@@ -110,9 +110,10 @@ def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
 
 def time_rescaling_gaps(paths: Sequence[PathData], spec: SaccadeSpec,
                         params: SaccadeParams, omega: Rect) -> np.ndarray:
-    """Compensator increments of every event, concatenated in path order."""
-    parts = [compensator_increments(pd, spec, params, omega) for pd in paths]
-    return np.concatenate(parts) if parts else np.empty(0)
+    """Compensator increments of every event, in path order, from one batched pass."""
+    if not paths:
+        return np.empty(0)
+    return compensator_increments(PathData.concat(paths), spec, params, omega)
 
 
 def model_name(spec: SaccadeSpec) -> str:
@@ -210,8 +211,8 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             result = grid_search(model, parts, grid, config, init=init)
         else:
             result = train(model, parts, config, init=init)
-        per_event = np.concatenate(
-            [model.per_event_loglik(result.raw, model.prepare_unit(u)) for u in parts.test]
+        per_event = model.per_event_loglik(
+            result.raw, model.prepare_unit(PathData.concat(parts.test))
         ) if parts.test else np.empty(0)
         return SuiteMember(model_name(spec), spec, result, per_event)
 

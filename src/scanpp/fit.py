@@ -357,7 +357,7 @@ class SaccadeModel:
         L = self.scale
         if L == 1.0:
             return pd
-        return PathData(pd.onsets, pd.durations, pd.locations / L, pd.design, pd.label)
+        return pd.with_locations(pd.locations / L)
 
     def _unpack_scaled(self, raw: np.ndarray) -> SaccadeParams:
         return SaccadeParams(**self.layout.unpack(raw))
@@ -379,6 +379,7 @@ class SaccadeModel:
         return self.layout.flatten(self.unpack(raw))
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
+        """Total log-likelihood and event count of a prepared batch, in one pass."""
         params = self._unpack_scaled(raw)
         terms = loglik_terms(unit, self.spec, params, self.omega_s)
         if terms.invalid_count:
@@ -386,23 +387,26 @@ class SaccadeModel:
         return terms.total - unit.n * self.log_jac, unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
+        """Log-density of every event of a prepared batch, in path order."""
         params = self._unpack_scaled(raw)
         terms = loglik_terms(unit, self.spec, params, self.omega_s)
         return terms.per_event - self.log_jac
 
     def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
-        """The first event with a non-finite term, its intensity and compensator increment."""
+        """The first event with a non-finite term: its scanpath, intensity and increment."""
         params = self._unpack_scaled(raw)
         lam, comp, invalid = event_intensities(unit, self.spec, params, self.omega_s)
         bad = np.flatnonzero(~np.isfinite(_finish(lam, comp, invalid).per_event))
         if not bad.size:
-            return "every event's term is finite"
+            return f"{_scanpaths(unit)}: every event's term is finite"
         k = int(bad[0])
+        label, i = unit.locate(k)
         overlap = ", and starts before the previous fixation ends" if invalid[k] else ""
-        return (f"event {k} has intensity {lam[k] / self.scale ** 2:.6g} per s per px^2 "
-                f"and compensator increment {comp[k]:.6g}{overlap}")
+        return (f"scanpath {label!r}: event {i} has intensity {lam[k] / self.scale ** 2:.6g} "
+                f"per s per px^2 and compensator increment {comp[k]:.6g}{overlap}")
 
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
+        """``loglik_unit`` plus its gradient in the packed vector, in one pass."""
         raw = np.asarray(raw, dtype=float)
         terms, grads = loglik_grad(unit, self.spec, self._unpack_scaled(raw), self.omega_s)
         ll = float("-inf") if terms.invalid_count else terms.total - unit.n * self.log_jac
@@ -505,32 +509,50 @@ class DurationModel:
         return self.layout.flatten(self.unpack(raw))
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
+        """Total log-likelihood and event count of a batch."""
         return float(np.sum(self.per_event_loglik(raw, unit))), unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
-        if unit.n == 0:
-            return np.empty(0)
+        """Log-density of every event of a batch, in path order.
+
+        The spillover features are dense per scanpath, so each segment is
+        evaluated on its own.
+        """
         params = self.unpack(raw)
-        xi = duration_means(unit.onsets, unit.design, self.spec, params)
-        if self.spec.distribution == "gamma":
-            return np.atleast_1d(gamma_logpdf(unit.durations, xi, params.shape))
-        return np.atleast_1d(lognormal_logpdf(unit.durations, xi, params.sigma2))
+        parts = [np.empty(0)]
+        for seg in unit.segments:
+            if not seg.n:
+                continue
+            xi = duration_means(seg.onsets, seg.design, self.spec, params)
+            if self.spec.distribution == "gamma":
+                parts.append(np.atleast_1d(gamma_logpdf(seg.durations, xi, params.shape)))
+            else:
+                parts.append(np.atleast_1d(lognormal_logpdf(seg.durations, xi, params.sigma2)))
+        return np.concatenate(parts)
 
     def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
-        """The first event with a non-finite term, its duration and log-density."""
+        """The first event with a non-finite term: its scanpath, duration and log-density."""
         per_event = self.per_event_loglik(raw, unit)
         bad = np.flatnonzero(~np.isfinite(per_event))
         if not bad.size:
-            return "every event's term is finite"
+            return f"{_scanpaths(unit)}: every event's term is finite"
         k = int(bad[0])
-        return (f"event {k} has log-density {per_event[k]:.6g} at duration "
-                f"{unit.durations[k]:.6g} s")
+        label, i = unit.locate(k)
+        return (f"scanpath {label!r}: event {i} has log-density {per_event[k]:.6g} at "
+                f"duration {unit.durations[k]:.6g} s")
 
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
+        """``loglik_unit`` plus its gradient in the packed vector, segment by segment."""
         raw = np.asarray(raw, dtype=float)
-        result, grads = duration_loglik_grad(unit.onsets, unit.durations, unit.design,
-                                             self.spec, self.unpack(raw))
-        return result.total, unit.n, self.layout.chain(raw, grads)
+        params = self.unpack(raw)
+        total, summed = 0.0, {}
+        for seg in unit.segments:
+            result, grads = duration_loglik_grad(seg.onsets, seg.durations, seg.design,
+                                                 self.spec, params)
+            total += result.total
+            for key, value in grads.items():
+                summed[key] = summed[key] + value if key in summed else value
+        return total, unit.n, self.layout.chain(raw, summed)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Identity: duration models fit in the packed coordinates."""
@@ -561,46 +583,51 @@ Model = SaccadeModel | DurationModel
 
 # --- Objective and training --------------------------------------------------
 
-def objective(model: Model, units: Sequence[PathData], raw: np.ndarray,
+def _scanpaths(batch: PathData) -> str:
+    if len(batch.labels) == 1:
+        return f"scanpath {batch.labels[0]!r}"
+    return f"a batch of {len(batch.labels)} scanpaths"
+
+
+def _as_batch(units: PathData | Sequence[PathData]) -> PathData:
+    return units if isinstance(units, PathData) else PathData.concat(units)
+
+
+def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarray,
               want_grad: bool = True) -> tuple[float, Optional[np.ndarray]]:
-    """Mean negative log-likelihood per fixation over the batch, with gradient."""
-    total_ll = 0.0
-    total_n = 0
-    grad = np.zeros(model.dim) if want_grad else None
-    for unit in units:
-        if want_grad:
-            ll, n, g = model.grad_unit(raw, unit)
-        else:
-            ll, n = model.loglik_unit(raw, unit)
-            g = None
-        if not np.isfinite(ll):
-            values = ", ".join(f"{name}={value:.6g}"
-                               for name, value in zip(model.names, model.constrained(raw)))
-            raise DivergenceError(f"non-finite log-likelihood on scanpath {unit.label!r}: "
-                                  f"{model.nonfinite_event(raw, unit)}; parameters {values}")
-        total_ll += ll
-        total_n += n
-        if want_grad:
-            grad += g
-    if total_n == 0:
+    """Mean negative log-likelihood per fixation over the batch, with gradient.
+
+    ``units`` is one prepared batch, or a sequence of prepared units to
+    concatenate into one. The model evaluates the batch in one call.
+    """
+    batch = _as_batch(units)
+    if batch.n == 0:
         return 0.0, (np.zeros(model.dim) if want_grad else None)
-    loss = -total_ll / total_n
     if want_grad:
-        grad = -grad / total_n
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError("non-finite gradient over batch")
+        ll, n, grad = model.grad_unit(raw, batch)
+    else:
+        ll, n = model.loglik_unit(raw, batch)
+    if not np.isfinite(ll):
+        values = ", ".join(f"{name}={value:.6g}"
+                           for name, value in zip(model.names, model.constrained(raw)))
+        raise DivergenceError(f"non-finite log-likelihood on "
+                              f"{model.nonfinite_event(raw, batch)}; parameters {values}")
+    loss = -ll / n
+    if not want_grad:
+        return loss, None
+    grad = -grad / n
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError("non-finite gradient over batch")
     return loss, grad
 
 
-def dataset_loglik(model: Model, units: Sequence[PathData], raw: np.ndarray
+def dataset_loglik(model: Model, units: PathData | Sequence[PathData], raw: np.ndarray
                    ) -> tuple[float, int]:
-    """Total log-likelihood and fixation count of a prepared dataset."""
-    total, n = 0.0, 0
-    for unit in units:
-        ll, k = model.loglik_unit(raw, unit)
-        total += ll
-        n += k
-    return total, n
+    """Total log-likelihood and fixation count of a prepared dataset, in one call."""
+    batch = _as_batch(units)
+    if batch.n == 0:
+        return 0.0, 0
+    return model.loglik_unit(raw, batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,6 +664,28 @@ def _as_split(data, config: TrainConfig) -> Split:
     return split(list(data), config.split, config.seed)
 
 
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """A split's prepared training units, and one batch per part.
+
+    Built once per ``train`` or ``grid_search`` call, and dropped with it.
+    """
+
+    units: tuple
+    train: PathData
+    val: PathData
+    test: PathData
+
+
+def _prepare(model: Model, parts: Split) -> _Prepared:
+    units = tuple(model.prepare_unit(u) for u in parts.train)
+    if not units:
+        raise ValidationError("training split is empty")
+    return _Prepared(units, PathData.concat(units),
+                     PathData.concat([model.prepare_unit(u) for u in parts.val]),
+                     PathData.concat([model.prepare_unit(u) for u in parts.test]))
+
+
 def train(model: Model, data, config: TrainConfig,
           init: Optional[np.ndarray] = None,
           kernel_init: Optional[tuple[float, float, float]] = None) -> FitResult:
@@ -648,13 +697,14 @@ def train(model: Model, data, config: TrainConfig,
     weight decay acts on the packed vector.
     """
     t0 = time.perf_counter()
-    parts = _as_split(data, config)
-    train_units = [model.prepare_unit(u) for u in parts.train]
-    val_units = [model.prepare_unit(u) for u in parts.val]
-    test_units = [model.prepare_unit(u) for u in parts.test]
-    if not train_units:
-        raise ValidationError("training split is empty")
+    return _train(model, _prepare(model, _as_split(data, config)), config, init,
+                  kernel_init, t0)
 
+
+def _train(model: Model, prep: _Prepared, config: TrainConfig,
+           init: Optional[np.ndarray], kernel_init: Optional[tuple[float, float, float]],
+           t0: float) -> FitResult:
+    train_units = prep.units
     raw = np.array(model.default_init(train_units, kernel=kernel_init)
                    if init is None else init, dtype=float)
     if raw.shape != (model.dim,):
@@ -677,11 +727,11 @@ def train(model: Model, data, config: TrainConfig,
 
     for epoch in range(1, config.max_epochs + 1):
         if full_batch:
-            batches = [train_units]
+            batches = [prep.train]
         else:
             order = rng.permutation(len(train_units))
-            batches = [[train_units[i] for i in order[start:start + config.batch_size]]
-                       for start in range(0, len(order), config.batch_size)]
+            batches = ([train_units[i] for i in order[start:start + config.batch_size]]
+                       for start in range(0, len(order), config.batch_size))
         for batch in batches:
             try:
                 if ahead is None:
@@ -695,10 +745,10 @@ def train(model: Model, data, config: TrainConfig,
             z = z - config.learning_rate * (grad + config.momentum * velocity)
             raw = basis @ z
         try:
-            epoch_train, ahead = objective(model, train_units, raw,
+            epoch_train, ahead = objective(model, prep.train, raw,
                                            want_grad=full_batch and epoch < config.max_epochs)
-            if val_units:
-                epoch_val, _ = objective(model, val_units, raw, want_grad=False)
+            if prep.val.labels:
+                epoch_val, _ = objective(model, prep.val, raw, want_grad=False)
             else:
                 epoch_val = epoch_train
         except DivergenceError as exc:
@@ -714,7 +764,8 @@ def train(model: Model, data, config: TrainConfig,
         if epoch - best_epoch >= config.patience:
             break
 
-    test_ll, test_n = dataset_loglik(model, test_units, best_raw) if test_units else (float("nan"), 0)
+    test_ll, test_n = (dataset_loglik(model, prep.test, best_raw) if prep.test.labels
+                       else (float("nan"), 0))
     return FitResult(
         names=model.names, raw=best_raw, params=model.unpack(best_raw),
         train_trace=tuple(train_trace), val_trace=tuple(val_trace),
@@ -729,10 +780,11 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
 
     Enumeration and tie-breaking follow the declared field order (batch size,
     learning rate, weight decay, kernel init), so the first strict improvement
-    wins and results are reproducible.
+    wins and results are reproducible. The split's batches are built once and
+    shared by every configuration.
     """
     t0 = time.perf_counter()
-    parts = _as_split(data, config)
+    prep = _prepare(model, _as_split(data, config))
     runs: list[tuple[dict, float]] = []
     best: Optional[FitResult] = None
     best_loss = float("inf")
@@ -743,7 +795,7 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
               "kernel_init": tuple(kern)}
         cfg = config.replace(batch_size=bs, learning_rate=lr, weight_decay=wd)
         try:
-            result = train(model, parts, cfg, init=init, kernel_init=tuple(kern))
+            result = _train(model, prep, cfg, init, tuple(kern), time.perf_counter())
             loss = result.best_val_loss
         except DivergenceError:
             result = None

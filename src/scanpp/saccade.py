@@ -11,35 +11,40 @@ site.
 
 Evaluation code comes in two layers: pointwise operations on one observed
 history, and a vectorized per-scanpath layer (``loglik_terms``,
-``loglik_grad``) used by the fitting loop. The pointwise layer builds a
-``HistoryState`` once per history: the kernel clock, the link outputs, the
-excitation centers and their screen mass. ``HistoryState.intensity_at``
-evaluates the intensity at many points in blocks of bounded size, with each
-value bit-identical to the one-point reference ``intensity``;
-``compensator`` and ``log_density`` read the same state, and the sampler
-grows one by ``HistoryState.append``. Both layers share
-one convention: event times are seconds, locations are pixels, and the
-screen region bounds all spatial mass integrals.
+``loglik_grad``) used by the fitting loop. The per-scanpath layer takes a
+``PathData``: one scanpath, or a batch of them held as the segments of one
+concatenation. The kernel clock and the exposure windows restart at each
+segment, no source excites an event of another segment, and the per-event
+terms come back in path order, so a batch costs one pass. The pointwise
+layer builds a ``HistoryState`` once per history: the kernel clock, the
+link outputs, the excitation centers and their screen mass.
+``HistoryState.intensity_at`` evaluates the intensity at many points in
+blocks of bounded size, with each value bit-identical to the one-point
+reference ``intensity``; ``compensator`` and ``log_density`` read the same
+state, and the sampler grows one by ``HistoryState.append``. Both layers
+share one convention: event times are seconds, locations are pixels, and
+the screen region bounds all spatial mass integrals.
 
 The per-scanpath layer evaluates the self-exciting variant on a band, in
 O(n·w) time and memory, and forms no n x n array. A source's kernel
 a_j·exp(-b_j·age) decays exponentially in its age on the kernel clock c, so
-event i keeps only the sources j < i at most w old at the start of its
-window, min(c_{i-1}, c_i); a source is dropped only once the running
-maximum of the clock up to it is that old, so the rule holds on a clock
-that runs backwards at an overlapping event. Rows go in blocks of at most
-``_BLOCK_PAIRS`` kept pairs; each row's intensity is complete within its
-block, and the per-source sums of the gradient are scatter-adds over the
-block's pairs.
+event i keeps only the sources j < i of its own segment at most w old at
+the start of its window, min(c_{i-1}, c_i), with c_{i-1} = 0 at a segment's
+first event; a source is dropped only once the running maximum of the clock
+up to it is that old, so the rule holds on a clock that runs backwards at an
+overlapping event. Rows go in blocks of at most ``_BLOCK_PAIRS`` kept pairs;
+each row's intensity is complete within its block, and the per-source sums
+of the gradient are scatter-adds over the block's pairs.
 
-The cutoff w is derived on each call from (a, b, nu, sigma2, n), so that
-the dropped pairs change each event's log-density by at most
-``_TAIL_EPS`` = 1e-13 nats, and each event's contribution to the gradient
-in every a_j, b_j, sigma2 and excitation-center coordinate by at most the
-same. With q = 1/(2π·sigma2·nu), the largest psi/lambda since
-lambda >= nu and psi <= 1/(2π·sigma2); c = 1/b_min; and A = max a, a pair
-whose age and window start both exceed w contributes at most
-exp(-b_min·w) times
+The cutoff w is derived on each call from (a, b, nu, sigma2, n), one for the
+whole batch: n is the length of its longest segment, and A and b_min below
+are taken over every event of the batch. The dropped pairs change each
+event's log-density by at most ``_TAIL_EPS`` = 1e-13 nats, and each event's
+contribution to the gradient in every a_j, b_j, sigma2 and excitation-center
+coordinate by at most the same. With q = 1/(2π·sigma2·nu), the largest
+psi/lambda since lambda >= nu and psi <= 1/(2π·sigma2); c = 1/b_min; and
+A = max a, a pair whose age and window start both exceed w contributes at
+most exp(-b_min·w) times
 
 - log-density: A·(q + c), since the compensator term is at most
   a_j·exp(-b_j·w)/b_j;
@@ -53,15 +58,17 @@ exp(-b_min·w) times
   psi·|s - mu|/sigma2 <= psi_max/(sqrt(e)·sigma) and
   |dmass/dmu| <= 1/(sqrt(2π)·sigma).
 
-An event has at most n dropped sources, so w is any value with
+An event has at most n dropped sources, all in its own segment, and the
+batch-wide A, 1/b_min and n are at least those of any one segment, so the
+bound holds per event of every segment. So w is any value with
 n·exp(-b_min·w)·(k0 + k1·w) <= eps, where k0 and k1 are the largest
 constant and linear coefficients above. Iterating
 w <- c·log(n·(k0 + k1·w)/eps) from a start above the least such w keeps
 every iterate valid. The gradients in alpha, beta, A, b and C carry the
 chain-rule factors x_jk·h'(x_j·theta) and s_j on top; the kept terms are
 weighted by 1/lambda_i, which the tail moves by a relative amount below
-eps. When b_min = 0 (relu) or nu = 0 there is no such w, and no pair is
-dropped.
+eps. When b_min = 0 (relu) or nu = 0 there is no such w, and no pair within
+a segment is dropped.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -184,15 +191,30 @@ def check_compatible(spec: SaccadeSpec, params: SaccadeParams) -> None:
         )
 
 
+# The segment starts of a PathData that holds one scanpath.
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_SEGMENT.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class PathData:
-    """Array view of one scanpath plus its design matrix, ready for evaluation."""
+    """Array view of one or more scanpaths plus their design rows, ready for evaluation.
+
+    Several scanpaths are held as one concatenation of segments, one per
+    scanpath: ``starts`` holds the index of each segment's first event and
+    ``labels`` each segment's label. The kernel clock and the exposure
+    windows restart at every segment start, so no event of one scanpath
+    excites an event of another. One scanpath is a batch of one segment,
+    labelled ``label``; ``concat`` builds a batch.
+    """
 
     onsets: np.ndarray
     durations: np.ndarray
     locations: np.ndarray
     design: np.ndarray
     label: str = ""
+    starts: Optional[np.ndarray] = None
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         t = np.asarray(self.onsets, dtype=float).reshape(-1)
@@ -204,10 +226,23 @@ class PathData:
             x = x.reshape(n, -1) if n else x.reshape(0, 0)
         if d.shape[0] != n or x.shape[0] != n:
             raise ValidationError("onsets, durations, locations, design must agree in length")
+        if self.starts is None or self.starts is _ONE_SEGMENT:
+            # one scanpath, named by ``label``; nothing to check
+            starts, labels = _ONE_SEGMENT, (self.label,)
+        else:
+            starts = np.asarray(self.starts, dtype=np.intp).reshape(-1)
+            labels = tuple(self.labels)
+            if len(labels) != starts.shape[0]:
+                raise ValidationError(f"{starts.shape[0]} segment starts but {len(labels)} labels")
+            if not (starts[0] == 0 and starts[-1] <= n and np.all(starts[1:] >= starts[:-1])
+                    if starts.size else n == 0):
+                raise ValidationError("segment starts must rise from 0 and stay within the events")
         object.__setattr__(self, "onsets", t)
         object.__setattr__(self, "durations", d)
         object.__setattr__(self, "locations", s)
         object.__setattr__(self, "design", x)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_scanpath(cls, scanpath: Scanpath, design: np.ndarray | None = None) -> "PathData":
@@ -215,6 +250,34 @@ class PathData:
         x = np.zeros((len(scanpath), 0)) if design is None else design
         label = f"{scanpath.reader_id}/{scanpath.text_id}"
         return cls(scanpath.onsets, scanpath.durations, scanpath.locations, x, label)
+
+    @classmethod
+    def concat(cls, units: Sequence["PathData"]) -> "PathData":
+        """One batch holding the segments of ``units``, in order.
+
+        No units give an empty batch of no segments. The batch reuses each
+        unit's kernel clock and segments, so building one per minibatch
+        repeats no per-path work.
+        """
+        units = tuple(units)
+        if len(units) == 1:
+            return units[0]
+        if not units:
+            return cls(np.empty(0), np.empty(0), np.empty((0, 2)), np.empty((0, 0)),
+                       starts=np.empty(0, dtype=np.intp))
+        widths = {u.p for u in units}
+        if len(widths) > 1:
+            raise ValidationError(f"units with design widths {sorted(widths)} cannot share a batch")
+        offsets = np.cumsum([0] + [u.n for u in units[:-1]])
+        batch = cls(np.concatenate([u.onsets for u in units]),
+                    np.concatenate([u.durations for u in units]),
+                    np.concatenate([u.locations for u in units]),
+                    np.concatenate([u.design for u in units]),
+                    starts=np.concatenate([u.starts + k for u, k in zip(units, offsets)]),
+                    labels=tuple(label for u in units for label in u.labels))
+        batch.__dict__["clock"] = np.concatenate([u.clock for u in units])
+        batch.__dict__["segments"] = tuple(s for u in units for s in u.segments)
+        return batch
 
     @property
     def n(self) -> int:
@@ -225,22 +288,63 @@ class PathData:
         return self.design.shape[1]
 
     @cached_property
+    def lengths(self) -> np.ndarray:
+        """Event count of each segment."""
+        return np.concatenate((self.starts[1:], [self.n])) - self.starts
+
+    @cached_property
+    def segments(self) -> tuple["PathData", ...]:
+        """Each segment as a one-scanpath ``PathData`` of views."""
+        if self.starts.shape[0] == 1:
+            return (self,)
+        return tuple(PathData(self.onsets[lo:lo + k], self.durations[lo:lo + k],
+                              self.locations[lo:lo + k], self.design[lo:lo + k], label)
+                     for lo, k, label in zip(self.starts, self.lengths, self.labels))
+
+    @cached_property
+    def after_first(self) -> np.ndarray:
+        """Index of every event that follows another of its own scanpath."""
+        follows = np.ones(self.n, dtype=bool)
+        follows[self.starts[self.starts < self.n]] = False
+        return np.flatnonzero(follows)
+
+    def with_locations(self, locations: np.ndarray) -> "PathData":
+        """The same events and segments at other locations; the kernel clock carries over."""
+        moved = PathData(self.onsets, self.durations, locations, self.design, self.label,
+                         self.starts, self.labels)
+        if "clock" in self.__dict__:
+            moved.__dict__["clock"] = self.clock
+        return moved
+
+    def locate(self, k: int) -> tuple[str, int]:
+        """Label of the scanpath that holds event k, and k's index within it."""
+        seg = int(np.searchsorted(self.starts, k, side="right")) - 1
+        return self.labels[seg], k - int(self.starts[seg])
+
+    @cached_property
     def clock(self) -> np.ndarray:
-        """Onset times with preceding fixation durations removed.
+        """Onset times with preceding fixation durations of the same scanpath removed.
 
         Kernel arguments and compensator windows depend on event times only
-        through differences of these values.
+        through differences of these values within a scanpath.
         """
-        if self.n == 0:
-            return np.empty(0)
-        return self.onsets - np.concatenate(([0.0], np.cumsum(self.durations[:-1])))
+        spent = np.zeros(self.n)
+        for lo, hi in zip(self.starts.tolist(), self.starts[1:].tolist() + [self.n]):
+            if hi - lo > 1:
+                np.cumsum(self.durations[lo:hi - 1], out=spent[lo + 1:hi])
+        return self.onsets - spent
+
+    @cached_property
+    def clock_prev(self) -> np.ndarray:
+        """Clock of the event before each one, 0 at the first event of a scanpath."""
+        prev = np.concatenate(([0.0], self.clock[:-1]))
+        prev[self.starts[self.starts < self.n]] = 0.0
+        return prev
 
     @cached_property
     def gaps(self) -> np.ndarray:
-        """Inter-event exposure window lengths; the first runs from time zero."""
-        if self.n == 0:
-            return np.empty(0)
-        return np.diff(np.concatenate(([0.0], self.clock)))
+        """Inter-event exposure window lengths; each scanpath's first runs from time zero."""
+        return self.clock - self.clock_prev
 
 
 # --- Scalar reference operations -------------------------------------------
@@ -410,7 +514,8 @@ class HistoryState:
         """The state of a history whose design rows ``pd`` already holds.
 
         The buffers are ``pd``'s own arrays, full to capacity, so the first
-        ``append`` copies them before it writes.
+        ``append`` copies them before it writes. The per-scanpath layer also
+        builds one from a batch, and reads only its per-event fields.
         """
         X = pd.design
         buffers = dict(onsets=pd.onsets, durations=pd.durations, locations=pd.locations,
@@ -600,9 +705,11 @@ def _finish(lam: np.ndarray, comp: np.ndarray, invalid: np.ndarray) -> ScanpathL
 
 
 def _last_fixation_pieces(pd: PathData, params: SaccadeParams, omega: Rect):
+    """Terms of the events ``pd.after_first``, each excited by the fixation before it."""
     s2 = params.sigma2
-    prev = pd.locations[:-1]
-    cur = pd.locations[1:]
+    k = pd.after_first
+    prev = pd.locations[k - 1]
+    cur = pd.locations[k]
     r2 = np.sum((cur - prev) ** 2, axis=1)
     psi = np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
     sigma = np.sqrt(s2)
@@ -642,19 +749,31 @@ def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> f
     return w if math.isfinite(w) else math.inf
 
 
-def _band(clock: np.ndarray, w: float):
+def _band(clock: np.ndarray, w: float, starts=(0,)):
     """Row blocks of the band: (first row, end row, rows, sources) of its pairs.
 
-    Row i keeps the sources lo_i <= j < i, where lo_i is the first source at
-    which the running maximum of the clock reaches min(c_{i-1}, c_i) - w. So
-    every dropped source is older than w at both ends of event i's window,
-    also where the clock is not monotone. A block holds at most
-    ``_BLOCK_PAIRS`` pairs, or one row.
+    ``starts`` holds the first row of each segment. Row i keeps the sources
+    lo_i <= j < i of its own segment, where lo_i is the first source at
+    which the running maximum of the segment's clock reaches
+    min(c_{i-1}, c_i) - w. So every dropped source is older than w at both
+    ends of event i's window, also where the clock is not monotone. A block
+    holds at most ``_BLOCK_PAIRS`` pairs, or one row.
     """
     n = clock.shape[0]
+    if not n:
+        return
     idx = np.arange(n)
-    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
-    lo = np.minimum(np.searchsorted(np.maximum.accumulate(clock), start - w), idx)
+    starts = np.asarray(starts, dtype=np.intp)
+    seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
+    # Segment k's clock, offset by k times the clock's span, lies above every
+    # earlier segment's, so the running maximum of the offset clock restarts
+    # at each segment; the clamp to the segment's first row does the rest,
+    # also where w is infinite. A segment's first row keeps no sources, so
+    # its window start may read the clock of the segment before.
+    offset = seg * (clock.max() - clock.min())
+    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1]))) + offset
+    lo = np.searchsorted(np.maximum.accumulate(clock + offset), start - w)
+    lo = np.minimum(np.maximum(lo, starts[seg]), idx)
     ends = np.cumsum(idx - lo)
     r0 = 0
     while r0 < n:
@@ -679,23 +798,25 @@ class _SourceSums:
     sigma2: float = 0.0  # sum_ij P_i W_ij (r2_ij / (2 s2^2) - 1 / s2)
 
 
-def _hawkes_band(state: HistoryState, mass: np.ndarray, gaps: np.ndarray, lam: np.ndarray,
-                 comp: np.ndarray, grad: bool) -> Optional[_SourceSums]:
+def _hawkes_band(pd: PathData, state: HistoryState, mass: np.ndarray, gaps: np.ndarray,
+                 lam: np.ndarray, comp: np.ndarray, grad: bool) -> Optional[_SourceSums]:
     """Add the excitation to lam and comp in place, one block of the band at a time.
 
-    ``mass`` is each source's screen mass. With ``grad`` the per-source
-    gradient sums come back too; each row's lam is complete within its
-    block, so they take the same pass.
+    ``state`` is ``pd``'s history state and ``mass`` each source's screen
+    mass. One cutoff serves every segment of ``pd``, from the batch's
+    largest a, its smallest b and its longest segment. With ``grad`` the
+    per-source gradient sums come back too; each row's lam is complete
+    within its block, so they take the same pass.
     """
     a, b, mu, locations = state.a, state.b, state.mu, state.locations
     n = state.n
-    clock = state.clock
-    clock_prev = np.concatenate(([0.0], clock[:-1]))
+    clock, clock_prev = pd.clock, pd.clock_prev
     s2 = state.params.sigma2
     am = mass * a
     sums = _SourceSums(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
                        np.zeros((n, 2))) if grad else None
-    for r0, r1, rows, cols in _band(clock, _window(a, b, state.params.nu, s2, n)):
+    w = _window(a, b, state.params.nu, s2, int(pd.lengths.max()))
+    for r0, r1, rows, cols in _band(clock, w, pd.starts):
         if not cols.size:
             continue
         bj = b[cols]
@@ -748,13 +869,14 @@ def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     """Intensity at each event, compensator increments, and the invalid-gap mask."""
     _check_path(pd, spec, params)
     gaps, invalid, lam, comp = _gap_terms(pd, params.nu, omega.area)
-    if spec.variant == "last_fixation" and pd.n > 1:
+    if spec.variant == "last_fixation":
+        k = pd.after_first
         _, psi, gx, gy, _ = _last_fixation_pieces(pd, params, omega)
-        lam[1:] += psi
-        comp[1:] += gx * gy * gaps[1:]
+        lam[k] += psi
+        comp[k] += gx * gy * gaps[k]
     elif spec.variant == "hawkes" and pd.n > 1:
         state = HistoryState.from_path(pd, spec, params, omega)
-        _hawkes_band(state, state.mass, gaps, lam, comp, grad=False)
+        _hawkes_band(pd, state, state.mass, gaps, lam, comp, grad=False)
     return lam, comp, invalid
 
 
@@ -810,19 +932,18 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
         return terms, {"nu": d_nu}
 
     if spec.variant == "last_fixation":
-        d_sigma2 = 0.0
-        if n > 1:
-            r2, psi, gx, gy, (zx0, zx1, zy0, zy1) = _last_fixation_pieces(pd, params, omega)
-            lam[1:] += psi
-            comp[1:] += gx * gy * gaps[1:]
-            sigma = np.sqrt(s2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                P = 1.0 / lam[1:]
-            dpsi = psi * (r2 / (2.0 * s2 * s2) - 1.0 / s2)
-            dgx_dsig = (zx0 * norm_pdf(zx0) - zx1 * norm_pdf(zx1)) / sigma
-            dgy_dsig = (zy0 * norm_pdf(zy0) - zy1 * norm_pdf(zy1)) / sigma
-            dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
-            d_sigma2 = float(np.sum(P * dpsi) - np.sum(gaps[1:] * dmass_ds2))
+        k = pd.after_first
+        r2, psi, gx, gy, (zx0, zx1, zy0, zy1) = _last_fixation_pieces(pd, params, omega)
+        lam[k] += psi
+        comp[k] += gx * gy * gaps[k]
+        sigma = np.sqrt(s2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            P = 1.0 / lam[k]
+        dpsi = psi * (r2 / (2.0 * s2 * s2) - 1.0 / s2)
+        dgx_dsig = (zx0 * norm_pdf(zx0) - zx1 * norm_pdf(zx1)) / sigma
+        dgy_dsig = (zy0 * norm_pdf(zy0) - zy1 * norm_pdf(zy1)) / sigma
+        dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
+        d_sigma2 = float(np.sum(P * dpsi) - np.sum(gaps[k] * dmass_ds2))
         terms = _finish(lam, comp, invalid)
         with np.errstate(divide="ignore"):
             d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
@@ -841,7 +962,7 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     gx = norm_cdf(zx1) - norm_cdf(zx0)
     gy = norm_cdf(zy1) - norm_cdf(zy0)
     mass = gx * gy
-    sums = _hawkes_band(state, mass, gaps, lam, comp, grad=True)
+    sums = _hawkes_band(pd, state, mass, gaps, lam, comp, grad=True)
     terms = _finish(lam, comp, invalid)
 
     grads = {}

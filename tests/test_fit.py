@@ -517,11 +517,16 @@ class TestTraining:
         params = sp.SaccadeParams.initial(spec, nu=1e-6, sigma2=900.0).replace(
             alpha=np.array([0.5]), beta=np.array([1.0]))
         raw = model.pack(params)
-        unit = model.prepare_unit(pd)
+        # the bad path is the second of three, so its events sit at 4..8 of the batch
+        good = [sp.PathData(onsets=[0.2, 0.9, 1.5, 2.4][:n], durations=[0.3] * n,
+                            locations=[(150.0 * k, 300.0) for k in range(1, n + 1)],
+                            design=np.ones((n, 1)), label=label)
+                for n, label in ((4, "a/x"), (3, "b/y"))]
+        units = [model.prepare_unit(u) for u in (good[0], pd, good[1])]
         lam, comp, _ = sp.saccade.event_intensities(pd, spec, params, PIXEL_OMEGA)
         for want_grad in (True, False):
             with pytest.raises(sp.DivergenceError) as info:
-                objective(model, [unit], raw, want_grad=want_grad)
+                objective(model, units, raw, want_grad=want_grad)
             msg = str(info.value)
             found = re.search(r"scanpath 'r/t': event 3 has intensity (\S+) per s per "
                               r"px\^2 and compensator increment (\S+), and starts before "
@@ -530,6 +535,53 @@ class TestTraining:
             assert float(found[1]) == pytest.approx(lam[3], rel=1e-5)
             assert float(found[2]) == pytest.approx(comp[3], rel=1e-5)
             assert "sigma2=900" in msg and "nu=1e-06" in msg and "alpha[intercept]=" in msg
+
+    def test_duration_divergence_names_scanpath(self):
+        model = DurationModel(sp.DurationSpec(columns=("intercept",)))
+        units = duration_units(np.random.default_rng(41), 1, count=3, events=5)
+        raw = model.default_init(units)
+        bad = units[2]
+        durations = bad.durations.copy()
+        durations[2] = np.inf
+        units[2] = sp.PathData(bad.onsets, durations, bad.locations, bad.design, "r/t")
+        for want_grad in (True, False):
+            with pytest.raises(sp.DivergenceError,
+                               match=r"scanpath 'r/t': event 2 has log-density -inf at "
+                                     r"duration inf s"):
+                objective(model, units, raw, want_grad=want_grad)
+
+
+class TestBatchObjective:
+    @pytest.mark.parametrize("kind", ["hawkes", "last_fixation", "convolution", "markov"])
+    def test_one_batch_call_equals_per_unit_sums(self, kind):
+        rng = np.random.default_rng(42)
+        if kind in ("hawkes", "last_fixation"):
+            columns = ("intercept", "z") if kind == "hawkes" else ()
+            model = SaccadeModel(sp.SaccadeSpec(variant=kind, columns=columns), PIXEL_OMEGA)
+            units = saccade_units(rng, model, count=5, events=7)
+        else:
+            spec = sp.DurationSpec(columns=("intercept", "z"), mean_variant=kind,
+                                   spillover=("z",), lags=2 if kind == "markov" else 0)
+            model = DurationModel(spec)
+            units = duration_units(rng, 2, count=5, events=7)
+        prepared = [model.prepare_unit(u) for u in units]
+        raw = model.default_init(prepared) + rng.normal(0.0, 0.05, model.dim)
+        batch = sp.PathData.concat(prepared)
+        ll, n, grad = model.grad_unit(raw, batch)
+        parts = [model.grad_unit(raw, u) for u in prepared]
+        assert n == 35 and ll == pytest.approx(sum(p[0] for p in parts), rel=1e-13)
+        want = np.sum([p[2] for p in parts], axis=0)
+        assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
+        assert model.loglik_unit(raw, batch) == (pytest.approx(ll, rel=1e-13), 35)
+        assert np.allclose(model.per_event_loglik(raw, batch),
+                           np.concatenate([model.per_event_loglik(raw, u) for u in prepared]),
+                           rtol=1e-13, atol=0.0)
+        loss, g = objective(model, prepared, raw)
+        assert (loss, g.tolist()) == (-ll / n, (-grad / n).tolist())
+        assert objective(model, batch, raw, want_grad=False)[0] == pytest.approx(loss, rel=1e-14)
+        assert dataset_loglik(model, prepared, raw) == model.loglik_unit(raw, batch)
+        assert objective(model, [], raw) == (0.0, pytest.approx(np.zeros(model.dim)))
+        assert dataset_loglik(model, [], raw) == (0.0, 0)
 
 
 class TestGridSearch:

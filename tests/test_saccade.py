@@ -749,3 +749,217 @@ class TestBandAgainstDense:
         assert terms.invalid_count == 0 and np.all(np.isfinite(grads["C"]))
         # dense n x n arrays at n = 4000 take 128 MB each
         assert peak < 64 * 2**20
+
+
+# --- Batches of scanpaths ------------------------------------------------------
+
+def random_segment(rng, m, omega, p, label, signed=False):
+    """m fixations inside omega; design rows (intercept, z) when p, else none.
+
+    z is uniform on [-1, 1], or +-1 when ``signed``.
+    """
+    gaps = rng.uniform(0.05, 0.4, m)
+    durs = rng.uniform(0.1, 0.3, m)
+    onsets = np.cumsum(gaps) + np.concatenate(([0.0], np.cumsum(durs[:-1])))[:m]
+    locs = np.column_stack([rng.uniform(omega.x0 + 0.05, omega.x1 - 0.05, m),
+                            rng.uniform(omega.y0 + 0.05, omega.y1 - 0.05, m)])
+    if not p:
+        return sp.PathData(onsets, durs, locs, np.zeros((m, 0)), label)
+    z = rng.choice([-1.0, 1.0], (m, p - 1)) if signed else rng.uniform(-1.0, 1.0, (m, p - 1))
+    return sp.PathData(onsets, durs, locs, np.column_stack([np.ones(m), z]), label)
+
+
+def segment_ids(batch):
+    return np.repeat(np.arange(len(batch.labels)), batch.lengths)
+
+
+def assert_batch_matches(units, spec, params, omega):
+    """A batch against per-path calls and the dense oracle, term by term.
+
+    Per-event terms and increments within 1e-12, each gradient key within
+    1e-10 of the per-path sum, relative.
+    """
+    batch = sp.PathData.concat(units)
+    terms, grads = saccade.loglik_grad(batch, spec, params, omega)
+    per_path = [saccade.loglik_grad(u, spec, params, omega) for u in units]
+    with np.errstate(invalid="ignore"):
+        dense_path = [dense.loglik_grad(u, spec, params, omega) for u in units]
+    for results in (per_path, dense_path):
+        want = saccade.ScanpathLoglik(np.concatenate([t.per_event for t, _ in results]),
+                                      sum(t.invalid_count for t, _ in results))
+        assert_terms_match(terms, want)
+        assert_terms_match(loglik_terms(batch, spec, params, omega), want)
+        assert grads.keys() == results[0][1].keys()
+        if want.invalid_count:
+            continue
+        for key in grads:
+            value = sum(np.asarray(g[key], dtype=float) for _, g in results)
+            err = np.linalg.norm(np.asarray(grads[key]) - value)
+            assert err <= 1e-10 * max(np.linalg.norm(value), 1e-300), key
+    comp = compensator_increments(batch, spec, params, omega)
+    for want_comp in (np.concatenate([compensator_increments(u, spec, params, omega)
+                                      for u in units]),
+                      np.concatenate([dense.lam_comp(u, spec, params, omega)[1]
+                                      for u in units])):
+        assert np.all(np.abs(comp - want_comp) <= 1e-12 * np.maximum(1.0, np.abs(want_comp)))
+    return batch, terms
+
+
+def batch_kept_pairs(batch, spec, params):
+    """Kept pairs of the batch's band; every one lies within a segment."""
+    state = sp.HistoryState.from_path(batch, spec, params)
+    w = saccade._window(state.a, state.b, params.nu, params.sigma2, int(batch.lengths.max()))
+    seg = segment_ids(batch)
+    kept = 0
+    for _, _, rows, cols in saccade._band(batch.clock, w, batch.starts):
+        assert np.array_equal(seg[rows], seg[cols])
+        kept += cols.size
+    return kept, w
+
+
+def within_pairs(batch):
+    return int(sum(m * (m - 1) // 2 for m in batch.lengths))
+
+
+LENGTHS = (90, 0, 2, 1, 300, 0)
+
+
+def long_segments(link, alpha, beta, lengths=LENGTHS):
+    """long_case's spec and parameters over segments of the given lengths."""
+    _, spec, params, omega = long_case(link, alpha, beta)
+    rng = np.random.default_rng(58)
+    units = [random_segment(rng, m, omega, 2, f"r{k}/t{k}", signed=True)
+             for k, m in enumerate(lengths)]
+    return units, spec, params, omega
+
+
+class TestPathDataBatch:
+    def test_concat_restarts_clock_and_gaps(self):
+        rng = np.random.default_rng(3)
+        omega = sp.Rect(0.0, 0.0, 3.0, 2.0)
+        units = [random_segment(rng, m, omega, 2, f"p{k}") for k, m in enumerate((4, 0, 1, 3))]
+        batch = sp.PathData.concat(units)
+        assert batch.n == 8 and batch.labels == ("p0", "p1", "p2", "p3")
+        assert batch.starts.tolist() == [0, 4, 4, 5] and batch.lengths.tolist() == [4, 0, 1, 3]
+        assert np.array_equal(batch.clock, np.concatenate([u.clock for u in units]))
+        assert np.array_equal(batch.gaps, np.concatenate([u.gaps for u in units]))
+        assert batch.after_first.tolist() == [1, 2, 3, 6, 7]
+        assert [batch.locate(k) for k in (0, 3, 4, 5, 7)] == [
+            ("p0", 0), ("p0", 3), ("p2", 0), ("p3", 0), ("p3", 2)]
+        assert [s.n for s in batch.segments] == [4, 0, 1, 3]
+        # the same batch built from its arrays computes the same clock
+        direct = sp.PathData(batch.onsets, batch.durations, batch.locations, batch.design,
+                             starts=batch.starts, labels=batch.labels)
+        assert np.array_equal(direct.clock, batch.clock)
+        assert np.array_equal(direct.gaps, batch.gaps)
+        moved = batch.with_locations(batch.locations * 2.0)
+        assert moved.labels == batch.labels and np.array_equal(moved.starts, batch.starts)
+        assert moved.clock is batch.clock
+        assert np.array_equal(moved.segments[3].locations, 2.0 * units[3].locations)
+        assert sp.PathData.concat(units[:1]) is units[0]
+        empty = sp.PathData.concat([])
+        assert empty.n == 0 and empty.labels == () and empty.clock.size == 0
+
+    def test_single_path_is_a_batch_of_one(self):
+        pd = random_segment(np.random.default_rng(4), 5, sp.Rect(0, 0, 3, 2), 2, "r/t")
+        assert pd.starts.tolist() == [0] and pd.labels == ("r/t",)
+        assert pd.segments == (pd,) and pd.after_first.tolist() == [1, 2, 3, 4]
+        assert pd.locate(3) == ("r/t", 3)
+
+    @pytest.mark.parametrize("starts,labels", [([1, 3], ("a", "b")), ([0, 3, 2], "abc"),
+                                               ([0, 9], ("a", "b")), ([0], ("a", "b"))])
+    def test_bad_segments_rejected(self, starts, labels):
+        with pytest.raises(sp.ValidationError):
+            sp.PathData(np.arange(5.0), np.full(5, 0.1), np.zeros((5, 2)), np.zeros((5, 0)),
+                        starts=starts, labels=tuple(labels))
+
+    def test_concat_rejects_unequal_design_widths(self):
+        rng = np.random.default_rng(5)
+        omega = sp.Rect(0.0, 0.0, 3.0, 2.0)
+        units = [random_segment(rng, 3, omega, p, f"p{p}") for p in (2, 3)]
+        with pytest.raises(sp.ValidationError, match="design widths"):
+            sp.PathData.concat(units)
+
+
+class TestBatchAgainstPerPath:
+    @pytest.mark.parametrize("variant,mean_fn,link,columns", HISTORY_CASES)
+    def test_variants(self, monkeypatch, variant, mean_fn, link, columns):
+        _, _, spec, params, omega = history_case(variant, mean_fn, link, columns, 2)
+        rng = np.random.default_rng(59)
+        units = [random_segment(rng, m, omega, spec.p, f"r{k}/t{k}")
+                 for k, m in enumerate(LENGTHS)]
+        assert_batch_matches(units, spec, params, omega)
+        # blocks of 20 pairs, which straddle segment boundaries
+        monkeypatch.setattr(saccade, "_BLOCK_PAIRS", 20)
+        assert_batch_matches(units, spec, params, omega)
+
+    def test_banded_segments(self, monkeypatch):
+        units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5])
+        batch, terms = assert_batch_matches(units, spec, params, omega)
+        kept, w = batch_kept_pairs(batch, spec, params)
+        assert math.isfinite(w) and kept < 0.8 * within_pairs(batch)
+        assert terms.invalid_count == 0
+        # at one cutoff, the batch keeps exactly each segment's own band
+        pairs = np.concatenate([np.stack([rows, cols]) for *_, rows, cols
+                                in saccade._band(batch.clock, w, batch.starts)], axis=1)
+        want = np.concatenate([np.stack([rows, cols]) + lo for u, lo in zip(units, batch.starts)
+                               for *_, rows, cols in saccade._band(u.clock, w)], axis=1)
+        assert np.array_equal(pairs, want)
+        # and the cutoff is the batch's: its largest a, smallest b, longest segment
+        calls = []
+        saccade_window = saccade._window
+
+        def window(a, b, nu, sigma2, n):
+            calls.append((a.size, b.size, n))
+            return saccade_window(a, b, nu, sigma2, n)
+
+        monkeypatch.setattr(saccade, "_window", window)
+        saccade.loglik_grad(batch, spec, params, omega)
+        assert calls == [(batch.n, batch.n, 300)]
+
+    @pytest.mark.parametrize("lengths", [LENGTHS, (300, 90), (1, 2, 300)])
+    def test_relu_zero_decay_keeps_every_pair_within_segments(self, lengths):
+        units, spec, params, omega = long_segments("relu", [1.0, 0.3], [0.0, 1.5], lengths)
+        batch, _ = assert_batch_matches(units, spec, params, omega)
+        kept, w = batch_kept_pairs(batch, spec, params)
+        assert w == math.inf and kept == within_pairs(batch)
+
+    def test_zero_base_rate(self):
+        units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [1.0, 0.3],
+                                                   (40, 0, 60))
+        params = params.replace(nu=0.0)
+        batch, terms = assert_batch_matches(units, spec, params, omega)
+        assert batch_kept_pairs(batch, spec, params) == (within_pairs(batch), math.inf)
+        # the first event of each segment has no source, so zero intensity
+        assert np.flatnonzero(~np.isfinite(terms.per_event)).tolist() == [0, 40]
+
+    @pytest.mark.parametrize("k,overlap", [(60, 0.5), (60, 20.0)])
+    def test_overlapping_event_stays_in_its_segment(self, k, overlap):
+        units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5],
+                                                   (90, 300, 90))
+        bad = units[1]
+        onsets = bad.onsets.copy()
+        onsets[k:] -= onsets[k] - (onsets[k - 1] + bad.durations[k - 1] - overlap)
+        units[1] = sp.PathData(onsets, bad.durations, bad.locations, bad.design, bad.label)
+        batch, terms = assert_batch_matches(units, spec, params, omega)
+        assert np.flatnonzero(~np.isfinite(terms.per_event)).tolist() == [90 + k]
+        assert batch.locate(90 + k) == ("r1/t1", k)
+        # the segment after it is evaluated as if alone
+        alone = loglik_terms(units[2], spec, params, omega).per_event
+        assert np.allclose(terms.per_event[390:], alone, rtol=1e-12, atol=0.0)
+
+    def test_gradient_sums_over_segments_in_fitting_units(self):
+        units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5])
+        model = sp.SaccadeModel(spec, omega)
+        raw = model.pack(params)
+        prepared = [model.prepare_unit(u) for u in units]
+        ll, n, grad = model.grad_unit(raw, sp.PathData.concat(prepared))
+        parts = [model.grad_unit(raw, u) for u in prepared]
+        assert n == sum(u.n for u in units)
+        assert ll == pytest.approx(sum(p[0] for p in parts), rel=1e-13)
+        want = np.sum([p[2] for p in parts], axis=0)
+        assert np.linalg.norm(grad - want) <= 1e-10 * np.linalg.norm(want)
+        per_event = model.per_event_loglik(raw, sp.PathData.concat(prepared))
+        assert np.allclose(per_event,
+                           np.concatenate([model.per_event_loglik(raw, u) for u in prepared]),
+                           rtol=1e-12, atol=0.0)
