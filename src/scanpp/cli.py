@@ -26,13 +26,19 @@ from .data import (
     aggregate,
     annotate,
     design_columns,
-    design_for_columns,
     filter_scanpath,
     pool_across_readers,
 )
 from .duration import DurationParams, DurationSpec
 from .errors import ParseError, ScanppError, UsageError, ValidationError
-from .evaluate import ComparisonReport, bootstrap, delta_loglik, model_name
+from .evaluate import (
+    ComparisonReport,
+    _block_labels,
+    _units,
+    bootstrap,
+    delta_loglik,
+    model_name,
+)
 from .fit import DurationModel, GridSpec, SaccadeModel, TrainConfig, grid_search, split, train
 from .plotting import plot_intensity
 from .saccade import PathData, SaccadeSpec
@@ -149,13 +155,11 @@ def _effects_table(args):
     return fileio.load_effects(path) if path else None
 
 
-def _units(scanpaths, columns, table) -> list[PathData]:
-    """Each scanpath with its design rows over ``columns``, effects joined from ``table``."""
-    units = []
-    for sp in scanpaths:
-        eff = table.for_scanpath(sp.reader_id, sp.text_id) if table else None
-        units.append(PathData.from_scanpath(sp, design_for_columns(sp, columns, eff)))
-    return units
+def _by_path(table):
+    """The scanpath -> effects lookup of an effects table, or None without a table."""
+    if table is None:
+        return None
+    return lambda sp: table.for_scanpath(sp.reader_id, sp.text_id)
 
 
 def _spec_columns(args, scanpaths, table) -> tuple[str, ...]:
@@ -242,7 +246,7 @@ def cmd_fit(args) -> int:
                             lags=args.lags, distribution=args.distribution,
                             columns=columns)
         model = DurationModel(spec)
-    units = _units(scanpaths, model.spec.columns, table)
+    units = _units(scanpaths, model.spec.columns, _by_path(table))
     parts = split(units, config.split, config.seed)
     log.info("split: train=%d val=%d test=%d scanpaths",
              len(parts.train), len(parts.val), len(parts.test))
@@ -260,33 +264,29 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _test_per_event(loaded, scanpaths, idx_test, table) -> np.ndarray:
+def _test_per_event(loaded, scanpaths, idx_test, effects_by_path) -> np.ndarray:
     model = loaded.model
     if not idx_test:
         return np.empty(0)
-    units = _units([scanpaths[i] for i in idx_test], model.spec.columns, table)
+    units = _units([scanpaths[i] for i in idx_test], model.spec.columns, effects_by_path)
     return model.per_event_loglik(loaded.result.raw, model.prepare_unit(PathData.concat(units)))
 
 
 def cmd_eval(args) -> int:
     config, _ = _resolve_config(args)
     scanpaths = fileio.load_scanpaths(args.data)
-    table = _effects_table(args)
+    effects = _by_path(_effects_table(args))
     base = serialize.loads_fit(serialize.read_text(args.baseline))
     others = [serialize.loads_fit(serialize.read_text(p)) for p in args.fit]
     for loaded in others:
         if loaded.model.kind != base.model.kind:
             raise ValidationError("cannot compare saccade and duration fits")
     idx_split = split(list(range(len(scanpaths))), config.split, config.seed)
-    base_vals = _test_per_event(base, scanpaths, idx_split.test, table)
-    blocks = None
-    if args.block_bootstrap:
-        blocks = np.concatenate(
-            [np.full(len(scanpaths[i]), k) for k, i in enumerate(idx_split.test)]
-        ) if idx_split.test else np.empty(0)
+    base_vals = _test_per_event(base, scanpaths, idx_split.test, effects)
+    blocks = _block_labels(scanpaths, idx_split.test) if args.block_bootstrap else None
     reports = []
     for loaded in others:
-        vals = _test_per_event(loaded, scanpaths, idx_split.test, table)
+        vals = _test_per_event(loaded, scanpaths, idx_split.test, effects)
         deltas = delta_loglik(vals, base_vals)
         summary = bootstrap(deltas, replicates=args.replicates,
                             seed=args.bootstrap_seed, blocks=blocks)
@@ -408,7 +408,7 @@ def cmd_plot(args) -> int:
         raise UsageError(f"--times must be comma-separated numbers, got {args.times!r}") from None
     if not times:
         raise UsageError("--times must name at least one timestamp")
-    X = _units([sp], sacc.model.spec.columns, _effects_table(args))[0].design
+    X = _units([sp], sacc.model.spec.columns, _by_path(_effects_table(args)))[0].design
     pages = plot_intensity(sp, sacc.model.spec, sacc.params, sacc.model.omega,
                            times, nx=args.grid, ny=args.grid, X=X)
     for i, page in enumerate(pages):

@@ -7,6 +7,12 @@ per (lag, predictor). A gamma output distribution is available as an
 alternative to the log-normal. Aggregated word-level reading times use the
 same spillover construction as lagged regressors in a closed-form
 least-squares fit.
+
+The likelihood and its gradient share two helpers. ``_means`` returns the
+means with the spillover features and convolution kernel matrices it used,
+which the gradient reads rather than rebuilds. ``_log_density`` is the one
+place the output distribution is chosen, for the likelihood, its gradient
+and the fitting adapter alike.
 """
 
 from __future__ import annotations
@@ -194,20 +200,27 @@ def gamma_logpdf(d, xi, shape: float):
 # --- Mean structures ---------------------------------------------------------
 
 def _conv_features(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
-                   params: DurationParams) -> np.ndarray:
-    """Per-event convolution features c[i, k] = sum_{m<i} x[m, k] * kernel(t_i - t_m)."""
+                   params: DurationParams) -> tuple[np.ndarray, Optional[np.ndarray], list]:
+    """Per-event convolution features c[i, k] = sum_{m<i} x[m, k] * kernel(t_i - t_m).
+
+    Also the elapsed times t_i - t_m and each column's kernel matrix, both 0
+    on and above the diagonal; none below two events.
+    """
     n = onsets.shape[0]
     k = spec.n_spill
     feats = np.zeros((n, k))
     if n < 2 or k == 0:
-        return feats
+        return feats, None, []
     tri = np.tril(np.ones((n, n), dtype=bool), k=-1)
     tau = np.where(tri, onsets[:, None] - onsets[None, :], 0.0)
+    kernels = []
     for kk, col in enumerate(spec.spill_indices):
-        kern = gamma_kernel(tau, float(params.kernel_alpha[kk]),
-                            float(params.kernel_beta[kk]), float(params.kernel_theta[kk]))
-        feats[:, kk] = (np.where(tri, kern, 0.0)) @ design[:, col]
-    return feats
+        kern = np.where(tri, gamma_kernel(tau, float(params.kernel_alpha[kk]),
+                                          float(params.kernel_beta[kk]),
+                                          float(params.kernel_theta[kk])), 0.0)
+        feats[:, kk] = kern @ design[:, col]
+        kernels.append(kern)
+    return feats, tau, kernels
 
 
 def _markov_features(design: np.ndarray, spec: DurationSpec) -> np.ndarray:
@@ -229,18 +242,27 @@ def duration_means(onsets: np.ndarray, design: Optional[np.ndarray], spec: Durat
     """
     check_compatible(spec, params)
     onsets = np.asarray(onsets, dtype=float)
-    return _means(onsets, check_design(design, spec.p, onsets.shape[0]), spec, params)
+    return _means(onsets, check_design(design, spec.p, onsets.shape[0]), spec, params)[0]
 
 
 def _means(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
-           params: DurationParams) -> np.ndarray:
+           params: DurationParams) -> tuple[np.ndarray, Optional[np.ndarray],
+                                            Optional[np.ndarray], list]:
+    """Mean log-durations xi, with the spillover features and kernels they used.
+
+    Features: the convolution's (n, k) or markov's (n, lags, k), else None.
+    Elapsed times and kernel matrices: the convolution's, else None and [].
+    """
     xi = design @ params.w
-    if spec.mean_variant == "convolution" and spec.n_spill:
-        xi = xi + _conv_features(onsets, design, spec, params) @ params.w_prime
+    feats, tau, kernels = None, None, []
+    if spec.mean_variant == "convolution":
+        feats, tau, kernels = _conv_features(onsets, design, spec, params)
+        if spec.n_spill:
+            xi = xi + feats @ params.w_prime
     elif spec.mean_variant == "markov" and spec.n_spill:
         feats = _markov_features(design, spec)
         xi = xi + np.einsum("njk,jk->n", feats, params.w_prime)
-    return xi
+    return xi, feats, tau, kernels
 
 
 def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
@@ -259,7 +281,7 @@ def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpe
     onsets = np.asarray(onsets, dtype=float)[: n + 1]
     design = np.asarray(design, dtype=float)[: n + 1]
     if spec.mean_variant != "convolution" or not spec.n_spill:
-        return float(_means(onsets, design, spec, params)[n])
+        return float(_means(onsets, design, spec, params)[0][n])
     tau = onsets[n] - onsets[:n]
     feats = np.array([
         gamma_kernel(tau, float(params.kernel_alpha[kk]), float(params.kernel_beta[kk]),
@@ -281,22 +303,37 @@ class DurationLoglik:
         return self.total
 
 
+def _log_density(durations: np.ndarray, xi: np.ndarray, spec: DurationSpec,
+                 params: DurationParams, grad: bool):
+    """Log-density of each duration under the spec's distribution, log-scale mean xi.
+
+    With ``grad`` also d/dxi of each term and the dispersion's gradient
+    (``shape`` or ``sigma2``) as a dict; else None, None.
+    """
+    if spec.distribution == "gamma":
+        per = gamma_logpdf(durations, xi, params.shape)
+        if not grad:
+            return per, None, None
+        kap = params.shape
+        dxi = kap * (np.exp(-xi) * durations - 1.0)
+        return per, dxi, {"shape": float(np.sum(np.log(kap) + 1.0 - xi - digamma(kap)
+                                                + np.log(durations) - np.exp(-xi) * durations))}
+    per = lognormal_logpdf(durations, xi, params.sigma2)
+    if not grad:
+        return per, None, None
+    resid = np.log(durations) - xi
+    s2 = params.sigma2
+    return per, resid / s2, {"sigma2": float(np.sum(-0.5 / s2 + resid ** 2 / (2.0 * s2 * s2)))}
+
+
 def duration_loglik(scanpath: Scanpath, design: Optional[np.ndarray],
                     spec: DurationSpec, params: DurationParams) -> DurationLoglik:
     """Joint log-likelihood of the fixation durations of one scanpath.
 
     ``design`` holds the fixations' rows, under ``data.check_design``.
     """
-    check_compatible(spec, params)
-    design = check_design(design, spec.p, len(scanpath))
-    if len(scanpath) == 0:
-        return DurationLoglik(np.empty(0))
-    xi = _means(scanpath.onsets, design, spec, params)
-    if spec.distribution == "gamma":
-        per = gamma_logpdf(scanpath.durations, xi, params.shape)
-    else:
-        per = lognormal_logpdf(scanpath.durations, xi, params.sigma2)
-    return DurationLoglik(np.atleast_1d(per))
+    xi = duration_means(scanpath.onsets, design, spec, params)
+    return DurationLoglik(_log_density(scanpath.durations, xi, spec, params, grad=False)[0])
 
 
 def duration_loglik_grad(onsets: np.ndarray, durations: np.ndarray, design: np.ndarray,
@@ -312,68 +349,35 @@ def duration_loglik_grad(onsets: np.ndarray, durations: np.ndarray, design: np.n
     check_compatible(spec, params)
     onsets = np.asarray(onsets, dtype=float)
     durations = np.asarray(durations, dtype=float)
-    n = onsets.shape[0]
-    design = check_design(design, spec.p, n)
-    k = spec.n_spill
-
-    xi = design @ params.w
-    conv_feats = None
-    markov_feats = None
-    if spec.mean_variant == "convolution":
-        conv_feats = _conv_features(onsets, design, spec, params)
-        xi = xi + conv_feats @ params.w_prime
-    elif spec.mean_variant == "markov" and k:
-        markov_feats = _markov_features(design, spec)
-        xi = xi + np.einsum("njk,jk->n", markov_feats, params.w_prime)
-
-    grads: dict[str, np.ndarray | float] = {}
-    if spec.distribution == "gamma":
-        per = gamma_logpdf(durations, xi, params.shape)
-        kap = params.shape
-        dxi = kap * (np.exp(-xi) * durations - 1.0)
-        grads["shape"] = float(np.sum(np.log(kap) + 1.0 - xi - digamma(kap)
-                                      + np.log(durations) - np.exp(-xi) * durations))
-    else:
-        per = lognormal_logpdf(durations, xi, params.sigma2)
-        resid = np.log(durations) - xi
-        s2 = params.sigma2
-        dxi = resid / s2
-        grads["sigma2"] = float(np.sum(-0.5 / s2 + resid ** 2 / (2.0 * s2 * s2)))
-
+    design = check_design(design, spec.p, onsets.shape[0])
+    xi, feats, tau, kernels = _means(onsets, design, spec, params)
+    per, dxi, grads = _log_density(durations, xi, spec, params, grad=True)
     grads["w"] = design.T @ dxi
-    if conv_feats is not None:
-        grads["w_prime"] = conv_feats.T @ dxi
-        d_alpha = np.zeros(k)
-        d_beta = np.zeros(k)
-        d_theta = np.zeros(k)
-        if n > 1:
-            tri = np.tril(np.ones((n, n), dtype=bool), k=-1)
-            tau = np.where(tri, onsets[:, None] - onsets[None, :], 0.0)
-            for kk, col in enumerate(spec.spill_indices):
-                al = float(params.kernel_alpha[kk])
-                be = float(params.kernel_beta[kk])
-                th = float(params.kernel_theta[kk])
-                kern = np.where(tri, gamma_kernel(tau, al, be, th), 0.0)
-                z = tau + th
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    logz = np.where(z > 0, np.log(np.maximum(z, 1e-300)), 0.0)
-                    invz = np.where(z > 0, 1.0 / np.maximum(z, 1e-300), 0.0)
-                dk_da = kern * (np.log(be) - digamma(al) + logz)
-                dk_db = kern * (al / be - z)
-                dk_dt = kern * ((al - 1.0) * invz - be)
-                xcol = design[:, col]
-                wk = float(params.w_prime[kk])
-                d_alpha[kk] = wk * float(dxi @ (np.where(tri, dk_da, 0.0) @ xcol))
-                d_beta[kk] = wk * float(dxi @ (np.where(tri, dk_db, 0.0) @ xcol))
-                d_theta[kk] = wk * float(dxi @ (np.where(tri, dk_dt, 0.0) @ xcol))
+    if spec.mean_variant == "convolution":
+        grads["w_prime"] = feats.T @ dxi
+        d_alpha, d_beta, d_theta = np.zeros((3, spec.n_spill))
+        # Each kernel matrix is 0 on and above the diagonal, and so is each
+        # derivative below, as its factors are finite there.
+        for kk, (col, kern) in enumerate(zip(spec.spill_indices, kernels)):
+            al = float(params.kernel_alpha[kk])
+            be = float(params.kernel_beta[kk])
+            th = float(params.kernel_theta[kk])
+            z = tau + th
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logz = np.where(z > 0, np.log(np.maximum(z, 1e-300)), 0.0)
+                invz = np.where(z > 0, 1.0 / np.maximum(z, 1e-300), 0.0)
+            xcol = design[:, col]
+            wk = float(params.w_prime[kk])
+            d_alpha[kk] = wk * float(dxi @ ((kern * (np.log(be) - digamma(al) + logz)) @ xcol))
+            d_beta[kk] = wk * float(dxi @ ((kern * (al / be - z)) @ xcol))
+            d_theta[kk] = wk * float(dxi @ ((kern * ((al - 1.0) * invz - be)) @ xcol))
         grads["kernel_alpha"] = d_alpha
         grads["kernel_beta"] = d_beta
         grads["kernel_theta"] = d_theta
-    elif markov_feats is not None:
-        grads["w_prime"] = np.einsum("n,njk->jk", dxi, markov_feats)
+    elif feats is not None:
+        grads["w_prime"] = np.einsum("n,njk->jk", dxi, feats)
     else:
         grads["w_prime"] = np.zeros_like(params.w_prime)
-
     return DurationLoglik(np.atleast_1d(per)), grads
 
 

@@ -116,6 +116,18 @@ def time_rescaling_gaps(paths: Sequence[PathData], spec: SaccadeSpec,
     return compensator_increments(PathData.concat(paths), spec, params, omega)
 
 
+def _units(scanpaths: Sequence[Scanpath], columns: Sequence[str],
+           effects_by_path=None) -> list[PathData]:
+    """Each scanpath with its design rows over ``columns``; effects as ``compare_suite``'s."""
+    return [PathData.from_scanpath(sp, design_for_columns(
+        sp, columns, effects_by_path(sp) if effects_by_path else None)) for sp in scanpaths]
+
+
+def _block_labels(scanpaths: Sequence[Scanpath], indices: Sequence[int]) -> np.ndarray:
+    """Block-bootstrap label of each fixation of the scanpaths at ``indices``: its position there."""
+    return np.repeat(np.arange(len(indices)), [len(scanpaths[i]) for i in indices])
+
+
 def model_name(spec: SaccadeSpec) -> str:
     """Conventional name of a point on the nesting chain."""
     if spec.variant == "poisson":
@@ -193,10 +205,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
     idx_split = split(list(range(len(scanpaths))), config.split, config.seed)
 
     def fit_one(spec: SaccadeSpec, prev: Optional[FitResult]):
-        units = []
-        for sp in scanpaths:
-            eff = effects_by_path(sp) if effects_by_path else None
-            units.append(PathData.from_scanpath(sp, design_for_columns(sp, spec.columns, eff)))
+        units = _units(scanpaths, spec.columns, effects_by_path)
         parts = Split(tuple(units[i] for i in idx_split.train),
                       tuple(units[i] for i in idx_split.val),
                       tuple(units[i] for i in idx_split.test))
@@ -221,11 +230,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
     except (DivergenceError, ScanppError) as exc:
         raise ValidationError(f"baseline fit failed: {exc}") from exc
 
-    blocks = None
-    if block_bootstrap:
-        blocks = np.concatenate(
-            [np.full(len(scanpaths[i]), k) for k, i in enumerate(idx_split.test)]
-        ) if idx_split.test else np.empty(0)
+    blocks = _block_labels(scanpaths, idx_split.test) if block_bootstrap else None
 
     members = [baseline]
     reports: list[ComparisonReport] = []

@@ -44,10 +44,9 @@ from .data import Rect
 from .duration import (
     DurationParams,
     DurationSpec,
+    _log_density,
     duration_loglik_grad,
     duration_means,
-    gamma_logpdf,
-    lognormal_logpdf,
 )
 from .errors import ScanppError, UsageError, ValidationError
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
@@ -431,9 +430,6 @@ class SaccadeModel:
             basis[slices[part], slices[part]] = W
         return basis
 
-    def decay_mask(self) -> np.ndarray:
-        return self.layout.decay_mask.copy()
-
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:
         spec = self.spec
@@ -521,13 +517,8 @@ class DurationModel:
         params = self.unpack(raw)
         parts = [np.empty(0)]
         for seg in unit.segments:
-            if not seg.n:
-                continue
             xi = duration_means(seg.onsets, seg.design, self.spec, params)
-            if self.spec.distribution == "gamma":
-                parts.append(np.atleast_1d(gamma_logpdf(seg.durations, xi, params.shape)))
-            else:
-                parts.append(np.atleast_1d(lognormal_logpdf(seg.durations, xi, params.sigma2)))
+            parts.append(_log_density(seg.durations, xi, self.spec, params, grad=False)[0])
         return np.concatenate(parts)
 
     def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
@@ -557,9 +548,6 @@ class DurationModel:
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Identity: duration models fit in the packed coordinates."""
         return np.eye(self.dim)
-
-    def decay_mask(self) -> np.ndarray:
-        return self.layout.decay_mask.copy()
 
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:
@@ -712,7 +700,7 @@ def _train(model: Model, prep: _Prepared, config: TrainConfig,
     basis = model.fitting_basis(train_units, raw)
     z = np.linalg.solve(basis, raw)
     velocity = np.zeros_like(z)
-    mask = model.decay_mask().astype(float)
+    mask = model.layout.decay_mask.astype(float)
     rng = np.random.default_rng(config.seed)
     full_batch = config.batch_size >= len(train_units)
     # In full-batch mode each epoch's loss pass also yields the gradient at

@@ -10,14 +10,23 @@ last-fixation model whose intensity depends only on the most recent landing
 site.
 
 Evaluation code comes in two layers: pointwise operations on one observed
-history, and a vectorized per-scanpath layer (``loglik_terms``,
-``loglik_grad``) used by the fitting loop. The per-scanpath layer takes a
-``PathData``: one scanpath, or a batch of them held as the segments of one
-concatenation. The kernel clock and the exposure windows restart at each
-segment, no source excites an event of another segment, and the per-event
-terms come back in path order, so a batch costs one pass. The pointwise
-layer builds a ``HistoryState`` once per history: the kernel clock, the
-link outputs, the excitation centers and their screen mass.
+history, and a vectorized per-scanpath layer used by the fitting loop. The
+per-scanpath layer takes a ``PathData``: one scanpath, or a batch of them
+held as the segments of one concatenation. The kernel clock and the exposure
+windows restart at each segment, no source excites an event of another
+segment, and the per-event terms come back in path order, so a batch costs
+one pass. That pass, ``_evaluate``, serves all four entry points:
+``event_intensities``, ``loglik_terms`` and ``compensator_increments`` run
+it without the gradient and ``loglik_grad`` with it. It checks its inputs
+and forms the gap terms once, adds the last-fixation or the self-exciting
+excitation, which returns that variant's gradient when asked, and takes the
+base-rate gradient last, once every intensity is complete. ``_screen_mass``
+is the one definition of a center's Gaussian mass inside the screen and,
+for the gradient, of its sigma2 and center derivatives; ``spatial_mass``,
+the history state and both variants read it.
+
+The pointwise layer builds a ``HistoryState`` once per history: the kernel
+clock, the link outputs, the excitation centers and their screen mass.
 ``HistoryState.intensity_at`` evaluates the intensity at many points in
 blocks of bounded size, with each value bit-identical to the one-point
 reference ``intensity``; ``compensator`` and ``log_density`` read the same
@@ -397,12 +406,35 @@ def spatial_density(s, mean, sigma2: float) -> float:
 def spatial_mass(mean, sigma2: float, omega: Rect):
     """Gaussian probability mass inside the screen; separable per axis."""
     mean = np.asarray(mean, dtype=float)
-    mu = mean.reshape(-1, 2)
-    sigma = np.sqrt(sigma2)
-    gx = norm_cdf((omega.x1 - mu[:, 0]) / sigma) - norm_cdf((omega.x0 - mu[:, 0]) / sigma)
-    gy = norm_cdf((omega.y1 - mu[:, 1]) / sigma) - norm_cdf((omega.y0 - mu[:, 1]) / sigma)
-    mass = gx * gy
+    mass, _, _ = _screen_mass(mean.reshape(-1, 2), sigma2, omega, grad=False)
     return float(mass[0]) if mean.ndim == 1 else mass
+
+
+def _screen_mass(mu: np.ndarray, sigma2: float, omega: Rect, grad: bool):
+    """Screen mass gx·gy of the Gaussian around each center (row of ``mu``).
+
+    With ``grad`` also dmass/dsigma2 and ``dmass_dmu``, which maps per-center
+    weights u to u·dmass/dmu, (n, 2), multiplying u in first; else None, None.
+    """
+    sigma = np.sqrt(sigma2)
+    zx0 = (omega.x0 - mu[:, 0]) / sigma
+    zx1 = (omega.x1 - mu[:, 0]) / sigma
+    zy0 = (omega.y0 - mu[:, 1]) / sigma
+    zy1 = (omega.y1 - mu[:, 1]) / sigma
+    gx = norm_cdf(zx1) - norm_cdf(zx0)
+    gy = norm_cdf(zy1) - norm_cdf(zy0)
+    mass = gx * gy
+    if not grad:
+        return mass, None, None
+    px0, px1, py0, py1 = norm_pdf(zx0), norm_pdf(zx1), norm_pdf(zy0), norm_pdf(zy1)
+    dgx_dsig = (zx0 * px0 - zx1 * px1) / sigma
+    dgy_dsig = (zy0 * py0 - zy1 * py1) / sigma
+    dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
+
+    def dmass_dmu(u: np.ndarray) -> np.ndarray:
+        return np.column_stack((u * gy * (px0 - px1) / sigma, u * gx * (py0 - py1) / sigma))
+
+    return mass, dmass_ds2, dmass_dmu
 
 
 def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
@@ -688,38 +720,11 @@ class ScanpathLoglik:
         return self.total
 
 
-def _gap_terms(pd: PathData, nu: float, area: float):
-    gaps = pd.gaps
-    invalid = gaps < -_GAP_TOL
-    gaps = np.maximum(gaps, 0.0)
-    lam = np.full(pd.n, float(nu))
-    comp = nu * area * gaps
-    return gaps, invalid, lam, comp
-
-
 def _finish(lam: np.ndarray, comp: np.ndarray, invalid: np.ndarray) -> ScanpathLoglik:
     with np.errstate(divide="ignore", invalid="ignore"):
         per = np.where(lam > 0.0, np.log(np.maximum(lam, 1e-300)), -np.inf) - comp
     per = np.where(invalid, -np.inf, per)
     return ScanpathLoglik(per, int(np.sum(~np.isfinite(per))))
-
-
-def _last_fixation_pieces(pd: PathData, params: SaccadeParams, omega: Rect):
-    """Terms of the events ``pd.after_first``, each excited by the fixation before it."""
-    s2 = params.sigma2
-    k = pd.after_first
-    prev = pd.locations[k - 1]
-    cur = pd.locations[k]
-    r2 = np.sum((cur - prev) ** 2, axis=1)
-    psi = np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
-    sigma = np.sqrt(s2)
-    zx0 = (omega.x0 - prev[:, 0]) / sigma
-    zx1 = (omega.x1 - prev[:, 0]) / sigma
-    zy0 = (omega.y0 - prev[:, 1]) / sigma
-    zy1 = (omega.y1 - prev[:, 1]) / sigma
-    gx = norm_cdf(zx1) - norm_cdf(zx0)
-    gy = norm_cdf(zy1) - norm_cdf(zy0)
-    return r2, psi, gx, gy, (zx0, zx1, zy0, zy1)
 
 
 def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> float:
@@ -763,17 +768,21 @@ def _band(clock: np.ndarray, w: float, starts=(0,)):
     if not n:
         return
     idx = np.arange(n)
-    starts = np.asarray(starts, dtype=np.intp)
-    seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
-    # Segment k's clock, offset by k times the clock's span, lies above every
-    # earlier segment's, so the running maximum of the offset clock restarts
-    # at each segment; the clamp to the segment's first row does the rest,
-    # also where w is infinite. A segment's first row keeps no sources, so
-    # its window start may read the clock of the segment before.
-    offset = seg * (clock.max() - clock.min())
-    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1]))) + offset
-    lo = np.searchsorted(np.maximum.accumulate(clock + offset), start - w)
-    lo = np.minimum(np.maximum(lo, starts[seg]), idx)
+    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
+    if len(starts) == 1:
+        # One segment: lo_i <= i already, and the offset and clamp below are no-ops.
+        lo = np.searchsorted(np.maximum.accumulate(clock), start - w)
+    else:
+        starts = np.asarray(starts, dtype=np.intp)
+        seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
+        # Segment k's clock, offset by k times the clock's span, lies above
+        # every earlier segment's, so the running maximum of the offset clock
+        # restarts at each segment; the clamp to the segment's first row does
+        # the rest, also where w is infinite. A segment's first row keeps no
+        # sources, so its window start may read the clock of the segment before.
+        offset = seg * (clock.max() - clock.min())
+        lo = np.searchsorted(np.maximum.accumulate(clock + offset), start + offset - w)
+        lo = np.minimum(np.maximum(lo, starts[seg]), idx)
     ends = np.cumsum(idx - lo)
     r0 = 0
     while r0 < n:
@@ -786,36 +795,50 @@ def _band(clock: np.ndarray, w: float, starts=(0,)):
         r0 = r1
 
 
-@dataclass
-class _SourceSums:
-    """Per-source sums over the kept pairs that the gradient needs."""
+def _last_fixation_terms(pd: PathData, params: SaccadeParams, omega: Rect, gaps: np.ndarray,
+                         lam: np.ndarray, comp: np.ndarray, grad: bool) -> dict:
+    """Add the excitation of each event ``pd.after_first`` by the fixation before it.
 
-    d_a: np.ndarray      # sum_i P_i E_ij psi_ij
-    d_b: np.ndarray      # sum_i P_i W_ij dhi_ij
-    I0: np.ndarray
-    I1: np.ndarray
-    mu: np.ndarray       # sum_i P_i W_ij (s_i - mu_j), (n, 2)
-    sigma2: float = 0.0  # sum_ij P_i W_ij (r2_ij / (2 s2^2) - 1 / s2)
+    lam and comp change in place; with ``grad`` the sigma2 gradient comes back.
+    """
+    s2 = params.sigma2
+    k = pd.after_first
+    prev = pd.locations[k - 1]
+    r2 = np.sum((pd.locations[k] - prev) ** 2, axis=1)
+    psi = np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
+    mass, dmass_ds2, _ = _screen_mass(prev, s2, omega, grad)
+    lam[k] += psi
+    comp[k] += mass * gaps[k]
+    if not grad:
+        return {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = 1.0 / lam[k]
+    dpsi = psi * (r2 / (2.0 * s2 * s2) - 1.0 / s2)
+    return {"sigma2": float(np.sum(P * dpsi) - np.sum(gaps[k] * dmass_ds2))}
 
 
-def _hawkes_band(pd: PathData, state: HistoryState, mass: np.ndarray, gaps: np.ndarray,
-                 lam: np.ndarray, comp: np.ndarray, grad: bool) -> Optional[_SourceSums]:
+def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
+                  gaps: np.ndarray, lam: np.ndarray, comp: np.ndarray, grad: bool) -> dict:
     """Add the excitation to lam and comp in place, one block of the band at a time.
 
-    ``state`` is ``pd``'s history state and ``mass`` each source's screen
-    mass. One cutoff serves every segment of ``pd``, from the batch's
-    largest a, its smallest b and its longest segment. With ``grad`` the
-    per-source gradient sums come back too; each row's lam is complete
-    within its block, so they take the same pass.
+    One cutoff serves every segment of ``pd``, from the batch's largest a,
+    its smallest b and its longest segment. Each row's lam is complete
+    within its block, so with ``grad`` the per-source sums of the gradient
+    take the same pass; with no sources they are zeros of the right shapes.
     """
+    state = HistoryState.from_path(pd, spec, params)
     a, b, mu, locations = state.a, state.b, state.mu, state.locations
-    n = state.n
     clock, clock_prev = pd.clock, pd.clock_prev
-    s2 = state.params.sigma2
+    s2 = params.sigma2
+    mass, dmass_ds2, dmass_dmu = _screen_mass(mu, s2, omega, grad)
     am = mass * a
-    sums = _SourceSums(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
-                       np.zeros((n, 2))) if grad else None
-    w = _window(a, b, state.params.nu, s2, int(pd.lengths.max()))
+    # Per-source sums over the kept pairs: sum_i P_i E_ij psi_ij, sum_i P_i
+    # W_ij dhi_ij, I0, I1 and sum_i P_i W_ij (s_i - mu_j); and the total of
+    # P_i W_ij (r2_ij / (2 s2^2) - 1 / s2).
+    sum_a, sum_b, sum_I0, sum_I1 = (np.zeros(pd.n) for _ in range(4))
+    sum_mu = np.zeros((pd.n, 2))
+    sum_s2 = 0.0
+    w = _window(a, b, params.nu, s2, int(pd.lengths.max(initial=0)))
     for r0, r1, rows, cols in _band(clock, w, pd.starts):
         if not cols.size:
             continue
@@ -847,37 +870,61 @@ def _hawkes_band(pd: PathData, state: HistoryState, mass: np.ndarray, gaps: np.n
             total[j0:r1] += np.bincount(src, weights, minlength=r1 - j0)
 
         PW = P * W
-        add(sums.d_a, P * EP)
-        add(sums.d_b, PW * dhi)
-        add(sums.I0, I0)
-        add(sums.I1, I1)
-        sums.sigma2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
-        if state.spec.mean_fn != "baseline":
-            add(sums.mu[:, 0], PW * dx)
-            add(sums.mu[:, 1], PW * dy)
-    return sums
+        add(sum_a, P * EP)
+        add(sum_b, PW * dhi)
+        add(sum_I0, I0)
+        add(sum_I1, I1)
+        sum_s2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
+        if spec.mean_fn != "baseline":
+            add(sum_mu[:, 0], PW * dx)
+            add(sum_mu[:, 1], PW * dy)
+    if not grad:
+        return {}
+    X = pd.design
+    d_a = sum_a - mass * sum_I0
+    grads = {"alpha": X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))}
+    d_b = mass * a * sum_I1 - sum_b
+    grads["beta"] = X.T @ (d_b * link_deriv(spec.link, X @ params.beta))
+    grads["sigma2"] = sum_s2 - float(np.sum(a * sum_I0 * dmass_ds2))
+    if spec.mean_fn != "baseline":
+        grad_mu = sum_mu / s2
+        grad_mu -= dmass_dmu(a * sum_I0)
+        grads["A"] = grad_mu.T @ pd.locations
+        grads["b"] = np.sum(grad_mu, axis=0)
+        if spec.mean_fn == "full":
+            grads["C"] = grad_mu.T @ X
+    return grads
 
 
-def _check_path(pd: PathData, spec: SaccadeSpec, params: SaccadeParams) -> None:
-    """The per-scanpath layer's entry check: params and design rows against the spec."""
+def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
+              grad: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[dict]]:
+    """Each event's intensity, compensator increment and invalid-gap flag.
+
+    With ``grad`` also the gradient that ``loglik_grad`` documents.
+    """
     check_compatible(spec, params)
     check_design(pd.design, spec.p, pd.n)
+    area = omega.area
+    invalid = pd.gaps < -_GAP_TOL
+    gaps = np.maximum(pd.gaps, 0.0)
+    lam = np.full(pd.n, float(params.nu))
+    comp = params.nu * area * gaps
+    grads = {}
+    if spec.variant == "last_fixation":
+        grads = _last_fixation_terms(pd, params, omega, gaps, lam, comp, grad)
+    elif spec.variant == "hawkes":
+        grads = _hawkes_terms(pd, spec, params, omega, gaps, lam, comp, grad)
+    if not grad:
+        return lam, comp, invalid, None
+    with np.errstate(divide="ignore"):
+        d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
+    return lam, comp, invalid, {"nu": d_nu, **grads}
 
 
 def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
                       omega: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intensity at each event, compensator increments, and the invalid-gap mask."""
-    _check_path(pd, spec, params)
-    gaps, invalid, lam, comp = _gap_terms(pd, params.nu, omega.area)
-    if spec.variant == "last_fixation":
-        k = pd.after_first
-        _, psi, gx, gy, _ = _last_fixation_pieces(pd, params, omega)
-        lam[k] += psi
-        comp[k] += gx * gy * gaps[k]
-    elif spec.variant == "hawkes" and pd.n > 1:
-        state = HistoryState.from_path(pd, spec, params, omega)
-        _hawkes_band(pd, state, state.mass, gaps, lam, comp, grad=False)
-    return lam, comp, invalid
+    return _evaluate(pd, spec, params, omega, grad=False)[:3]
 
 
 def loglik_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
@@ -905,91 +952,8 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     self-exciting variant; A and b under the affine center map; C under the
     full map. Values are only meaningful when every term is finite.
     """
-    _check_path(pd, spec, params)
-    n = pd.n
-    area = omega.area
-    if n == 0:
-        grads: dict[str, np.ndarray | float] = {"nu": 0.0}
-        if spec.variant != "poisson":
-            grads["sigma2"] = 0.0
-        if spec.variant == "hawkes":
-            grads["alpha"] = np.zeros(spec.p)
-            grads["beta"] = np.zeros(spec.p)
-            if spec.mean_fn in ("affine", "full"):
-                grads["A"] = np.zeros((2, 2))
-                grads["b"] = np.zeros(2)
-            if spec.mean_fn == "full":
-                grads["C"] = np.zeros((2, spec.p))
-        return ScanpathLoglik(np.empty(0), 0), grads
-
-    gaps, invalid, lam, comp = _gap_terms(pd, params.nu, area)
-    s2 = params.sigma2
-
-    if spec.variant == "poisson":
-        terms = _finish(lam, comp, invalid)
-        with np.errstate(divide="ignore"):
-            d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
-        return terms, {"nu": d_nu}
-
-    if spec.variant == "last_fixation":
-        k = pd.after_first
-        r2, psi, gx, gy, (zx0, zx1, zy0, zy1) = _last_fixation_pieces(pd, params, omega)
-        lam[k] += psi
-        comp[k] += gx * gy * gaps[k]
-        sigma = np.sqrt(s2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            P = 1.0 / lam[k]
-        dpsi = psi * (r2 / (2.0 * s2 * s2) - 1.0 / s2)
-        dgx_dsig = (zx0 * norm_pdf(zx0) - zx1 * norm_pdf(zx1)) / sigma
-        dgy_dsig = (zy0 * norm_pdf(zy0) - zy1 * norm_pdf(zy1)) / sigma
-        dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
-        d_sigma2 = float(np.sum(P * dpsi) - np.sum(gaps[k] * dmass_ds2))
-        terms = _finish(lam, comp, invalid)
-        with np.errstate(divide="ignore"):
-            d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
-        return terms, {"nu": d_nu, "sigma2": d_sigma2}
-
-    # Self-exciting variant; one fixation has no sources, so its source
-    # gradients come out zero.
-    X = pd.design
-    state = HistoryState.from_path(pd, spec, params)
-    a, mu = state.a, state.mu
-    sigma = np.sqrt(s2)
-    zx0 = (omega.x0 - mu[:, 0]) / sigma
-    zx1 = (omega.x1 - mu[:, 0]) / sigma
-    zy0 = (omega.y0 - mu[:, 1]) / sigma
-    zy1 = (omega.y1 - mu[:, 1]) / sigma
-    gx = norm_cdf(zx1) - norm_cdf(zx0)
-    gy = norm_cdf(zy1) - norm_cdf(zy0)
-    mass = gx * gy
-    sums = _hawkes_band(pd, state, mass, gaps, lam, comp, grad=True)
-    terms = _finish(lam, comp, invalid)
-
-    grads = {}
-    with np.errstate(divide="ignore"):
-        grads["nu"] = float(np.sum(1.0 / lam) - area * np.sum(gaps))
-
-    d_a = sums.d_a - mass * sums.I0
-    grads["alpha"] = X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))
-    d_b = mass * a * sums.I1 - sums.d_b
-    grads["beta"] = X.T @ (d_b * link_deriv(spec.link, X @ params.beta))
-
-    # Shared spatial-variance gradient.
-    dgx_dsig = (zx0 * norm_pdf(zx0) - zx1 * norm_pdf(zx1)) / sigma
-    dgy_dsig = (zy0 * norm_pdf(zy0) - zy1 * norm_pdf(zy1)) / sigma
-    dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
-    grads["sigma2"] = sums.sigma2 - float(np.sum(a * sums.I0 * dmass_ds2))
-
-    if spec.mean_fn in ("affine", "full"):
-        grad_mu = sums.mu / s2
-        grad_mu[:, 0] -= a * sums.I0 * gy * (norm_pdf(zx0) - norm_pdf(zx1)) / sigma
-        grad_mu[:, 1] -= a * sums.I0 * gx * (norm_pdf(zy0) - norm_pdf(zy1)) / sigma
-        grads["A"] = grad_mu.T @ pd.locations
-        grads["b"] = np.sum(grad_mu, axis=0)
-        if spec.mean_fn == "full":
-            grads["C"] = grad_mu.T @ X
-
-    return terms, grads
+    lam, comp, invalid, grads = _evaluate(pd, spec, params, omega, grad=True)
+    return _finish(lam, comp, invalid), grads
 
 
 def scanpath_loglik(scanpath: Scanpath, design: np.ndarray | None,

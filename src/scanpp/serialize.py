@@ -21,14 +21,12 @@ from .duration import DurationSpec
 from .errors import ParseError, ValidationError
 from .evaluate import Bootstrap, ComparisonReport
 from .fileio import format_float
-from .fit import DurationModel, FitResult, GridSpec, SaccadeModel, TrainConfig
+from .fit import DurationModel, FitResult, GridSpec, Model, SaccadeModel, TrainConfig
 from .saccade import SaccadeSpec
 
 PARAMS_MAGIC = "scanpp-params 1"
 FIT_MAGIC = "scanpp-fit 1"
 REPORT_MAGIC = "scanpp-report 1"
-
-Model = SaccadeModel | DurationModel
 
 
 def _param_lines(model: Model, raw: np.ndarray) -> list[str]:

@@ -122,7 +122,7 @@ def test_decay_mask_covers_slopes_and_spillover(model):
     want = [name.startswith(("C[", "w_prime["))
             or (name.startswith(("alpha[", "beta[", "w[")) and not name.endswith("[intercept]"))
             for name in model.names]
-    assert model.decay_mask().tolist() == want
+    assert model.layout.decay_mask.tolist() == want
 
 
 @pytest.mark.parametrize("model", models(), ids=lambda m: f"{m.kind}-{m.dim}-{m.names[-1]}")
