@@ -184,18 +184,23 @@ def _model_label(model) -> str:
 
 # --- subcommands -------------------------------------------------------------
 
+def _annotate(scanpaths, layouts):
+    """Each scanpath annotated on the layout of its text."""
+    out = []
+    for sp in scanpaths:
+        if sp.text_id not in layouts:
+            raise ValidationError(f"no layout for text {sp.text_id!r}")
+        out.append(annotate(sp, layouts[sp.text_id]))
+    return out
+
+
 def cmd_ingest(args) -> int:
     scanpaths = fileio.load_scanpaths(args.data)
     n_fix = sum(len(sp) for sp in scanpaths)
     log.info("read %d scanpaths, %d fixations", len(scanpaths), n_fix)
     if args.layout:
-        layouts = fileio.load_layouts(args.layout)
-        out = []
-        for sp in scanpaths:
-            if sp.text_id not in layouts:
-                raise ValidationError(f"no layout for text {sp.text_id!r}")
-            ann = annotate(sp, layouts[sp.text_id])
-            out.append(filter_scanpath(ann) if args.words_only else sp)
+        annotated = _annotate(scanpaths, fileio.load_layouts(args.layout))
+        out = [filter_scanpath(ann) for ann in annotated] if args.words_only else scanpaths
         kept = sum(len(sp) for sp in out)
         if kept != n_fix:
             log.info("dropped %d fixations not on words", n_fix - kept)
@@ -206,13 +211,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    scanpaths = fileio.load_scanpaths(args.data)
-    layouts = fileio.load_layouts(args.layout)
-    annotated = []
-    for sp in scanpaths:
-        if sp.text_id not in layouts:
-            raise ValidationError(f"no layout for text {sp.text_id!r}")
-        annotated.append(annotate(sp, layouts[sp.text_id]))
+    annotated = _annotate(fileio.load_scanpaths(args.data), fileio.load_layouts(args.layout))
     records = aggregate(annotated, args.measure)
     if args.pool:
         records = pool_across_readers(records)
@@ -266,8 +265,6 @@ def cmd_fit(args) -> int:
 
 def _test_per_event(loaded, scanpaths, idx_test, effects_by_path) -> np.ndarray:
     model = loaded.model
-    if not idx_test:
-        return np.empty(0)
     units = _units([scanpaths[i] for i in idx_test], model.spec.columns, effects_by_path)
     return model.per_event_loglik(loaded.result.raw, model.prepare_unit(PathData.concat(units)))
 

@@ -1,12 +1,14 @@
 """Core data model for reading scanpaths.
 
 A fixation is an (onset, location, duration) triple; a scanpath is one
-reader's ordered fixation sequence over one text. Fixations are mapped to
-character bounding boxes of a text layout, filtered down to word-assigned
-subsequences, and aggregated into the four standard word-level reading-time
-measures. Per-fixation predictor vectors are assembled into design matrices
-with reader one-hots, effect columns, interactions, and presence indicators,
-and ``check_design`` is the one rule for when design rows may be omitted.
+reader's ordered fixation sequence over one text, held as read-only columns
+from file to likelihood, which iteration turns into records. Fixations are
+mapped to character bounding boxes of a text layout, filtered down to
+word-assigned subsequences, and aggregated into the four standard
+word-level reading-time measures. Per-fixation predictor vectors are
+assembled into design matrices with reader one-hots, effect columns,
+interactions, and presence indicators, and ``check_design`` is the one
+rule for when design rows may be omitted.
 
 All times are seconds, all coordinates screen pixels. Every type here is
 immutable after construction; the functions are pure.
@@ -15,7 +17,6 @@ immutable after construction; the functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,6 +57,25 @@ class Rect:
         return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 
 
+def _fixation_fault(onsets: np.ndarray, durations: np.ndarray,
+                    locations: Optional[np.ndarray] = None) -> Optional[tuple[int, str]]:
+    """(index, rule) of the first fixation whose onset is not finite and >= 0, duration
+    not finite and > 0, or (n, 2) location, where given, not finite; or None."""
+    bad_onset = ~(np.isfinite(onsets) & (onsets >= 0))
+    bad_duration = ~(np.isfinite(durations) & (durations > 0))
+    bad = bad_onset | bad_duration
+    if locations is not None:
+        bad |= ~np.isfinite(locations).all(axis=1)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if bad_onset[k]:
+        return k, f"onset must be >= 0, got {float(onsets[k])}"
+    if bad_duration[k]:
+        return k, f"duration must be > 0, got {float(durations[k])}"
+    return k, "location must be finite, got ({}, {})".format(*locations[k].tolist())
+
+
 @dataclass(frozen=True)
 class Fixation:
     """One fixation: onset seconds since recording start, screen location, duration seconds."""
@@ -66,10 +86,10 @@ class Fixation:
     duration: float
 
     def __post_init__(self):
-        if not np.isfinite(self.onset) or self.onset < 0:
-            raise ValidationError(f"fixation onset must be >= 0, got {self.onset}")
-        if not np.isfinite(self.duration) or self.duration <= 0:
-            raise ValidationError(f"fixation duration must be > 0, got {self.duration}")
+        row = np.array([[self.onset, self.duration, self.x, self.y]], dtype=float)
+        fault = _fixation_fault(row[:, 0], row[:, 1], row[:, 2:])
+        if fault is not None:
+            raise ValidationError(f"fixation {fault[1]}")
 
     @property
     def end(self) -> float:
@@ -80,52 +100,73 @@ class Fixation:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Scanpath:
-    """Ordered fixation sequence of one reader over one text.
+    """Ordered fixation sequence of one reader over one text, as read-only columns.
 
-    Invariants: onsets strictly increase and each fixation starts no earlier
-    than the previous one ends (the gap between them is the saccade).
+    ``onsets``, ``durations`` (n,) and ``locations`` (n, 2) come from records
+    or, through ``from_arrays``, from arrays, under one check: each fixation
+    is finite with onset >= 0 and duration > 0, onsets strictly increase, and
+    none starts before the previous one ends (the gap is the saccade).
+    Iterating, or reading ``fixations``, builds ``Fixation`` records.
     """
 
     reader_id: str
     text_id: str
-    fixations: tuple[Fixation, ...]
+    onsets: np.ndarray
+    durations: np.ndarray
+    locations: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "fixations", tuple(self.fixations))
-        prev = None
-        for fix in self.fixations:
-            if prev is not None:
-                if fix.onset <= prev.onset:
-                    raise ValidationError(
-                        f"scanpath ({self.reader_id}, {self.text_id}): onsets not strictly "
-                        f"increasing at t={fix.onset}"
-                    )
-                if fix.onset < prev.end - 1e-12:
-                    raise ValidationError(
-                        f"scanpath ({self.reader_id}, {self.text_id}): fixation at t={fix.onset} "
-                        f"overlaps previous one ending at t={prev.end}"
-                    )
-            prev = fix
+    def __init__(self, reader_id: str, text_id: str, fixations: Iterable[Fixation]):
+        rows = np.array([(f.onset, f.duration, f.x, f.y) for f in fixations]).reshape(-1, 4)
+        self._fill(reader_id, text_id, rows[:, 0], rows[:, 1], rows[:, 2:])
+
+    @classmethod
+    def from_arrays(cls, reader_id: str, text_id: str, onsets, durations,
+                    locations) -> "Scanpath":
+        """A scanpath of (n,) onsets and durations and (n, 2) locations, copied."""
+        path = cls.__new__(cls)
+        path._fill(reader_id, text_id, onsets, durations, locations)
+        return path
+
+    def _fill(self, reader_id: str, text_id: str, onsets, durations, locations) -> None:
+        name = f"scanpath ({reader_id}, {text_id})"
+        t, d, s = (np.array(a, dtype=float) for a in (onsets, durations, locations))
+        if not (t.ndim == 1 and d.shape == t.shape and s.shape == t.shape + (2,)):
+            raise ValidationError(f"{name}: need (n,) onsets and durations and (n, 2) "
+                                  f"locations, got {t.shape}, {d.shape} and {s.shape}")
+        fault = _fixation_fault(t, d, s)
+        if fault is not None:
+            raise ValidationError(f"{name}: fixation {fault[0]} {fault[1]}")
+        ends = t[:-1] + d[:-1]
+        late = (t[1:] <= t[:-1]) | (t[1:] < ends - 1e-12)
+        if late.any():
+            k = int(np.argmax(late)) + 1
+            if t[k] <= t[k - 1]:
+                raise ValidationError(f"{name}: onsets not strictly increasing at t={float(t[k])}")
+            raise ValidationError(f"{name}: fixation at t={float(t[k])} overlaps previous one "
+                                  f"ending at t={float(ends[k - 1])}")
+        for a in (t, d, s):
+            a.setflags(write=False)
+        self.__dict__.update(reader_id=reader_id, text_id=text_id, onsets=t, durations=d,
+                             locations=s)
 
     def __len__(self) -> int:
-        return len(self.fixations)
+        return self.onsets.shape[0]
 
     def __iter__(self):
-        return iter(self.fixations)
+        return map(Fixation, self.onsets.tolist(), *self.locations.T.tolist(),
+                   self.durations.tolist())
 
-    @cached_property
-    def onsets(self) -> np.ndarray:
-        return np.array([f.onset for f in self.fixations], dtype=float)
+    @property
+    def fixations(self) -> tuple[Fixation, ...]:
+        return tuple(self)
 
-    @cached_property
-    def durations(self) -> np.ndarray:
-        return np.array([f.duration for f in self.fixations], dtype=float)
-
-    @cached_property
-    def locations(self) -> np.ndarray:
-        return np.array([[f.x, f.y] for f in self.fixations], dtype=float).reshape(len(self.fixations), 2)
+    def __eq__(self, other) -> bool:
+        columns = ("onsets", "durations", "locations")
+        return (isinstance(other, Scanpath) and self.reader_id == other.reader_id
+                and self.text_id == other.text_id
+                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns))
 
 
 @dataclass(frozen=True)
@@ -169,8 +210,7 @@ class TextLayout:
 
     @property
     def word_count(self) -> int:
-        words = {b.word_index for b in self.boxes if b.word_index is not None}
-        return len(words)
+        return len({b.word_index for b in self.boxes if b.word_index is not None})
 
 
 @dataclass(frozen=True)
@@ -244,10 +284,9 @@ def assign_fixations(scanpath: Scanpath, layout: TextLayout) -> list[AnnotatedFi
             )
         if not hits:
             out.append(AnnotatedFixation(fix, "outside"))
-        else:
-            box = hits[0]
-            kind = "whitespace" if box.is_whitespace else "word"
-            out.append(AnnotatedFixation(fix, kind, box.word_index, box.char_index))
+            continue
+        kind = "whitespace" if hits[0].is_whitespace else "word"
+        out.append(AnnotatedFixation(fix, kind, hits[0].word_index, hits[0].char_index))
     return out
 
 
@@ -261,22 +300,24 @@ def filter_scanpath(annotated: AnnotatedScanpath) -> Scanpath:
     Whitespace and outside fixations are dropped; order is preserved, so the
     operation is idempotent.
     """
-    kept = tuple(a.fixation for a in annotated.annotations if a.on_word)
-    return Scanpath(annotated.reader_id, annotated.text_id, kept)
+    path = annotated.scanpath
+    keep = np.array([a.on_word for a in annotated.annotations], dtype=bool)
+    return Scanpath.from_arrays(path.reader_id, path.text_id, path.onsets[keep],
+                                path.durations[keep], path.locations[keep])
 
 
-def _word_runs(annotated: AnnotatedScanpath) -> list[tuple[int, float]]:
-    """Maximal runs of consecutive same-word fixations as (word, summed duration)."""
-    runs: list[tuple[int, float]] = []
-    prev_word = None
+def _word_runs(annotated: AnnotatedScanpath) -> list[tuple[int, float, float]]:
+    """Maximal runs of consecutive same-word fixations as (word, summed duration,
+    duration of the run's first fixation)."""
+    runs: list[tuple[int, float, float]] = []
     for ann in annotated.annotations:
         if not ann.on_word:
             continue
-        if ann.word_index == prev_word:
-            runs[-1] = (prev_word, runs[-1][1] + ann.fixation.duration)
+        duration = ann.fixation.duration
+        if runs and runs[-1][0] == ann.word_index:
+            runs[-1] = (ann.word_index, runs[-1][1] + duration, runs[-1][2])
         else:
-            runs.append((ann.word_index, ann.fixation.duration))
-            prev_word = ann.word_index
+            runs.append((ann.word_index, duration, duration))
     return runs
 
 
@@ -295,31 +336,17 @@ def aggregate(annotated: Iterable[AnnotatedScanpath], strategy: str) -> list[Agg
     for ann in annotated:
         runs = _word_runs(ann)
         if strategy == "scanpath":
-            for word, value in runs:
-                records.append(AggregatedRecord(ann.reader_id, ann.text_id, word, strategy, value))
-            continue
-        first_run: dict[int, float] = {}
-        first_fix: dict[int, float] = {}
-        totals: dict[int, float] = {}
-        order: list[int] = []
-        seen_first = set()
-        for word, value in runs:
-            totals[word] = totals.get(word, 0.0) + value
-            if word not in seen_first:
-                seen_first.add(word)
-                first_run[word] = value
-                order.append(word)
-        for a in ann.annotations:
-            if a.on_word and a.word_index not in first_fix:
-                first_fix[a.word_index] = a.fixation.duration
-        for word in order:
-            if strategy == "first_fixation":
-                value = first_fix[word]
-            elif strategy == "gaze":
-                value = first_run[word]
-            else:
-                value = totals[word]
-            records.append(AggregatedRecord(ann.reader_id, ann.text_id, word, strategy, value))
+            values = [(word, value) for word, value, _ in runs]
+        else:
+            # each word once, in order of first landing, from its first run
+            first: dict[int, dict[str, float]] = {}
+            for word, value, head in runs:
+                measures = first.setdefault(word, {"first_fixation": head, "gaze": value,
+                                                   "total": 0.0})
+                measures["total"] += value
+            values = [(word, measures[strategy]) for word, measures in first.items()]
+        records.extend(AggregatedRecord(ann.reader_id, ann.text_id, word, strategy, value)
+                       for word, value in values)
     return records
 
 
@@ -336,19 +363,12 @@ def pool_across_readers(records: Sequence[AggregatedRecord]) -> list[AggregatedR
         raise UsageError(f"cannot pool mixed measures {sorted(kinds)}")
     measure = records[0].measure
     per_reader: dict[tuple[str, int], dict[str, list[float]]] = {}
-    order: list[tuple[str, int]] = []
     for r in records:
-        key = (r.text_id, r.word_index)
-        if key not in per_reader:
-            per_reader[key] = {}
-            order.append(key)
-        per_reader[key].setdefault(r.reader_id, []).append(r.value)
-    pooled = []
-    for key in order:
-        text_id, word = key
-        reader_means = [float(np.mean(v)) for v in per_reader[key].values()]
-        pooled.append(AggregatedRecord(POOLED_READER, text_id, word, measure, float(np.mean(reader_means))))
-    return pooled
+        per_reader.setdefault((r.text_id, r.word_index), {}).setdefault(
+            r.reader_id, []).append(r.value)
+    return [AggregatedRecord(POOLED_READER, text_id, word, measure,
+                             float(np.mean([float(np.mean(v)) for v in readers.values()])))
+            for (text_id, word), readers in per_reader.items()]
 
 
 # --- Design matrices -------------------------------------------------------
@@ -439,12 +459,13 @@ def check_design(X: Optional[np.ndarray], p: int, n: Optional[int] = None) -> np
 
     ``X`` holds the (n, p) rows of n events, or with ``n`` None one (p,)
     row. It may be omitted only where there is nothing to leave out (no
-    columns, or no events), and then reads as zeros; omitting rows that
-    have columns is a ``UsageError``, and rows of any other shape are a
-    ``ValidationError``.
+    columns, or no events), and then reads as zeros; so do the empty rows
+    of no events, of any width, such as an empty batch holds. Omitting rows
+    that have columns is a ``UsageError``, and rows of any other shape are
+    a ``ValidationError``.
     """
     shape = (p,) if n is None else (n, p)
-    if X is None:
+    if X is None or (n == 0 and np.shape(X)[:1] == (0,)):
         if p and n != 0:
             raise UsageError(f"the spec has {p} predictor columns, so the design rows "
                              "are required")

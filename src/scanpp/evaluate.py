@@ -111,8 +111,6 @@ def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
 def time_rescaling_gaps(paths: Sequence[PathData], spec: SaccadeSpec,
                         params: SaccadeParams, omega: Rect) -> np.ndarray:
     """Compensator increments of every event, in path order, from one batched pass."""
-    if not paths:
-        return np.empty(0)
     return compensator_increments(PathData.concat(paths), spec, params, omega)
 
 
@@ -221,8 +219,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
         else:
             result = train(model, parts, config, init=init)
         per_event = model.per_event_loglik(
-            result.raw, model.prepare_unit(PathData.concat(parts.test))
-        ) if parts.test else np.empty(0)
+            result.raw, model.prepare_unit(PathData.concat(parts.test)))
         return SuiteMember(model_name(spec), spec, result, per_event)
 
     try:

@@ -14,9 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .data import Box, Fixation, Rect, Scanpath, TextLayout
+import numpy as np
+
+from .data import Box, Rect, Scanpath, TextLayout, _fixation_fault
 from .errors import ParseError, ValidationError
 
 SCANPATH_HEADER = ("reader_id", "text_id", "onset", "duration", "x", "y")
@@ -36,6 +38,9 @@ def _parse_rows(text: str, expected_header: Sequence[str]):
     pragmas: dict[str, str] = {}
     rows: list[tuple[int, list[str]]] = []
     header_seen = False
+    # Without a quote character in the text, csv reads each line as its
+    # comma-separated parts, so only text with quotes goes through csv.
+    quoted = '"' in text
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -49,21 +54,18 @@ def _parse_rows(text: str, expected_header: Sequence[str]):
         try:
             # fields keep their exact bytes so string columns round-trip;
             # float()/int() tolerate stray padding on numeric columns
-            fields = next(csv.reader([line]))
+            fields = next(csv.reader([line])) if quoted else line.split(",")
         except csv.Error as exc:
             raise ParseError(str(exc), line=lineno) from None
         if not header_seen:
             if fields != list(expected_header):
-                raise ParseError(
-                    f"expected header {','.join(expected_header)!r}, got {','.join(fields)!r}",
-                    line=lineno,
-                )
+                raise ParseError(f"expected header {','.join(expected_header)!r}, "
+                                 f"got {','.join(fields)!r}", line=lineno)
             header_seen = True
             continue
         if len(fields) != len(expected_header):
-            raise ParseError(
-                f"expected {len(expected_header)} fields, got {len(fields)}", line=lineno
-            )
+            raise ParseError(f"expected {len(expected_header)} fields, got {len(fields)}",
+                             line=lineno)
         rows.append((lineno, fields))
     if not header_seen:
         raise ParseError(f"missing header {','.join(expected_header)!r}")
@@ -86,30 +88,46 @@ def _int_field(fields: list[str], idx: int, name: str, lineno: int) -> int:
 
 # --- Scanpath files --------------------------------------------------------
 
+def _float_table(rows, first: int, names: Sequence[str]):
+    """Each row's fields from ``first`` on as doubles, as ``float`` reads them, up to the
+    first row with a bad token; and the ``ParseError`` naming that token, or None."""
+    tokens = [token for _, fields in rows for token in fields[first:]]
+    try:
+        return np.array(list(map(float, tokens))).reshape(len(rows), len(names)), None
+    except ValueError:
+        pass
+    for k, (lineno, fields) in enumerate(rows):
+        for name, token in zip(names, fields[first:]):
+            try:
+                float(token)
+            except ValueError:
+                error = ParseError(f"bad {name} value {token!r}", line=lineno)
+                return _float_table(rows[:k], first, names)[0], error
+
+
 def loads_scanpaths(text: str) -> list[Scanpath]:
+    """One scanpath per (reader, text), in order of first appearance, from its rows.
+
+    Every row's tokens, onset and duration are checked, in file order, before
+    any scanpath's order."""
     pragmas, rows = _parse_rows(text, SCANPATH_HEADER)
     unit = pragmas.get("unit", "s")
     if unit not in _UNIT_SCALE:
         raise ParseError(f"unknown time unit {unit!r}; expected one of {sorted(_UNIT_SCALE)}")
-    scale = _UNIT_SCALE[unit]
-    groups: dict[tuple[str, str], list[Fixation]] = {}
-    order: list[tuple[str, str]] = []
-    for lineno, fields in rows:
-        reader_id, text_id = fields[0], fields[1]
-        onset = _float_field(fields, 2, "onset", lineno) * scale
-        duration = _float_field(fields, 3, "duration", lineno) * scale
-        x = _float_field(fields, 4, "x", lineno)
-        y = _float_field(fields, 5, "y", lineno)
-        key = (reader_id, text_id)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        try:
-            groups[key].append(Fixation(onset, x, y, duration))
-        except ValidationError as exc:
-            raise ValidationError(f"scanpath {key}: {exc}") from None
-    return [Scanpath(reader_id, text_id, tuple(groups[(reader_id, text_id)]))
-            for reader_id, text_id in order]
+    values, error = _float_table(rows, 2, SCANPATH_HEADER[2:])
+    onsets, durations = (values[:, :2] * _UNIT_SCALE[unit]).T
+    fault = _fixation_fault(onsets, durations)
+    if fault is not None:
+        k, rule = fault
+        raise ValidationError(f"scanpath {tuple(rows[k][1][:2])}: fixation {rule}")
+    if error is not None:
+        raise error
+    groups: dict[tuple[str, str], list[int]] = {}
+    for k, (_, fields) in enumerate(rows):
+        groups.setdefault((fields[0], fields[1]), []).append(k)
+    return [Scanpath.from_arrays(reader_id, text_id, onsets[idx], durations[idx],
+                                 values[idx, 2:])
+            for (reader_id, text_id), idx in groups.items()]
 
 
 def load_scanpaths(path: str) -> list[Scanpath]:
@@ -123,9 +141,10 @@ def dumps_scanpaths(scanpaths: Iterable[Scanpath]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCANPATH_HEADER)
     for sp in scanpaths:
-        for fix in sp:
-            writer.writerow([sp.reader_id, sp.text_id, format_float(fix.onset),
-                             format_float(fix.duration), format_float(fix.x), format_float(fix.y)])
+        for onset, duration, (x, y) in zip(sp.onsets.tolist(), sp.durations.tolist(),
+                                           sp.locations.tolist()):
+            writer.writerow([sp.reader_id, sp.text_id, format_float(onset),
+                             format_float(duration), format_float(x), format_float(y)])
     return buf.getvalue()
 
 
@@ -150,38 +169,27 @@ def loads_layouts(text: str) -> dict[str, TextLayout]:
     if "screen" not in pragmas:
         raise ParseError("layout file must declare the screen extent with a '# screen=WxH' pragma")
     spec = pragmas["screen"]
-    parts = spec.split("x")
-    if len(parts) != 2:
-        raise ParseError(f"bad screen pragma {spec!r}; expected WxH")
     try:
-        screen = Rect(0.0, 0.0, float(parts[0]), float(parts[1]))
+        width, height = map(float, spec.split("x"))
+        screen = Rect(0.0, 0.0, width, height)
     except (ValueError, ValidationError):
         raise ParseError(f"bad screen pragma {spec!r}; expected WxH") from None
     groups: dict[str, list[Box]] = {}
-    order: list[str] = []
     for lineno, fields in rows:
-        text_id = fields[0]
-        glyph = fields[1]
+        text_id, glyph = fields[0], fields[1]
         x0 = _float_field(fields, 2, "x0", lineno)
         y0 = _float_field(fields, 3, "y0", lineno)
         w = _float_field(fields, 4, "w", lineno)
         h = _float_field(fields, 5, "h", lineno)
         is_ws = _parse_bool(fields, 8, "is_whitespace", lineno)
-        word_index: Optional[int]
-        if fields[6] == "":
-            word_index = None
-        else:
-            word_index = _int_field(fields, 6, "word_index", lineno)
+        word_index = None if fields[6] == "" else _int_field(fields, 6, "word_index", lineno)
         char_index = _int_field(fields, 7, "char_index", lineno)
         try:
             box = Box(glyph, Rect(x0, y0, w, h), word_index, char_index, is_ws)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if text_id not in groups:
-            groups[text_id] = []
-            order.append(text_id)
-        groups[text_id].append(box)
-    return {tid: TextLayout(tid, screen, tuple(groups[tid])) for tid in order}
+        groups.setdefault(text_id, []).append(box)
+    return {tid: TextLayout(tid, screen, tuple(boxes)) for tid, boxes in groups.items()}
 
 
 def load_layouts(path: str) -> dict[str, TextLayout]:

@@ -433,11 +433,9 @@ class SaccadeModel:
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:
         spec = self.spec
-        n_events = sum(u.n for u in units)
-        exposure = sum(float(u.clock[-1]) for u in units if u.n)
-        if n_events and exposure > 0:
-            nu = n_events / (self.omega_s.area * exposure)
-        else:
+        try:
+            nu = poisson_mle_nu(units, self.omega_s)
+        except ValidationError:  # no exposure to estimate from
             nu = 1e-3
         params = SaccadeParams.initial(spec, nu=nu, sigma2=1.0)
         disp = [np.linalg.norm(np.diff(u.locations, axis=0), axis=1)
@@ -446,17 +444,10 @@ class SaccadeModel:
             var = float(np.var(np.concatenate(disp)))
             params = params.replace(sigma2=max(var, 1e-4))
         if spec.variant == "hawkes":
-            unit_a = softplus_inv(1.0)
             alpha = np.zeros(spec.p)
-            beta = np.zeros(spec.p)
-            if "intercept" in spec.columns:
-                j = spec.columns.index("intercept")
-                alpha[j] = unit_a
-                beta[j] = unit_a
-            else:
-                alpha[:] = unit_a
-                beta[:] = unit_a
-            params = params.replace(alpha=alpha, beta=beta)
+            alpha[spec.columns.index("intercept") if "intercept" in spec.columns
+                  else slice(None)] = softplus_inv(1.0)
+            params = params.replace(alpha=alpha, beta=alpha.copy())
         # built from prepared units, so already in fitting units
         return self.layout.pack(params)
 
@@ -537,7 +528,8 @@ class DurationModel:
         raw = np.asarray(raw, dtype=float)
         params = self.unpack(raw)
         total, summed = 0.0, {}
-        for seg in unit.segments:
+        # An empty batch has no segments; evaluated whole, it gives zero gradients.
+        for seg in unit.segments or (unit,):
             result, grads = duration_loglik_grad(seg.onsets, seg.durations, seg.design,
                                                  self.spec, params)
             total += result.total
@@ -612,10 +604,7 @@ def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarra
 def dataset_loglik(model: Model, units: PathData | Sequence[PathData], raw: np.ndarray
                    ) -> tuple[float, int]:
     """Total log-likelihood and fixation count of a prepared dataset, in one call."""
-    batch = _as_batch(units)
-    if batch.n == 0:
-        return 0.0, 0
-    return model.loglik_unit(raw, batch)
+    return model.loglik_unit(raw, _as_batch(units))
 
 
 @dataclass(frozen=True, eq=False)
@@ -793,13 +782,9 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
             best, best_loss, best_hp = result, loss, hp
     if best is None:
         raise DivergenceError(f"all {len(runs)} grid configurations diverged")
-    return FitResult(
-        names=best.names, raw=best.raw, params=best.params,
-        train_trace=best.train_trace, val_trace=best.val_trace,
-        best_epoch=best.best_epoch, selected=dict(best_hp),
-        grid_trace=tuple((dict(hp), loss) for hp, loss in runs),
-        test_loglik=best.test_loglik, test_events=best.test_events,
-        seed=config.seed, wall_clock=time.perf_counter() - t0)
+    return dataclasses.replace(best, selected=dict(best_hp),
+                               grid_trace=tuple((dict(hp), loss) for hp, loss in runs),
+                               wall_clock=time.perf_counter() - t0)
 
 
 def warm_start(source_names: Sequence[str], source_raw: np.ndarray, target_model: Model,

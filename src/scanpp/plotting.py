@@ -34,20 +34,19 @@ def split_at_time(scanpath: Scanpath, t: float) -> tuple[Scanpath, Optional[int]
     """
     if len(scanpath) == 0:
         raise ValidationError("cannot plot an empty scanpath")
-    first = scanpath.fixations[0].onset
-    last = scanpath.fixations[-1].end
-    if not first <= t <= last:
+    onsets = scanpath.onsets
+    ends = onsets + scanpath.durations
+    if not onsets[0] <= t <= ends[-1]:
         raise ValidationError(
-            f"timestamp {t} lies outside the scanpath's span [{first}, {last}]")
-    k = 0
-    for i, fix in enumerate(scanpath.fixations):
-        if fix.onset <= t < fix.end:
-            raise DomainError(
-                f"timestamp {t} falls inside the fixation interval "
-                f"[{fix.onset}, {fix.end})")
-        if fix.end <= t:
-            k = i + 1
-    history = Scanpath(scanpath.reader_id, scanpath.text_id, scanpath.fixations[:k])
+            f"timestamp {t} lies outside the scanpath's span [{onsets[0]}, {ends[-1]}]")
+    k = int(np.searchsorted(onsets, t, side="right"))  # the fixations starting by t
+    inside = np.flatnonzero(ends[:k] > t)
+    if inside.size:
+        i = inside[0]
+        raise DomainError(
+            f"timestamp {t} falls inside the fixation interval [{onsets[i]}, {ends[i]})")
+    history = Scanpath.from_arrays(scanpath.reader_id, scanpath.text_id, onsets[:k],
+                                   scanpath.durations[:k], scanpath.locations[:k])
     nxt = k if k < len(scanpath) else None
     return history, nxt
 
@@ -114,23 +113,23 @@ def svg_heatmap(t: float, scanpath: Scanpath, omega: Rect, xs: np.ndarray,
             parts.append(
                 f'<rect x="{x - cw / 2:g}" y="{y - ch / 2:g}" width="{cw:g}" '
                 f'height="{ch:g}" fill="{_color(frac)}"/>')
-    pts = [f"{f.x:g},{f.y:g}" for f in history.fixations]
+    pts = [f"{x:g},{y:g}" for x, y in history.locations.tolist()]
     if len(pts) > 1:
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
                      f'stroke="#ffffff" stroke-opacity="0.6" stroke-width="{mark / 4:g}"/>')
-    for f in history.fixations:
-        parts.append(f'<circle cx="{f.x:g}" cy="{f.y:g}" r="{mark:g}" '
+    for x, y in history.locations.tolist():
+        parts.append(f'<circle cx="{x:g}" cy="{y:g}" r="{mark:g}" '
                      f'fill="none" stroke="#ffffff" stroke-width="{mark / 3:g}"/>')
     if nxt is not None:
-        f = scanpath.fixations[nxt]
-        parts.append(f'<circle cx="{f.x:g}" cy="{f.y:g}" r="{mark * 1.4:g}" '
+        x, y = scanpath.locations[nxt].tolist()
+        parts.append(f'<circle cx="{x:g}" cy="{y:g}" r="{mark * 1.4:g}" '
                      f'fill="none" stroke="#ff3333" stroke-width="{mark / 2:g}"/>')
         parts.append(
-            f'<line x1="{f.x - mark * 2:g}" y1="{f.y:g}" x2="{f.x + mark * 2:g}" '
-            f'y2="{f.y:g}" stroke="#ff3333" stroke-width="{mark / 3:g}"/>')
+            f'<line x1="{x - mark * 2:g}" y1="{y:g}" x2="{x + mark * 2:g}" '
+            f'y2="{y:g}" stroke="#ff3333" stroke-width="{mark / 3:g}"/>')
         parts.append(
-            f'<line x1="{f.x:g}" y1="{f.y - mark * 2:g}" x2="{f.x:g}" '
-            f'y2="{f.y + mark * 2:g}" stroke="#ff3333" stroke-width="{mark / 3:g}"/>')
+            f'<line x1="{x:g}" y1="{y - mark * 2:g}" x2="{x:g}" '
+            f'y2="{y + mark * 2:g}" stroke="#ff3333" stroke-width="{mark / 3:g}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -246,12 +246,8 @@ class PathData:
             if not (starts[0] == 0 and starts[-1] <= n and np.all(starts[1:] >= starts[:-1])
                     if starts.size else n == 0):
                 raise ValidationError("segment starts must rise from 0 and stay within the events")
-        object.__setattr__(self, "onsets", t)
-        object.__setattr__(self, "durations", d)
-        object.__setattr__(self, "locations", s)
-        object.__setattr__(self, "design", x)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(onsets=t, durations=d, locations=s, design=x, starts=starts,
+                             labels=labels)
 
     @classmethod
     def from_scanpath(cls, scanpath: Scanpath, design: np.ndarray | None = None) -> "PathData":
@@ -537,8 +533,7 @@ class HistoryState:
         """``X`` holds the history's design rows, under ``data.check_design``."""
         check_compatible(spec, params)
         X = check_design(X, spec.p, len(history))
-        return cls.from_path(PathData(history.onsets, history.durations,
-                                      history.locations, X), spec, params, omega)
+        return cls.from_path(PathData.from_scanpath(history, X), spec, params, omega)
 
     @classmethod
     def from_path(cls, pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
@@ -903,7 +898,9 @@ def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rec
     With ``grad`` also the gradient that ``loglik_grad`` documents.
     """
     check_compatible(spec, params)
-    check_design(pd.design, spec.p, pd.n)
+    X = check_design(pd.design, spec.p, pd.n)
+    if pd.n == 0:
+        pd = dataclasses.replace(pd, design=X)  # an empty batch takes the spec's width
     area = omega.area
     invalid = pd.gaps < -_GAP_TOL
     gaps = np.maximum(pd.gaps, 0.0)

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Fixation, Rect, Scanpath, check_design
+from .data import Rect, Scanpath, check_design
 from .duration import DurationParams, DurationSpec, event_mean
 from .errors import DomainError, ValidationError
 from .mathutil import norm_cdf, norm_ppf
@@ -228,13 +228,7 @@ def sample_scanpath(spec: SaccadeSpec, params: SaccadeParams, dur_spec: Duration
     # product over broadcast rows can round differently.
     dur_design = np.empty((0, dur_spec.p))
     counts = _Counts()
-    fixations: list[Fixation] = []
-    truncated = False
-    while True:
-        n = len(fixations)
-        if n >= config.max_events:
-            truncated = True
-            break
+    for n in range(config.max_events):
         nxt = _sample_next(rng, state, config.horizon, counts)
         if nxt is None:
             break
@@ -242,10 +236,10 @@ def sample_scanpath(spec: SaccadeSpec, params: SaccadeParams, dur_spec: Duration
         if dur_design.shape[0] <= n:
             dur_design = np.tile(dur_row, (2 * n + 16, 1))
         d = sample_duration(state.onsets_with(t), dur_design[:n + 1], dur_spec, dur_params, rng)
-        d = max(d, 1e-9)
-        fixations.append(Fixation(t, float(loc[0]), float(loc[1]), d))
-        state.append(t, d, loc, x_row)
-    return SimResult(Scanpath(reader_id, text_id, tuple(fixations)), truncated, **vars(counts))
+        state.append(t, max(d, 1e-9), loc, x_row)
+    path = Scanpath.from_arrays(reader_id, text_id, state.onsets, state.durations,
+                                state.locations)
+    return SimResult(path, len(path) == config.max_events, **vars(counts))
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:

@@ -3,6 +3,7 @@ import pytest
 
 import scanpp as sp
 from scanpp.data import Box, POOLED_READER
+from scanpp.fileio import loads_scanpaths
 
 from conftest import make_fixations, on_word, random_scanpath
 
@@ -60,6 +61,65 @@ class TestScanpath:
                     onsets[3] - durs[0] - durs[1] - durs[2]]
         assert np.allclose(clock, expected)
         assert np.all(np.diff(clock) > 0)
+
+
+class TestScanpathColumns:
+    def test_arrays_build_the_same_scanpath_as_records(self, simple_scanpath):
+        p = simple_scanpath
+        built = sp.Scanpath.from_arrays(p.reader_id, p.text_id, p.onsets.tolist(),
+                                        p.durations, p.locations)
+        assert built == p and built.fixations == p.fixations
+        assert list(built) == list(p.fixations) and len(built) == 4
+        assert built.fixations[1] == sp.Fixation(0.5, 300.0, 210.0, 0.15)
+        assert built != sp.Scanpath.from_arrays("r2", p.text_id, p.onsets, p.durations,
+                                                p.locations)
+        assert built != sp.Scanpath.from_arrays(p.reader_id, p.text_id, p.onsets,
+                                                p.durations, p.locations + 1.0)
+
+    def test_columns_are_read_only(self, simple_scanpath):
+        p = simple_scanpath
+        for column in (p.onsets, p.durations, p.locations):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+        with pytest.raises(ValueError):
+            p.onsets[1] = 0.0
+        assert p.fixations[1].onset == 0.5
+        assert sp.PathData.from_scanpath(p).gaps.min() > 0
+
+    def test_from_arrays_copies(self):
+        onsets = np.array([0.1, 0.5])
+        path = sp.Scanpath.from_arrays("r", "t", onsets, [0.2, 0.1], np.zeros((2, 2)))
+        onsets[1] = 0.0
+        assert path.onsets.tolist() == [0.1, 0.5]
+
+    def test_one_check_names_the_fixation(self):
+        locs = np.zeros((3, 2))
+        with pytest.raises(sp.ValidationError, match=r"\(r, t\): fixation 2 duration "
+                                                     r"must be > 0, got 0.0"):
+            sp.Scanpath.from_arrays("r", "t", [0.1, 0.5, 0.9], [0.2, 0.1, 0.0], locs)
+        with pytest.raises(sp.ValidationError, match=r"fixation 1 onset must be >= 0"):
+            sp.Scanpath.from_arrays("r", "t", [0.1, np.nan, 0.9], [0.2, 0.1, 0.1], locs)
+        with pytest.raises(sp.ValidationError, match=r"not strictly increasing at t=0.5"):
+            sp.Scanpath.from_arrays("r", "t", [0.1, 0.5, 0.5], [0.2, 0.1, 0.1], locs)
+        with pytest.raises(sp.ValidationError, match=r"fixation at t=0.2 overlaps previous"):
+            sp.Scanpath.from_arrays("r", "t", [0.1, 0.2], [0.2, 0.1], locs[:2])
+        with pytest.raises(sp.ValidationError, match=r"need \(n,\) onsets"):
+            sp.Scanpath.from_arrays("r", "t", [0.1, 0.5], [0.2, 0.1], locs)
+
+    @pytest.mark.parametrize("x,y", [(np.nan, 20.0), (10.0, np.inf), (-np.inf, 20.0)])
+    def test_nonfinite_location_rejected(self, x, y):
+        with pytest.raises(sp.ValidationError, match="fixation location must be finite"):
+            sp.Fixation(0.1, x, y, 0.2)
+        locs = np.array([[10.0, 20.0], [x, y]])
+        with pytest.raises(sp.ValidationError,
+                           match=r"scanpath \(r, t\): fixation 1 location must be finite"):
+            sp.Scanpath.from_arrays("r", "t", [0.1, 0.5], [0.2, 0.1], locs)
+        text = ("reader_id,text_id,onset,duration,x,y\n"
+                "r1,t1,0.1,0.2,10,20\nr2,t1,0.1,0.2,10,20\n"
+                f"r1,t1,0.5,0.2,{x},{y}\n")
+        with pytest.raises(sp.ValidationError,
+                           match=r"scanpath \(r1, t1\): fixation 1 location must be finite"):
+            loads_scanpaths(text)
 
 
 class TestAssignment:

@@ -582,6 +582,10 @@ class TestBatchObjective:
         assert dataset_loglik(model, prepared, raw) == model.loglik_unit(raw, batch)
         assert objective(model, [], raw) == (0.0, pytest.approx(np.zeros(model.dim)))
         assert dataset_loglik(model, [], raw) == (0.0, 0)
+        empty = model.prepare_unit(sp.PathData.concat([]))
+        ll, n, grad = model.grad_unit(raw, empty)
+        assert (ll, n, grad.tolist()) == (0.0, 0, np.zeros(model.dim).tolist())
+        assert model.per_event_loglik(raw, empty).shape == (0,)
 
 
 class TestGridSearch:

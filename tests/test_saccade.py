@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import integrate
 import dense_saccade as dense
 import scanpp as sp
 from scanpp import saccade
+from scanpp.plotting import split_at_time
 from scanpp.saccade import (
     compensator_increments,
     loglik_grad,
@@ -344,6 +346,39 @@ class TestHistoryState:
                           for x in xs] for y in ys])
         assert values.shape == (5, 7)
         assert np.array_equal(values, loop)
+
+    def test_split_at_time_matches_record_loop(self):
+        def reference(path, t):
+            """The split as a loop over records: the fixations ended by t, or the one holding t."""
+            fixes = path.fixations
+            if not fixes[0].onset <= t <= fixes[-1].end:
+                return "outside"
+            k = 0
+            for i, fix in enumerate(fixes):
+                if fix.onset <= t < fix.end:
+                    return f"[{fix.onset}, {fix.end})"
+                if fix.end <= t:
+                    k = i + 1
+            return k
+
+        # back to back, then a tolerated overlap of 5e-13 s, then a gap
+        path = sp.Scanpath("r", "t", make_fixations(
+            [(0.1, 0.2), (0.30000000000000004, 0.1), (0.3999999999995, 0.1), (0.8, 0.3)],
+            [(1.0, 1.0)] * 4))
+        points = sorted({v for f in path.fixations for v in (f.onset, f.end)}
+                        | {0.0, 0.05, 0.2, 0.35, 0.3999999999997, 0.6, 0.9, 1.1, 1.2})
+        for t in points:
+            want = reference(path, t)
+            if want == "outside":
+                with pytest.raises(sp.ValidationError, match="outside the scanpath's span"):
+                    split_at_time(path, t)
+            elif isinstance(want, str):
+                with pytest.raises(sp.DomainError, match=re.escape(want)):
+                    split_at_time(path, t)
+            else:
+                history, nxt = split_at_time(path, t)
+                assert history == sp.Scanpath("r", "t", path.fixations[:want])
+                assert nxt == (want if want < 4 else None)
 
     def test_append_matches_build_on_a_simulated_path(self):
         # The benchmark's generating model: an intercept plus reader one-hot
@@ -859,6 +894,19 @@ class TestPathDataBatch:
         assert sp.PathData.concat(units[:1]) is units[0]
         empty = sp.PathData.concat([])
         assert empty.n == 0 and empty.labels == () and empty.clock.size == 0
+
+    @pytest.mark.parametrize("variant,mean_fn,link,columns", HISTORY_CASES)
+    def test_empty_batch_under_every_spec(self, variant, mean_fn, link, columns):
+        path, X, spec, params, omega = history_case(variant, mean_fn, link, columns, 5)
+        _, want = loglik_grad(sp.PathData.from_scanpath(path, X), spec, params, omega)
+        empty = sp.PathData.concat([])
+        terms, grads = loglik_grad(empty, spec, params, omega)
+        assert terms.per_event.shape == (0,) and terms.total == 0.0
+        assert list(grads) == list(want)
+        for key, value in grads.items():
+            assert np.shape(value) == np.shape(want[key]) and not np.any(value)
+        assert loglik_terms(empty, spec, params, omega).per_event.shape == (0,)
+        assert compensator_increments(empty, spec, params, omega).shape == (0,)
 
     def test_single_path_is_a_batch_of_one(self):
         pd = random_segment(np.random.default_rng(4), 5, sp.Rect(0, 0, 3, 2), 2, "r/t")
