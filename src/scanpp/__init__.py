@@ -68,14 +68,11 @@ from .fit import (
     SaccadeModel,
     Split,
     TrainConfig,
-    affine_moment_init,
     grid_search,
-    kfold,
     poisson_mle_nu,
     split,
     train,
     warm_start,
-    warm_start_result,
 )
 from .plotting import PlotPage, intensity_grid, plot_intensity
 from .saccade import (
@@ -85,7 +82,6 @@ from .saccade import (
     SaccadeSpec,
     compensator,
     compensator_increments,
-    cumulative_gap,
     intensity,
     log_density,
     scanpath_loglik,
@@ -95,7 +91,6 @@ from .serialize import (
     dumps_fit,
     dumps_params,
     dumps_reports,
-    loads_config,
     loads_fit,
     loads_params,
     reports_csv,

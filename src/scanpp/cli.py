@@ -329,7 +329,10 @@ def _default_row(columns) -> np.ndarray:
 def _parse_row(text: Optional[str], columns, what: str) -> np.ndarray:
     if not text:
         return _default_row(columns)
-    row = np.array([float(v) for v in text.split(",")])
+    try:
+        row = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise UsageError(f"{what} must be comma-separated numbers, got {text!r}") from None
     if row.shape != (len(columns),):
         raise UsageError(f"{what} needs {len(columns)} values, got {row.size}")
     return row

@@ -105,9 +105,10 @@ class Scanpath:
     """Ordered fixation sequence of one reader over one text, as read-only columns.
 
     ``onsets``, ``durations`` (n,) and ``locations`` (n, 2) come from records
-    or, through ``from_arrays``, from arrays, under one check: each fixation
-    is finite with onset >= 0 and duration > 0, onsets strictly increase, and
-    none starts before the previous one ends (the gap is the saccade).
+    or, through ``from_arrays``, from arrays, under one check: neither id
+    holds a line break, each fixation is finite with onset >= 0 and
+    duration > 0, onsets strictly increase, and none starts before the
+    previous one ends (the gap is the saccade).
     Iterating, or reading ``fixations``, builds ``Fixation`` records.
     """
 
@@ -130,6 +131,10 @@ class Scanpath:
         return path
 
     def _fill(self, reader_id: str, text_id: str, onsets, durations, locations) -> None:
+        # An id holding a line break would split its rows across lines in a file.
+        if any(i.splitlines() not in ([], [i]) for i in (reader_id, text_id)):
+            raise ValidationError(f"scanpath ({reader_id!r}, {text_id!r}): reader and text "
+                                  "ids must hold no line break")
         name = f"scanpath ({reader_id}, {text_id})"
         t, d, s = (np.array(a, dtype=float) for a in (onsets, durations, locations))
         if not (t.ndim == 1 and d.shape == t.shape and s.shape == t.shape + (2,)):
@@ -207,10 +212,6 @@ class TextLayout:
         words = sorted({b.word_index for b in self.boxes if b.word_index is not None})
         if words and words != list(range(words[0], words[0] + len(words))):
             raise ValidationError(f"layout {self.text_id}: word indices are not contiguous")
-
-    @property
-    def word_count(self) -> int:
-        return len({b.word_index for b in self.boxes if b.word_index is not None})
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,9 @@ def loads_scanpaths(text: str) -> list[Scanpath]:
     fault = _fixation_fault(onsets, durations)
     if fault is not None:
         k, rule = fault
-        raise ValidationError(f"scanpath {tuple(rows[k][1][:2])}: fixation {rule}")
+        ids = rows[k][1][:2]
+        index = sum(fields[:2] == ids for _, fields in rows[:k])
+        raise ValidationError(f"scanpath ({ids[0]}, {ids[1]}): fixation {index} {rule}")
     if error is not None:
         raise error
     groups: dict[tuple[str, str], list[int]] = {}

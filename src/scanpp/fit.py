@@ -48,7 +48,7 @@ from .duration import (
     duration_loglik_grad,
     duration_means,
 )
-from .errors import ScanppError, UsageError, ValidationError
+from .errors import ScanppError, ValidationError
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
 from .saccade import (
     PathData,
@@ -151,25 +151,6 @@ def split(data: Sequence, fractions: tuple[float, float, float], seed: int) -> S
     return Split(tuple(data[i] for i in idx_train),
                  tuple(data[i] for i in idx_val),
                  tuple(data[i] for i in idx_test))
-
-
-def kfold(data: Sequence, k: int, seed: int) -> list[tuple[tuple, tuple]]:
-    """k (train, held-out) pairs from contiguous chunks of one shuffled order."""
-    data = list(data)
-    n = len(data)
-    if k < 2:
-        raise UsageError(f"need k >= 2 folds, got {k}")
-    if k > n:
-        raise ValidationError(f"cannot make {k} folds from {n} units")
-    perm = np.random.default_rng(seed).permutation(n)
-    bounds = [int(math.floor(i * n / k)) for i in range(k + 1)]
-    folds = []
-    for i in range(k):
-        held = set(perm[bounds[i]:bounds[i + 1]].tolist())
-        train = tuple(data[j] for j in perm if j not in held)
-        test = tuple(data[j] for j in perm[bounds[i]:bounds[i + 1]])
-        folds.append((train, test))
-    return folds
 
 
 # --- Parameter layout --------------------------------------------------------
@@ -808,12 +789,6 @@ def warm_start(source_names: Sequence[str], source_raw: np.ndarray, target_model
     return raw
 
 
-def warm_start_result(source: FitResult, target_model: Model,
-                      units: Sequence[PathData] = (),
-                      kernel_init: Optional[tuple[float, float, float]] = None) -> np.ndarray:
-    return warm_start(source.names, source.raw, target_model, units, kernel_init)
-
-
 def poisson_mle_nu(paths: Sequence[PathData], omega: Rect) -> float:
     """Closed-form base-rate estimate: events per unit exposure and area."""
     n_events = sum(p.n for p in paths)
@@ -822,25 +797,3 @@ def poisson_mle_nu(paths: Sequence[PathData], omega: Rect) -> float:
         raise ValidationError("total exposure is zero; cannot estimate a base rate")
     return n_events / (omega.area * exposure)
 
-
-def affine_moment_init(units: Sequence[PathData]
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fit of each landing site on its predecessor.
-
-    Regresses the next location on the previous one across all consecutive
-    fixation pairs, giving a data-driven starting point for the affine
-    excitation-center map: a 2x2 matrix, an offset vector, and the squared
-    residual norm per pair. The residual quantiles in turn seed the spatial
-    variance; background-driven jumps inflate the tail, so a low quantile is
-    the more robust choice.
-    """
-    prev = [u.locations[:-1] for u in units if u.n > 1]
-    nxt = [u.locations[1:] for u in units if u.n > 1]
-    if not prev:
-        raise ValidationError("no consecutive fixation pairs to regress on")
-    prev = np.concatenate(prev)
-    nxt = np.concatenate(nxt)
-    X = np.column_stack([prev, np.ones(len(prev))])
-    coef, *_ = np.linalg.lstsq(X, nxt, rcond=None)
-    resid = nxt - X @ coef
-    return coef[:2].T, coef[2], (resid ** 2).sum(axis=1)

@@ -117,15 +117,11 @@ def exp_integral_0(b, lo, gap):
     return np.exp(-b * lo) * gap * exp_interval_g0(x)
 
 
-def exp_integral_1(b, lo, gap):
-    """∫ (lo + u) exp(-b(lo + u)) du over u in [0, gap]."""
-    return exp_integrals(b, lo, gap)[1]
-
-
 def exp_integrals(b, lo, gap):
-    """Both ``exp_integral_0`` and ``exp_integral_1``, sharing exp(-b·lo) and g0.
+    """``exp_integral_0`` and ∫ (lo + u) exp(-b(lo + u)) du over u in [0, gap].
 
-    Each value is bitwise the one the single integral gives.
+    The two share exp(-b·lo) and g0; the first is bitwise the value
+    ``exp_integral_0`` gives.
     """
     b = np.asarray(b, dtype=float)
     x = b * gap

@@ -352,31 +352,7 @@ class PathData:
         return self.clock - self.clock_prev
 
 
-# --- Scalar reference operations -------------------------------------------
-
-def cumulative_gap(history: Scanpath, n: int, m: int) -> float:
-    """Total fixation time separating events m and n (1-based indices, m < n).
-
-    n may be one past the end of the history, addressing the upcoming event.
-    """
-    if not 1 <= m < n:
-        raise UsageError(f"need 1 <= m < n, got n={n}, m={m}")
-    if n > len(history) + 1:
-        raise UsageError(f"n={n} exceeds history length {len(history)} + 1")
-    return float(np.sum(history.durations[m - 1:n - 1]))
-
-
-def temporal_kernel(delta, x, params: SaccadeParams, link: str = "softplus"):
-    """Excitation h(x'alpha) * exp(-h(x'beta) * delta) at kernel age delta >= 0."""
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0):
-        raise UsageError("kernel age must be >= 0")
-    x = np.asarray(x, dtype=float)
-    a = apply_link(link, float(x @ params.alpha))
-    b = apply_link(link, float(x @ params.beta))
-    out = a * np.exp(-b * delta)
-    return out if out.ndim else float(out)
-
+# --- Spatial components -----------------------------------------------------
 
 def spatial_mean(s, x, spec: SaccadeSpec, params: SaccadeParams) -> np.ndarray:
     """Excitation center for a source fixation at s with predictors x."""
@@ -387,16 +363,6 @@ def spatial_mean(s, x, spec: SaccadeSpec, params: SaccadeParams) -> np.ndarray:
     if spec.mean_fn == "full":
         mu = mu + params.C @ np.asarray(x, dtype=float).reshape(-1)
     return mu
-
-
-def spatial_density(s, mean, sigma2: float) -> float:
-    """Spherical Gaussian density at s, per squared pixel."""
-    if sigma2 <= 0:
-        raise ValidationError(f"spatial variance must be > 0, got {sigma2}")
-    s = np.asarray(s, dtype=float).reshape(2)
-    mean = np.asarray(mean, dtype=float).reshape(2)
-    r2 = float(np.sum((s - mean) ** 2))
-    return float(np.exp(-r2 / (2.0 * sigma2)) / (2.0 * np.pi * sigma2))
 
 
 def spatial_mass(mean, sigma2: float, omega: Rect):
@@ -456,10 +422,10 @@ _TAIL_EPS = 1e-13
 def _density(points: np.ndarray, centers: np.ndarray, sigma2: float) -> np.ndarray:
     """Spherical Gaussian density of each point (row) around each center (column).
 
-    Computed in place, in the order of ``spatial_density``: the x then the y
-    term of the squared distance, as ``np.sum`` over the two axes adds them,
-    then exp(-r2 / (2 sigma2)) / (2 pi sigma2). So each entry is
-    bit-identical to ``spatial_density``.
+    Computed in place: the x then the y term of the squared distance, as
+    ``np.sum`` over the two axes adds them, then exp(-r2 / (2 sigma2)) /
+    (2 pi sigma2). So each entry is bit-identical to the one-point formula
+    written that way, the ``spatial_density`` the tests keep as a reference.
     """
     r2 = np.subtract.outer(points[:, 0], centers[:, 0])
     dy = np.subtract.outer(points[:, 1], centers[:, 1])

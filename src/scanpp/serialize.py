@@ -94,14 +94,20 @@ def _collect(text: str, magic: str):
     return out
 
 
+def _number(token: str, lineno: int, kind=float):
+    """``kind(token)``, or a ParseError naming the line."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "integer" if kind is int else "float"
+        raise ParseError(f"bad {what} {token!r}", line=lineno) from None
+
+
 def _named_value(rest: str, lineno: int) -> tuple[str, float]:
     if " " not in rest:
         raise ParseError(f"expected '<name> <value>', got {rest!r}", line=lineno)
     name, value = rest.rsplit(" ", 1)
-    try:
-        return name, float(value)
-    except ValueError:
-        raise ParseError(f"bad float {value!r}", line=lineno) from None
+    return name, _number(value, lineno)
 
 
 def loads_params(text: str) -> LoadedParams:
@@ -218,30 +224,26 @@ def loads_fit(text: str) -> LoadedFit:
     grid_trace: list[tuple[dict, float]] = []
     for lineno, key, rest in entries:
         if key in ints:
-            try:
-                ints[key] = int(rest)
-            except ValueError:
-                raise ParseError(f"bad integer {rest!r}", line=lineno) from None
+            ints[key] = _number(rest, lineno, int)
         elif key == "test_loglik":
-            test_loglik = float(rest)
+            test_loglik = _number(rest, lineno)
         elif key == "selected":
-            name, value = rest.split(" ", 1)
+            name, _, value = rest.partition(" ")
             if name == "kernel_init":
                 selected[name] = _parse_kernel(value, lineno)
-            elif name == "batch_size":
-                selected[name] = int(value)
             else:
-                selected[name] = float(value)
+                selected[name] = _number(value, lineno, int if name == "batch_size" else float)
         elif key in traces:
-            traces[key] = tuple(float(v) for v in rest.split(" ")) if rest else ()
+            traces[key] = tuple(_number(v, lineno) for v in rest.split(" ")) if rest else ()
         elif key == "grid":
             parts = rest.split(" ")
             if len(parts) != 5:
                 raise ParseError("grid line needs 5 fields", line=lineno)
-            hp = {"batch_size": int(parts[0]), "learning_rate": float(parts[1]),
-                  "weight_decay": float(parts[2]),
+            hp = {"batch_size": _number(parts[0], lineno, int),
+                  "learning_rate": _number(parts[1], lineno),
+                  "weight_decay": _number(parts[2], lineno),
                   "kernel_init": _parse_kernel(parts[3], lineno)}
-            grid_trace.append((hp, float(parts[4])))
+            grid_trace.append((hp, _number(parts[4], lineno)))
         else:
             raise ParseError(f"unknown key {key!r}", line=lineno)
     model = loaded.model
@@ -310,11 +312,6 @@ def config_doc(text: str) -> dict:
     if unknown:
         raise ParseError(f"unknown config sections {sorted(unknown)}")
     return doc
-
-
-def loads_config(text: str) -> tuple[TrainConfig, Optional[GridSpec]]:
-    """JSON config with optional top-level "train" and "grid" sections."""
-    return config_from_doc(config_doc(text))
 
 
 def config_from_doc(doc: dict) -> tuple[TrainConfig, Optional[GridSpec]]:

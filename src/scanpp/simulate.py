@@ -83,13 +83,6 @@ class _Counts:
     location_fallbacks: int = 0
 
 
-def intensity_upper_bound(t: float, history: Scanpath, spec: SaccadeSpec,
-                          params: SaccadeParams, omega: Rect,
-                          X: Optional[np.ndarray] = None) -> float:
-    """Dominating rate for all times >= t; see ``HistoryState.intensity_upper_bound``."""
-    return HistoryState.build(history, X, spec, params, omega).intensity_upper_bound(t)
-
-
 def _truncated_normal_axis(rng: np.random.Generator, mu: float, sigma: float,
                            lo: float, hi: float) -> float:
     """Exact inverse-CDF draw of a normal restricted to [lo, hi)."""
@@ -183,19 +176,6 @@ def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
             return t, _draw_location(rng, state, weighted, counts)
         bound = state.intensity_upper_bound(t, kern)
     raise DomainError("thinning failed to accept a candidate within the safety cap")
-
-
-def sample_next_fixation(history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
-                         omega: Rect, horizon: float, rng: np.random.Generator,
-                         X: Optional[np.ndarray] = None
-                         ) -> Optional[tuple[float, np.ndarray]]:
-    """Sample the next (onset, location) after an observed history, or None.
-
-    ``X`` carries the predictor rows of the history. Only past events
-    excite, so the upcoming event's own row does not enter the draw.
-    """
-    state = HistoryState.build(history, X, spec, params, omega)
-    return _sample_next(rng, state, horizon, _Counts())
 
 
 def sample_duration(onsets: np.ndarray, design: np.ndarray, dur_spec: DurationSpec,

@@ -5,13 +5,15 @@ older than its cutoff: every source-target pair goes through an n x n array
 whose upper triangle is masked. It shares no code with the package but the
 numerical helpers in ``scanpp.mathutil``, and tests compare
 ``loglik_terms``, ``compensator_increments`` and ``loglik_grad`` against it.
+``spatial_density`` is the one-point Gaussian density that the package's
+``_density`` reproduces bit for bit.
 """
 import numpy as np
 
 from scanpp.mathutil import (
     apply_link,
     exp_integral_0,
-    exp_integral_1,
+    exp_integrals,
     link_deriv,
     norm_cdf,
     norm_pdf,
@@ -19,6 +21,14 @@ from scanpp.mathutil import (
 from scanpp.saccade import ScanpathLoglik
 
 GAP_TOL = 1e-9
+
+
+def spatial_density(s, mean, sigma2: float) -> float:
+    """Spherical Gaussian density at s, per squared pixel."""
+    s = np.asarray(s, dtype=float).reshape(2)
+    mean = np.asarray(mean, dtype=float).reshape(2)
+    r2 = float(np.sum((s - mean) ** 2))
+    return float(np.exp(-r2 / (2.0 * sigma2)) / (2.0 * np.pi * sigma2))
 
 
 def _gap_terms(pd, nu, area):
@@ -179,7 +189,7 @@ def loglik_grad(pd, spec, params, omega):
     d_a = P @ EP - mass * I0_sum
     grads["alpha"] = X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))
 
-    I1 = np.where(tri, exp_integral_1(b[None, :], dlo, gaps[:, None]), 0.0)
+    I1 = np.where(tri, exp_integrals(b[None, :], dlo, gaps[:, None])[1], 0.0)
     d_b = -(P @ (W * dhi)) + mass * a * np.sum(I1, axis=0)
     grads["beta"] = X.T @ (d_b * link_deriv(spec.link, X @ params.beta))
 

@@ -357,6 +357,30 @@ class TestEval:
                      "--out-csv", str(tmp_path / "r.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("bad,message", [
+        ("test_loglik abc", "bad float 'abc'"),
+        ("train_trace 1.5 abc", "bad float 'abc'"),
+        ("selected learning_rate", "bad float ''"),
+        ("grid x 0.01 0.0 - 1.5", "bad integer 'x'"),
+        ("grid 4 0.01 0.0 - abc", "bad float 'abc'"),
+    ])
+    def test_malformed_baseline_field_is_parse_error(self, tmp_path, capsys, bad, message):
+        data, _ = write_dataset(tmp_path)
+        cfg, _ = write_config(tmp_path)
+        good = tmp_path / "good.fit"
+        assert main(["fit", "--data", data, "--out", str(good), "--variant", "poisson",
+                     "--screen", "640x480", "--config", cfg]) == 0
+        lines = good.read_text().split("\n")
+        at = lines.index("scanpp-params 1")
+        lines.insert(at, bad)
+        baseline = tmp_path / "bad.fit"
+        baseline.write_text("\n".join(lines))
+        code = main(["eval", "--data", data, "--baseline", str(baseline), "--fit", str(good),
+                     "--config", cfg, "--out-report", str(tmp_path / "r.txt"),
+                     "--out-csv", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.endswith(f"\nERROR line {at + 1}: {message}\n")
+
 
 class TestSimulate:
     def poisson_params(self, tmp_path, nu=2e-5):
@@ -442,6 +466,16 @@ class TestSimulate:
         code = main(["simulate", "--params", str(path), "--horizon", "2",
                      "--x-row", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--x-row", "--x-dur-row"])
+    def test_x_row_must_be_numeric(self, tmp_path, capsys, flag):
+        path = self.poisson_params(tmp_path)
+        capsys.readouterr()
+        code = main(["simulate", "--params", path, "--horizon", "2",
+                     flag, "abc", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"ERROR {flag} must be comma-separated numbers, got 'abc'" in err
 
     def test_file_without_parameters(self, tmp_path):
         bogus = tmp_path / "empty.txt"

@@ -3,7 +3,7 @@ import pytest
 
 import scanpp as sp
 from scanpp.data import Box, POOLED_READER
-from scanpp.fileio import loads_scanpaths
+from scanpp.fileio import dumps_scanpaths, loads_scanpaths
 
 from conftest import make_fixations, on_word, random_scanpath
 
@@ -105,6 +105,30 @@ class TestScanpathColumns:
             sp.Scanpath.from_arrays("r", "t", [0.1, 0.2], [0.2, 0.1], locs[:2])
         with pytest.raises(sp.ValidationError, match=r"need \(n,\) onsets"):
             sp.Scanpath.from_arrays("r", "t", [0.1, 0.5], [0.2, 0.1], locs)
+        # the loader counts the fixation within its scanpath, not the file
+        text = ("reader_id,text_id,onset,duration,x,y\n"
+                "r1,t1,0.1,0.2,10,20\nr2,t1,0.1,0.2,10,20\nr1,t1,0.5,0,10,20\n")
+        with pytest.raises(sp.ValidationError, match=r"^scanpath \(r1, t1\): fixation 1 "
+                                                     r"duration must be > 0, got 0.0$"):
+            loads_scanpaths(text)
+
+    # every character on which str.splitlines, and so the loader, breaks a line
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_ids_with_a_line_break_rejected(self, brk):
+        locs = np.zeros((1, 2))
+        for reader_id, text_id in ((f"r{brk}1", "t"), ("r", f"t{brk}"), (brk, "t")):
+            with pytest.raises(sp.ValidationError, match=r"^scanpath \(.*\): reader and text "
+                                                         "ids must hold no line break$"):
+                sp.Scanpath.from_arrays(reader_id, text_id, [0.1], [0.2], locs)
+        with pytest.raises(sp.ValidationError, match="line break"):
+            sp.Scanpath(f"r{brk}", "t", make_fixations([(0.1, 0.2)], [(1, 1)]))
+
+    @pytest.mark.parametrize("reader_id,text_id", [("r,1", 't "a", b'), ('"r"', "t\t1"),
+                                                   (" r ", "текст"), ("", "")])
+    def test_ids_without_a_line_break_round_trip(self, reader_id, text_id):
+        path = sp.Scanpath.from_arrays(reader_id, text_id, [0.1], [0.2], np.zeros((1, 2)))
+        assert loads_scanpaths(dumps_scanpaths([path])) == [path]
 
     @pytest.mark.parametrize("x,y", [(np.nan, 20.0), (10.0, np.inf), (-np.inf, 20.0)])
     def test_nonfinite_location_rejected(self, x, y):

@@ -13,16 +13,13 @@ from scanpp.fit import (
     SaccadeModel,
     Split,
     TrainConfig,
-    affine_moment_init,
     dataset_loglik,
     grid_search,
-    kfold,
     objective,
     poisson_mle_nu,
     split,
     train,
     warm_start,
-    warm_start_result,
 )
 from scanpp.mathutil import softplus_inv
 from scanpp.serialize import dumps_fit, loads_fit
@@ -280,20 +277,6 @@ class TestSplits:
             split([1, 2, 3], (0.5, 0.2, 0.2), seed=0)
         with pytest.raises(sp.ValidationError):
             split([1, 2, 3], (0.9, 0.2, -0.1), seed=0)
-
-    def test_kfold_partitions(self):
-        folds = kfold(list(range(7)), 3, seed=1)
-        assert len(folds) == 3
-        held = [item for _, test in folds for item in test]
-        assert sorted(held) == list(range(7))
-        for tr, te in folds:
-            assert sorted(tr + te) == list(range(7))
-
-    def test_kfold_bounds(self):
-        with pytest.raises(sp.UsageError):
-            kfold([1, 2, 3], 1, seed=0)
-        with pytest.raises(sp.ValidationError):
-            kfold([1, 2], 3, seed=0)
 
 
 class TestConfigs:
@@ -640,7 +623,7 @@ class TestWarmStart:
         target = SaccadeModel(
             sp.SaccadeSpec(variant="hawkes", columns=("intercept",)), PIXEL_OMEGA)
         prepared = [target.prepare_unit(u) for u in units]
-        init = warm_start_result(source, target, units)
+        init = warm_start(source.names, source.raw, target, units)
         assert init[target.names.index("nu")] == source.raw[0]
         default = target.default_init(prepared)
         for name in ("alpha[intercept]", "beta[intercept]", "sigma2"):

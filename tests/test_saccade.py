@@ -14,9 +14,7 @@ from scanpp.saccade import (
     compensator_increments,
     loglik_grad,
     loglik_terms,
-    spatial_density,
     spatial_mass,
-    temporal_kernel,
 )
 
 from conftest import make_fixations, small_instance
@@ -100,35 +98,12 @@ def oracle_increments(path, design, spec, params, omega, masses=None):
 
 
 class TestKernels:
-    def test_temporal_kernel_relu_hand_value(self):
-        spec = sp.SaccadeSpec(variant="hawkes", link="relu", columns=("c",))
-        x = np.array([1.0])
-        params = sp.SaccadeParams.initial(spec).replace(
-            alpha=np.array([1.0]), beta=np.array([1.0]))
-        val = temporal_kernel(1.0, x, params, link="relu")
-        assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_temporal_kernel_softplus(self):
-        spec = sp.SaccadeSpec(variant="hawkes", columns=("c",))
-        params = sp.SaccadeParams.initial(spec).replace(
-            alpha=np.array([0.3]), beta=np.array([-0.2]))
-        x = np.array([1.0])
-        expect = softplus_ref(0.3) * math.exp(-softplus_ref(-0.2) * 0.7)
-        assert temporal_kernel(0.7, x, params) == pytest.approx(expect, rel=1e-12)
-
-    def test_kernel_zero_delay_equals_weight(self):
-        spec = sp.SaccadeSpec(variant="hawkes", columns=("c",))
-        params = sp.SaccadeParams.initial(spec).replace(
-            alpha=np.array([0.4]), beta=np.array([1.2]))
-        assert temporal_kernel(0.0, np.array([1.0]), params) == pytest.approx(
-            softplus_ref(0.4), rel=1e-12)
-
     def test_spatial_density_peak(self):
-        val = spatial_density(np.array([3.0, 4.0]), np.array([3.0, 4.0]), 1.0)
+        val = dense.spatial_density(np.array([3.0, 4.0]), np.array([3.0, 4.0]), 1.0)
         assert val == pytest.approx(1.0 / (2 * math.pi), rel=1e-12)
 
     def test_spatial_density_offset(self):
-        val = spatial_density(np.array([2.0, 0.0]), np.array([0.0, 0.0]), 4.0)
+        val = dense.spatial_density(np.array([2.0, 0.0]), np.array([0.0, 0.0]), 4.0)
         assert val == pytest.approx(math.exp(-0.5) / (8 * math.pi), rel=1e-12)
 
     def test_spatial_mean_variants(self):
@@ -162,24 +137,6 @@ class TestKernels:
             ref, _ = integrate.dblquad(density, omega.x0, omega.x1, omega.y0,
                                        omega.y1, epsabs=1e-13, epsrel=1e-11)
             assert mass == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-
-class TestCumulativeGap:
-    def test_hand_example(self):
-        fixes = make_fixations([(0.1, 0.2), (0.5, 0.3), (1.0, 0.1)],
-                               [(1, 1), (2, 2), (3, 3)])
-        path = sp.Scanpath("r", "t", fixes)
-        assert sp.cumulative_gap(path, 3, 1) == pytest.approx(0.5)
-        assert sp.cumulative_gap(path, 2, 1) == pytest.approx(0.2)
-        assert sp.cumulative_gap(path, 4, 3) == pytest.approx(0.1)
-
-    def test_bounds(self):
-        fixes = make_fixations([(0.1, 0.2)], [(1, 1)])
-        path = sp.Scanpath("r", "t", fixes)
-        with pytest.raises(sp.UsageError):
-            sp.cumulative_gap(path, 1, 1)
-        with pytest.raises(sp.UsageError):
-            sp.cumulative_gap(path, 3, 1)
 
 
 class TestPointwise:
@@ -271,7 +228,7 @@ def reference_intensity(t, s, path, X, spec, params):
     if spec.variant == "poisson" or len(path) == 0:
         return float(params.nu)
     if spec.variant == "last_fixation":
-        return float(params.nu) + spatial_density(s, path.locations[-1], params.sigma2)
+        return float(params.nu) + dense.spatial_density(s, path.locations[-1], params.sigma2)
     X = np.zeros((len(path), 0)) if X is None else X
     a = sp.mathutil.apply_link(spec.link, X @ params.alpha)
     b = sp.mathutil.apply_link(spec.link, X @ params.beta)

@@ -8,10 +8,10 @@ import scanpp as sp
 from scanpp.saccade import spatial_mass
 from scanpp.simulate import (
     SimConfig,
+    _Counts,
     _draw_gaussian_location,
-    intensity_upper_bound,
+    _sample_next,
     sample_duration,
-    sample_next_fixation,
     sample_scanpath,
     spawn_rngs,
 )
@@ -36,6 +36,12 @@ def hawkes_setup():
     return spec, params
 
 
+def next_fixation(history, spec, params, horizon, rng, X=None):
+    """The sampler's next (onset, location) after an observed history, or None."""
+    state = sp.HistoryState.build(history, X, spec, params, UNIT)
+    return _sample_next(rng, state, horizon, _Counts())
+
+
 def truncated_normal_cdf(mu, sigma, lo, hi):
     a = stats.norm.cdf(lo, mu, sigma)
     b = stats.norm.cdf(hi, mu, sigma)
@@ -58,7 +64,8 @@ class TestUpperBound:
             mu = (path.locations @ params.A.T + params.b + design @ params.C.T)
             mass = spatial_mass(mu, params.sigma2, omega)
             t0 = path.fixations[-1].end + float(rng.uniform(0.0, 0.5))
-            bound = intensity_upper_bound(t0, path, spec, params, omega, X=design)
+            state = sp.HistoryState.build(path, design, spec, params, omega)
+            bound = state.intensity_upper_bound(t0)
             total_dur = float(np.sum(path.durations))
             clock = sp.PathData.from_scanpath(path).clock
             for u in t0 + np.linspace(0.0, 4.0, 25):
@@ -95,7 +102,7 @@ class TestUpperBound:
     def test_poisson_bound_is_base_rate(self):
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=2.0)
-        bound = intensity_upper_bound(0.0, sp.Scanpath("r", "t", ()), spec, params, UNIT)
+        bound = sp.HistoryState.empty(spec, params, UNIT).intensity_upper_bound(0.0)
         assert bound == pytest.approx(2.0 * UNIT.area)
 
     def test_refuses_time_inside_history(self):
@@ -103,16 +110,17 @@ class TestUpperBound:
         path = sp.Scanpath("r", "t", fixes)
         spec, params = hawkes_setup()
         with pytest.raises(sp.DomainError):
-            intensity_upper_bound(0.6, path, spec, params, UNIT,
-                                  X=np.ones((1, 1)))
+            sp.HistoryState.build(path, np.ones((1, 1)), spec, params,
+                                  UNIT).intensity_upper_bound(0.6)
 
 
     def test_columns_require_history_design(self):
         path = sp.Scanpath("r", "t", make_fixations([(0.5, 0.4)], [(0.5, 0.5)]))
         spec, params = hawkes_setup()
-        assert intensity_upper_bound(1.0, path, spec, params, UNIT, X=np.ones((1, 1))) > 0
+        state = sp.HistoryState.build(path, np.ones((1, 1)), spec, params, UNIT)
+        assert state.intensity_upper_bound(1.0) > 0
         with pytest.raises(sp.UsageError, match="design rows"):
-            intensity_upper_bound(1.0, path, spec, params, UNIT)
+            sp.HistoryState.build(path, None, spec, params, UNIT)
 
 
 class TestPoissonSampling:
@@ -198,8 +206,7 @@ class TestLocationSampling:
         X = np.ones((1, 1))
         xs, ys = [], []
         for rng in spawn_rngs(11, 1200):
-            nxt = sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
-                                       rng=rng, X=X)
+            nxt = next_fixation(path, spec, params, horizon=50.0, rng=rng, X=X)
             assert nxt is not None
             t, loc = nxt
             assert t > 0.2
@@ -322,19 +329,16 @@ class TestHawkesSampling:
         path = sp.Scanpath("r", "t", fixes)
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=1e-9)
-        nxt = sample_next_fixation(path, spec, params, UNIT, horizon=0.5,
-                                   rng=np.random.default_rng(0))
+        nxt = next_fixation(path, spec, params, horizon=0.5, rng=np.random.default_rng(0))
         assert nxt is None
 
     def test_next_fixation_with_columns_requires_history_design(self):
         path = sp.Scanpath("r", "t", make_fixations([(0.2, 0.2)], [(0.5, 0.5)]))
         spec, params = hawkes_setup()
-        assert sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
-                                    rng=np.random.default_rng(0),
-                                    X=np.ones((1, 1))) is not None
+        assert next_fixation(path, spec, params, horizon=50.0, rng=np.random.default_rng(0),
+                             X=np.ones((1, 1))) is not None
         with pytest.raises(sp.UsageError, match="design rows"):
-            sample_next_fixation(path, spec, params, UNIT, horizon=50.0,
-                                 rng=np.random.default_rng(0))
+            next_fixation(path, spec, params, horizon=50.0, rng=np.random.default_rng(0))
 
 
 class TestRngs:
