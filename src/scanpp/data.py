@@ -100,6 +100,12 @@ class Fixation:
         return (self.x, self.y)
 
 
+def _check_ids(owner: str, what: str, *ids: str) -> None:
+    """Reject ids holding a line break, which would split their rows in a file."""
+    if any(i.splitlines() not in ([], [i]) for i in ids):
+        raise ValidationError(f"{owner}: {what} must hold no line break")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Scanpath:
     """Ordered fixation sequence of one reader over one text, as read-only columns.
@@ -131,10 +137,8 @@ class Scanpath:
         return path
 
     def _fill(self, reader_id: str, text_id: str, onsets, durations, locations) -> None:
-        # An id holding a line break would split its rows across lines in a file.
-        if any(i.splitlines() not in ([], [i]) for i in (reader_id, text_id)):
-            raise ValidationError(f"scanpath ({reader_id!r}, {text_id!r}): reader and text "
-                                  "ids must hold no line break")
+        _check_ids(f"scanpath ({reader_id!r}, {text_id!r})", "reader and text ids",
+                   reader_id, text_id)
         name = f"scanpath ({reader_id}, {text_id})"
         t, d, s = (np.array(a, dtype=float) for a in (onsets, durations, locations))
         if not (t.ndim == 1 and d.shape == t.shape and s.shape == t.shape + (2,)):
@@ -201,6 +205,7 @@ class TextLayout:
     boxes: tuple[Box, ...]
 
     def __post_init__(self):
+        _check_ids(f"layout {self.text_id!r}", "the text id", self.text_id)
         object.__setattr__(self, "boxes", tuple(self.boxes))
         for box in self.boxes:
             r = box.rect

@@ -8,16 +8,27 @@ alternative to the log-normal. Aggregated word-level reading times use the
 same spillover construction as lagged regressors in a closed-form
 least-squares fit.
 
-The likelihood and its gradient share two helpers. ``_means`` returns the
-means with the spillover features and convolution kernel matrices it used,
-which the gradient reads rather than rebuilds. ``_log_density`` is the one
-place the output distribution is chosen, for the likelihood, its gradient
-and the fitting adapter alike.
+The likelihood and its gradient share two helpers. ``_means`` checks its
+inputs and returns the means with the spillover features they used and,
+for the gradient, the convolution's kernel sums, which the gradient reads
+rather than rebuilds. ``_log_density`` is the one place the output
+distribution is chosen, for the likelihood, its gradient and the fitting
+adapter alike.
+
+``duration_loglik_grad`` and the fitting adapter evaluate a ``PathData``,
+one scanpath or a batch, in one pass; no spillover reaches from one
+scanpath into another. The convolution sums over the pair band of
+``mathutil._band`` on the onsets with no cutoff, so it drops no pair and
+forms no n x n array: ``_pair_sums`` accumulates each row's feature
+c_ik = sum_j K(t_i - t_j)·x_jk and, for the gradient, the same sum weighted
+by each of the kernel's log-derivatives. ``event_mean`` forms its row
+through ``_pair_sums`` too, so it equals the band's row bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,8 +36,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import digamma, gammaincc, gammaln
 
+from . import mathutil
 from .data import AggregatedRecord, Scanpath, check_design
 from .errors import UsageError, ValidationError
+from .saccade import PathData
 
 MEAN_VARIANTS = ("plain", "convolution", "markov")
 DISTRIBUTIONS = ("lognormal", "gamma")
@@ -63,6 +76,8 @@ class DurationSpec:
             raise ValidationError(f"spillover columns {missing} not in the design schema")
         if self.mean_variant == "plain" and self.spillover:
             raise ValidationError("the plain mean has no spillover columns")
+        if self.mean_variant != "markov" and self.lags:
+            raise ValidationError(f"the {self.mean_variant} mean has no lags; only markov does")
         if self.mean_variant == "markov" and self.spillover and self.lags == 0:
             raise ValidationError("markov spillover requires lags >= 1")
 
@@ -199,39 +214,82 @@ def gamma_logpdf(d, xi, shape: float):
 
 # --- Mean structures ---------------------------------------------------------
 
-def _conv_features(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
-                   params: DurationParams) -> tuple[np.ndarray, Optional[np.ndarray], list]:
-    """Per-event convolution features c[i, k] = sum_{m<i} x[m, k] * kernel(t_i - t_m).
+def _pair_sums(onsets: np.ndarray, design: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               r0: int, m: int, spec: DurationSpec, params: DurationParams,
+               grad: bool) -> np.ndarray:
+    """Sums over the pairs (rows, cols) into rows r0 .. r0 + m - 1, per spillover column.
 
-    Also the elapsed times t_i - t_m and each column's kernel matrix, both 0
-    on and above the diagonal; none below two events.
+    Entry [0, i - r0, k] is sum_j K(t_i - t_j)·x[j, k] over row i's pairs;
+    with ``grad`` entries [1..3] weight each term by one of the kernel
+    gradient's factors, log(beta) - psi(alpha) + log(z), alpha/beta - z and
+    (alpha - 1)/z - beta, at z = t_i - t_j + theta; each factor is read as 0
+    where z = 0, as the kernel is. Shape (4 if grad else 1, m, spillover).
     """
-    n = onsets.shape[0]
-    k = spec.n_spill
-    feats = np.zeros((n, k))
-    if n < 2 or k == 0:
-        return feats, None, []
-    tri = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    tau = np.where(tri, onsets[:, None] - onsets[None, :], 0.0)
-    kernels = []
+    tau = onsets[rows] - onsets[cols]
+    local = rows - r0
+    out = np.empty((4 if grad else 1, m, spec.n_spill))
     for kk, col in enumerate(spec.spill_indices):
-        kern = np.where(tri, gamma_kernel(tau, float(params.kernel_alpha[kk]),
-                                          float(params.kernel_beta[kk]),
-                                          float(params.kernel_theta[kk])), 0.0)
-        feats[:, kk] = kern @ design[:, col]
-        kernels.append(kern)
-    return feats, tau, kernels
+        al, be, th = (float(p[kk]) for p in (params.kernel_alpha, params.kernel_beta,
+                                              params.kernel_theta))
+        kx = gamma_kernel(tau, al, be, th) * design[cols, col]
+        terms = [kx]
+        if grad:
+            z = tau + th
+            logz = np.where(z > 0, np.log(np.maximum(z, 1e-300)), 0.0)
+            invz = np.where(z > 0, 1.0 / np.maximum(z, 1e-300), 0.0)
+            terms += [kx * (np.log(be) - digamma(al) + logz), kx * (al / be - z),
+                      kx * ((al - 1.0) * invz - be)]
+        for f, weights in enumerate(terms):
+            out[f, :, kk] = np.bincount(local, weights, minlength=m)
+    return out
 
 
-def _markov_features(design: np.ndarray, spec: DurationSpec) -> np.ndarray:
-    """Lagged predictor values, shape (n, lags, spillover); zeros before the start."""
+def _add_spillover(xi, feats: np.ndarray, w_prime: np.ndarray):
+    """xi plus the convolution spillover; a row's value does not depend on the others."""
+    for kk in range(w_prime.shape[0]):
+        xi = xi + feats[..., kk] * w_prime[kk]
+    return xi
+
+
+def _markov_features(design: np.ndarray, starts, spec: DurationSpec) -> np.ndarray:
+    """Lagged predictor values, shape (n, lags, spillover); zeros before a segment's start."""
     n = design.shape[0]
     feats = np.zeros((n, spec.lags, spec.n_spill))
     cols = list(spec.spill_indices)
+    # each event's index within its segment
+    pos = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
     for j in range(1, spec.lags + 1):
         if j < n:
             feats[j:, j - 1, :] = design[:n - j, cols]
+            feats[pos < j, j - 1, :] = 0.0
     return feats
+
+
+def _means(onsets, design: Optional[np.ndarray], starts, spec: DurationSpec,
+           params: DurationParams, grad: bool = False):
+    """Checked design rows, mean log-durations xi, spillover features and kernel sums.
+
+    ``starts`` holds the first event of each segment. Features: the
+    convolution's (n, k) or markov's (n, lags, k), else None. Kernel sums:
+    with ``grad``, the convolution's three gradient sums of ``_pair_sums``
+    over every earlier event of the segment, (3, n, k), else None.
+    """
+    check_compatible(spec, params)
+    onsets = np.asarray(onsets, dtype=float)
+    design = check_design(design, spec.p, onsets.shape[0])
+    xi = design @ params.w
+    feats, sums = None, None
+    if spec.mean_variant == "convolution":
+        conv = np.zeros((4 if grad else 1, onsets.shape[0], spec.n_spill))
+        for r0, r1, rows, cols in mathutil._band(onsets, math.inf, starts) if spec.n_spill else ():
+            conv[:, r0:r1] = _pair_sums(onsets, design, rows, cols, r0, r1 - r0, spec, params,
+                                        grad)
+        feats, sums = conv[0], (conv[1:] if grad else None)
+        xi = _add_spillover(xi, feats, params.w_prime)
+    elif spec.mean_variant == "markov" and spec.n_spill:
+        feats = _markov_features(design, starts, spec)
+        xi = xi + np.einsum("njk,jk->n", feats, params.w_prime)
+    return design, xi, feats, sums
 
 
 def duration_means(onsets: np.ndarray, design: Optional[np.ndarray], spec: DurationSpec,
@@ -240,29 +298,7 @@ def duration_means(onsets: np.ndarray, design: Optional[np.ndarray], spec: Durat
 
     ``design`` holds the events' rows, under ``data.check_design``.
     """
-    check_compatible(spec, params)
-    onsets = np.asarray(onsets, dtype=float)
-    return _means(onsets, check_design(design, spec.p, onsets.shape[0]), spec, params)[0]
-
-
-def _means(onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
-           params: DurationParams) -> tuple[np.ndarray, Optional[np.ndarray],
-                                            Optional[np.ndarray], list]:
-    """Mean log-durations xi, with the spillover features and kernels they used.
-
-    Features: the convolution's (n, k) or markov's (n, lags, k), else None.
-    Elapsed times and kernel matrices: the convolution's, else None and [].
-    """
-    xi = design @ params.w
-    feats, tau, kernels = None, None, []
-    if spec.mean_variant == "convolution":
-        feats, tau, kernels = _conv_features(onsets, design, spec, params)
-        if spec.n_spill:
-            xi = xi + feats @ params.w_prime
-    elif spec.mean_variant == "markov" and spec.n_spill:
-        feats = _markov_features(design, spec)
-        xi = xi + np.einsum("njk,jk->n", feats, params.w_prime)
-    return xi, feats, tau, kernels
+    return _means(onsets, design, (0,), spec, params)[1]
 
 
 def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
@@ -270,25 +306,19 @@ def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpe
     """Mean log-duration of event n (0-based) given the events before it, in O(n).
 
     Reads ``onsets[:n + 1]`` and ``design[:n + 1]`` and equals
-    ``duration_means`` of those prefixes at n. The plain and markov means are
-    that very computation, so their value is bitwise the same. The
-    convolution term sums event n's sources as one dot product, which can
-    round differently in the last bits from the matrix product that
-    ``duration_means`` takes over all n + 1 events. The sampler calls it once
-    per event, so it leaves the design rows unchecked.
+    ``duration_means`` of those prefixes at n, bit for bit: the plain and
+    markov means are that very computation, and the convolution forms row n
+    through the same ``_pair_sums`` as the band does.
     """
-    check_compatible(spec, params)
     onsets = np.asarray(onsets, dtype=float)[: n + 1]
     design = np.asarray(design, dtype=float)[: n + 1]
     if spec.mean_variant != "convolution" or not spec.n_spill:
-        return float(_means(onsets, design, spec, params)[0][n])
-    tau = onsets[n] - onsets[:n]
-    feats = np.array([
-        gamma_kernel(tau, float(params.kernel_alpha[kk]), float(params.kernel_beta[kk]),
-                     float(params.kernel_theta[kk])) @ design[:n, col]
-        for kk, col in enumerate(spec.spill_indices)])
+        return float(_means(onsets, design, (0,), spec, params)[1][n])
+    check_compatible(spec, params)
+    feats = _pair_sums(onsets, design, np.full(n, n), np.arange(n), n, 1, spec, params,
+                       grad=False)[0, 0]
     # Row n of the full product, as duration_means forms it.
-    return float((design @ params.w)[n] + feats @ params.w_prime)
+    return float(_add_spillover((design @ params.w)[n], feats, params.w_prime))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,44 +366,22 @@ def duration_loglik(scanpath: Scanpath, design: Optional[np.ndarray],
     return DurationLoglik(_log_density(scanpath.durations, xi, spec, params, grad=False)[0])
 
 
-def duration_loglik_grad(onsets: np.ndarray, durations: np.ndarray, design: np.ndarray,
-                         spec: DurationSpec, params: DurationParams
+def duration_loglik_grad(pd: PathData, spec: DurationSpec, params: DurationParams
                          ) -> tuple[DurationLoglik, dict[str, np.ndarray | float]]:
-    """Log-likelihood and its gradient in constrained parameter space.
+    """Log-likelihood terms of a batch, in path order, and the gradient of their sum.
 
-    Keys: w always; w_prime plus kernel_alpha/kernel_beta/kernel_theta for
-    the convolution variant; w_prime for markov; sigma2 (log-normal) or
-    shape (gamma). ``design`` holds the events' rows, under
-    ``data.check_design``.
+    The gradient is in constrained parameter space. Keys: w always;
+    w_prime plus kernel_alpha/kernel_beta/kernel_theta for the convolution
+    variant; w_prime for markov; sigma2 (log-normal) or shape (gamma).
+    ``pd.design`` holds the events' rows, under ``data.check_design``.
     """
-    check_compatible(spec, params)
-    onsets = np.asarray(onsets, dtype=float)
-    durations = np.asarray(durations, dtype=float)
-    design = check_design(design, spec.p, onsets.shape[0])
-    xi, feats, tau, kernels = _means(onsets, design, spec, params)
-    per, dxi, grads = _log_density(durations, xi, spec, params, grad=True)
+    design, xi, feats, sums = _means(pd.onsets, pd.design, pd.starts, spec, params, grad=True)
+    per, dxi, grads = _log_density(pd.durations, xi, spec, params, grad=True)
     grads["w"] = design.T @ dxi
     if spec.mean_variant == "convolution":
         grads["w_prime"] = feats.T @ dxi
-        d_alpha, d_beta, d_theta = np.zeros((3, spec.n_spill))
-        # Each kernel matrix is 0 on and above the diagonal, and so is each
-        # derivative below, as its factors are finite there.
-        for kk, (col, kern) in enumerate(zip(spec.spill_indices, kernels)):
-            al = float(params.kernel_alpha[kk])
-            be = float(params.kernel_beta[kk])
-            th = float(params.kernel_theta[kk])
-            z = tau + th
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logz = np.where(z > 0, np.log(np.maximum(z, 1e-300)), 0.0)
-                invz = np.where(z > 0, 1.0 / np.maximum(z, 1e-300), 0.0)
-            xcol = design[:, col]
-            wk = float(params.w_prime[kk])
-            d_alpha[kk] = wk * float(dxi @ ((kern * (np.log(be) - digamma(al) + logz)) @ xcol))
-            d_beta[kk] = wk * float(dxi @ ((kern * (al / be - z)) @ xcol))
-            d_theta[kk] = wk * float(dxi @ ((kern * ((al - 1.0) * invz - be)) @ xcol))
-        grads["kernel_alpha"] = d_alpha
-        grads["kernel_beta"] = d_beta
-        grads["kernel_theta"] = d_theta
+        grads["kernel_alpha"], grads["kernel_beta"], grads["kernel_theta"] = (
+            params.w_prime * (dxi @ sums))
     elif feats is not None:
         grads["w_prime"] = np.einsum("n,njk->jk", dxi, feats)
     else:

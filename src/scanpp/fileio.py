@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Box, Rect, Scanpath, TextLayout, _fixation_fault
+from .data import Box, Rect, Scanpath, TextLayout, _check_ids, _fixation_fault
 from .errors import ParseError, ValidationError
 
 SCANPATH_HEADER = ("reader_id", "text_id", "onset", "duration", "x", "y")
@@ -244,6 +244,10 @@ class EffectsTable:
 
     names: tuple[str, ...]
     values: Mapping[tuple[str, str], Mapping[str, Mapping[int, float]]]
+
+    def __post_init__(self):
+        for key in self.values:
+            _check_ids(f"effects of {key!r}", "reader and text ids", *key)
 
     def for_scanpath(self, reader_id: str, text_id: str) -> dict[str, dict[int, float]]:
         """Every declared effect, with an empty mapping where the path has no values."""

@@ -45,8 +45,8 @@ from .duration import (
     DurationParams,
     DurationSpec,
     _log_density,
+    _means,
     duration_loglik_grad,
-    duration_means,
 )
 from .errors import ScanppError, ValidationError
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
@@ -481,17 +481,10 @@ class DurationModel:
         return float(np.sum(self.per_event_loglik(raw, unit))), unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
-        """Log-density of every event of a batch, in path order.
-
-        The spillover features are dense per scanpath, so each segment is
-        evaluated on its own.
-        """
+        """Log-density of every event of a batch, in path order."""
         params = self.unpack(raw)
-        parts = [np.empty(0)]
-        for seg in unit.segments:
-            xi = duration_means(seg.onsets, seg.design, self.spec, params)
-            parts.append(_log_density(seg.durations, xi, self.spec, params, grad=False)[0])
-        return np.concatenate(parts)
+        xi = _means(unit.onsets, unit.design, unit.starts, self.spec, params)[1]
+        return _log_density(unit.durations, xi, self.spec, params, grad=False)[0]
 
     def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
         """The first event with a non-finite term: its scanpath, duration and log-density."""
@@ -505,18 +498,10 @@ class DurationModel:
                 f"duration {unit.durations[k]:.6g} s")
 
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
-        """``loglik_unit`` plus its gradient in the packed vector, segment by segment."""
+        """``loglik_unit`` plus its gradient in the packed vector."""
         raw = np.asarray(raw, dtype=float)
-        params = self.unpack(raw)
-        total, summed = 0.0, {}
-        # An empty batch has no segments; evaluated whole, it gives zero gradients.
-        for seg in unit.segments or (unit,):
-            result, grads = duration_loglik_grad(seg.onsets, seg.durations, seg.design,
-                                                 self.spec, params)
-            total += result.total
-            for key, value in grads.items():
-                summed[key] = summed[key] + value if key in summed else value
-        return total, unit.n, self.layout.chain(raw, summed)
+        result, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
+        return result.total, unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Identity: duration models fit in the packed coordinates."""

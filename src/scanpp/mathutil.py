@@ -1,4 +1,5 @@
-"""Numerical helpers: link functions and stable exponential-interval integrals."""
+"""Numerical helpers: link functions, stable exponential-interval integrals, and
+``_band``, the pair band on which both model families sum over pairs of events."""
 
 from __future__ import annotations
 
@@ -8,6 +9,11 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 LOG2 = float(np.log(2.0))
+
+# Source-target pairs per row block of the band, and point-source pairs that
+# saccade.HistoryState.intensity_at evaluates at once; each temporary array of
+# a block then takes 128 KB.
+_BLOCK_PAIRS = 1 << 14
 
 
 def softplus(x):
@@ -129,6 +135,51 @@ def exp_integrals(b, lo, gap):
     g0 = exp_interval_g0(x)
     return (decay * gap * g0,
             decay * (lo * gap * g0 + gap * gap * exp_interval_g1(x)))
+
+
+def _band(clock: np.ndarray, w: float, starts=(0,)):
+    """Row blocks of the band: (first row, end row, rows, sources) of its pairs.
+
+    A pass over the blocks takes O(n·w) memory and forms no n x n array.
+
+    ``starts`` holds the first row of each segment. Row i keeps the sources
+    lo_i <= j < i of its own segment, where lo_i is the first source at
+    which the running maximum of the segment's clock reaches
+    min(c_{i-1}, c_i) - w, with c_{i-1} = 0 at a segment's first row. So
+    every dropped source is older than w at both ends of event i's window,
+    also where the clock is not monotone; an infinite w keeps every pair
+    within a segment. A block holds at most ``_BLOCK_PAIRS`` pairs, or one
+    row, and no row straddles two blocks.
+    """
+    n = clock.shape[0]
+    if not n:
+        return
+    idx = np.arange(n)
+    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
+    if len(starts) == 1:
+        # One segment: lo_i <= i already, and the offset and clamp below are no-ops.
+        lo = np.searchsorted(np.maximum.accumulate(clock), start - w)
+    else:
+        starts = np.asarray(starts, dtype=np.intp)
+        seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
+        # Segment k's clock, offset by k times the clock's span, lies above
+        # every earlier segment's, so the running maximum of the offset clock
+        # restarts at each segment; the clamp to the segment's first row does
+        # the rest, also where w is infinite. A segment's first row keeps no
+        # sources, so its window start may read the clock of the segment before.
+        offset = seg * (clock.max() - clock.min())
+        lo = np.searchsorted(np.maximum.accumulate(clock + offset), start + offset - w)
+        lo = np.minimum(np.maximum(lo, starts[seg]), idx)
+    ends = np.cumsum(idx - lo)
+    r0 = 0
+    while r0 < n:
+        before = int(ends[r0 - 1]) if r0 else 0
+        r1 = max(int(np.searchsorted(ends, before + _BLOCK_PAIRS, side="right")), r0 + 1)
+        counts = idx[r0:r1] - lo[r0:r1]
+        rows = np.repeat(idx[r0:r1], counts)
+        shift = lo[r0:r1] - (ends[r0:r1] - counts - before)
+        yield r0, r1, rows, np.arange(int(ends[r1 - 1]) - before) + np.repeat(shift, counts)
+        r0 = r1
 
 
 def norm_cdf(z):

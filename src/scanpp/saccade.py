@@ -34,16 +34,11 @@ state, and the sampler grows one by ``HistoryState.append``. Both layers
 share one convention: event times are seconds, locations are pixels, and
 the screen region bounds all spatial mass integrals.
 
-The per-scanpath layer evaluates the self-exciting variant on a band, in
-O(n·w) time and memory, and forms no n x n array. A source's kernel
+The per-scanpath layer evaluates the self-exciting variant on the pair band
+``mathutil._band``, in O(n·w) time and memory. A source's kernel
 a_j·exp(-b_j·age) decays exponentially in its age on the kernel clock c, so
-event i keeps only the sources j < i of its own segment at most w old at
-the start of its window, min(c_{i-1}, c_i), with c_{i-1} = 0 at a segment's
-first event; a source is dropped only once the running maximum of the clock
-up to it is that old, so the rule holds on a clock that runs backwards at an
-overlapping event. Rows go in blocks of at most ``_BLOCK_PAIRS`` kept pairs;
-each row's intensity is complete within its block, and the per-source sums
-of the gradient are scatter-adds over the block's pairs.
+the band runs on c with cutoff w. Each row's intensity is complete within
+its block, and the per-source gradient sums are scatter-adds over its pairs.
 
 The cutoff w is derived on each call from (a, b, nu, sigma2, n), one for the
 whole batch: n is the length of its longest segment, and A and b_min below
@@ -90,6 +85,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import mathutil
 from .data import Rect, Scanpath, check_design
 from .errors import DomainError, UsageError, ValidationError
 from .mathutil import (
@@ -261,8 +257,8 @@ class PathData:
         """One batch holding the segments of ``units``, in order.
 
         No units give an empty batch of no segments. The batch reuses each
-        unit's kernel clock and segments, so building one per minibatch
-        repeats no per-path work.
+        unit's kernel clock, so building one per minibatch repeats no
+        per-path work.
         """
         units = tuple(units)
         if len(units) == 1:
@@ -281,7 +277,6 @@ class PathData:
                     starts=np.concatenate([u.starts + k for u, k in zip(units, offsets)]),
                     labels=tuple(label for u in units for label in u.labels))
         batch.__dict__["clock"] = np.concatenate([u.clock for u in units])
-        batch.__dict__["segments"] = tuple(s for u in units for s in u.segments)
         return batch
 
     @property
@@ -296,15 +291,6 @@ class PathData:
     def lengths(self) -> np.ndarray:
         """Event count of each segment."""
         return np.concatenate((self.starts[1:], [self.n])) - self.starts
-
-    @cached_property
-    def segments(self) -> tuple["PathData", ...]:
-        """Each segment as a one-scanpath ``PathData`` of views."""
-        if self.starts.shape[0] == 1:
-            return (self,)
-        return tuple(PathData(self.onsets[lo:lo + k], self.durations[lo:lo + k],
-                              self.locations[lo:lo + k], self.design[lo:lo + k], label)
-                     for lo, k, label in zip(self.starts, self.lengths, self.labels))
 
     @cached_property
     def after_first(self) -> np.ndarray:
@@ -408,11 +394,6 @@ def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
         mu = mu + X @ params.C.T
     return mu
 
-
-# Point-source pairs HistoryState.intensity_at evaluates at once, and
-# source-target pairs per row block of the band; each temporary array of a
-# block then takes 128 KB.
-_BLOCK_PAIRS = 1 << 14
 
 # Most that dropping the sources beyond the band's cutoff may change an
 # event's log-density, or its contribution to a gradient entry, in nats.
@@ -598,7 +579,7 @@ class HistoryState:
     def intensity_at(self, t: float, points) -> np.ndarray:
         """Conditional intensity at time t at each row of an (m, 2) array of points.
 
-        Points go in blocks of at most ``_BLOCK_PAIRS`` point-source pairs,
+        Points go in blocks of at most ``mathutil._BLOCK_PAIRS`` point-source pairs,
         so memory stays bounded on fine grids and long histories. Each value
         is bit-identical to the one-point case, ``intensity``.
         """
@@ -613,7 +594,7 @@ class HistoryState:
             return nu + _density(points, self.locations[-1:], s2)[:, 0]
         phi = self.kernels(t)
         out = np.empty(points.shape[0])
-        step = max(1, _BLOCK_PAIRS // n)
+        step = max(1, mathutil._BLOCK_PAIRS // n)
         for lo in range(0, points.shape[0], step):
             psi = _density(points[lo:lo + step], self.mu, s2)
             psi *= phi
@@ -715,47 +696,6 @@ def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> f
     return w if math.isfinite(w) else math.inf
 
 
-def _band(clock: np.ndarray, w: float, starts=(0,)):
-    """Row blocks of the band: (first row, end row, rows, sources) of its pairs.
-
-    ``starts`` holds the first row of each segment. Row i keeps the sources
-    lo_i <= j < i of its own segment, where lo_i is the first source at
-    which the running maximum of the segment's clock reaches
-    min(c_{i-1}, c_i) - w. So every dropped source is older than w at both
-    ends of event i's window, also where the clock is not monotone. A block
-    holds at most ``_BLOCK_PAIRS`` pairs, or one row.
-    """
-    n = clock.shape[0]
-    if not n:
-        return
-    idx = np.arange(n)
-    start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
-    if len(starts) == 1:
-        # One segment: lo_i <= i already, and the offset and clamp below are no-ops.
-        lo = np.searchsorted(np.maximum.accumulate(clock), start - w)
-    else:
-        starts = np.asarray(starts, dtype=np.intp)
-        seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
-        # Segment k's clock, offset by k times the clock's span, lies above
-        # every earlier segment's, so the running maximum of the offset clock
-        # restarts at each segment; the clamp to the segment's first row does
-        # the rest, also where w is infinite. A segment's first row keeps no
-        # sources, so its window start may read the clock of the segment before.
-        offset = seg * (clock.max() - clock.min())
-        lo = np.searchsorted(np.maximum.accumulate(clock + offset), start + offset - w)
-        lo = np.minimum(np.maximum(lo, starts[seg]), idx)
-    ends = np.cumsum(idx - lo)
-    r0 = 0
-    while r0 < n:
-        before = int(ends[r0 - 1]) if r0 else 0
-        r1 = max(int(np.searchsorted(ends, before + _BLOCK_PAIRS, side="right")), r0 + 1)
-        counts = idx[r0:r1] - lo[r0:r1]
-        rows = np.repeat(idx[r0:r1], counts)
-        shift = lo[r0:r1] - (ends[r0:r1] - counts - before)
-        yield r0, r1, rows, np.arange(int(ends[r1 - 1]) - before) + np.repeat(shift, counts)
-        r0 = r1
-
-
 def _last_fixation_terms(pd: PathData, params: SaccadeParams, omega: Rect, gaps: np.ndarray,
                          lam: np.ndarray, comp: np.ndarray, grad: bool) -> dict:
     """Add the excitation of each event ``pd.after_first`` by the fixation before it.
@@ -800,7 +740,7 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
     sum_mu = np.zeros((pd.n, 2))
     sum_s2 = 0.0
     w = _window(a, b, params.nu, s2, int(pd.lengths.max(initial=0)))
-    for r0, r1, rows, cols in _band(clock, w, pd.starts):
+    for r0, r1, rows, cols in mathutil._band(clock, w, pd.starts):
         if not cols.size:
             continue
         bj = b[cols]

@@ -257,6 +257,11 @@ def loads_fit(text: str) -> LoadedFit:
     return LoadedFit(model=model, result=result)
 
 
+_REPORT_FIELDS = {"model": str, "baseline": str, "dataset_variant": str, "replicates": int,
+                  "seed": int, "test_events": int, "mean": float, "ci_low": float,
+                  "ci_high": float}
+
+
 def dumps_report(report: ComparisonReport) -> str:
     lines = [REPORT_MAGIC,
              f"model {report.model}",
@@ -276,17 +281,18 @@ def dumps_reports(reports: Sequence[ComparisonReport]) -> str:
 
 
 def loads_report(text: str) -> ComparisonReport:
-    entries = _collect(text, REPORT_MAGIC)
-    fields = {key: rest for _, key, rest in entries}
+    fields = {}
+    for lineno, key, rest in _collect(text, REPORT_MAGIC):
+        if key not in _REPORT_FIELDS:
+            raise ParseError(f"unknown key {key!r}", line=lineno)
+        fields[key] = _number(rest, lineno, _REPORT_FIELDS[key])
     try:
-        summary = Bootstrap(mean=float(fields["mean"]), low=float(fields["ci_low"]),
-                            high=float(fields["ci_high"]),
-                            replicates=int(fields["replicates"]),
-                            seed=int(fields["seed"]))
+        summary = Bootstrap(mean=fields["mean"], low=fields["ci_low"], high=fields["ci_high"],
+                            replicates=fields["replicates"], seed=fields["seed"])
         return ComparisonReport(model=fields["model"], baseline=fields["baseline"],
                                 values=np.empty(0), summary=summary,
                                 dataset_variant=fields["dataset_variant"],
-                                test_events=int(fields["test_events"]))
+                                test_events=fields["test_events"])
     except KeyError as exc:
         raise ParseError(f"report document is missing {exc.args[0]!r}") from None
 

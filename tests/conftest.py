@@ -2,11 +2,41 @@ import numpy as np
 import pytest
 
 import scanpp as sp
+from scanpp import mathutil
 
 
 @pytest.fixture
 def omega():
     return sp.Rect(0.0, 0.0, 1024.0, 768.0)
+
+
+# every character on which str.splitlines, and so the loaders, break a line
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+
+
+def shrink_blocks(monkeypatch):
+    """Cap the band's blocks at 20 pairs, and record each block the band yields.
+
+    Returns a list that fills with (rows, pairs) per block as the band runs.
+    """
+    monkeypatch.setattr(mathutil, "_BLOCK_PAIRS", 20)
+    blocks = []
+    band = mathutil._band
+
+    def recorded(*args):
+        for block in band(*args):
+            blocks.append((block[1] - block[0], block[3].size))
+            yield block
+
+    monkeypatch.setattr(mathutil, "_band", recorded)
+    return blocks
+
+
+def assert_shrunk(blocks, at_least):
+    """At least ``at_least`` blocks were taken, each of 20 pairs at most or one row."""
+    assert len(blocks) >= at_least
+    assert all(size <= 20 or rows == 1 for rows, size in blocks)
 
 
 def make_fixations(times_durs, locs):

@@ -381,6 +381,26 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.endswith(f"\nERROR line {at + 1}: {message}\n")
 
+    REPORT = ("scanpp-report 1\nmodel hawkes\nbaseline poisson\ndataset_variant all\n"
+              "replicates 200\nseed 0\ntest_events 12\nmean 0.5\nci_low 0.1\nci_high 0.9\n")
+
+    def test_report_document_loads(self):
+        report = serialize.loads_report(self.REPORT)
+        assert (report.model, report.baseline, report.test_events) == ("hawkes", "poisson", 12)
+        assert (report.summary.mean, report.summary.replicates) == (0.5, 200)
+        assert serialize.dumps_report(report) == self.REPORT
+
+    @pytest.mark.parametrize("good,bad,message", [
+        ("mean 0.5", "mean abc", "line 8: bad float 'abc'"),
+        ("ci_high 0.9", "ci_high", "line 10: bad float ''"),
+        ("replicates 200", "replicates 2.5", "line 5: bad integer '2.5'"),
+        ("test_events 12", "test_events x", "line 7: bad integer 'x'"),
+        ("seed 0", "sede 0", "line 6: unknown key 'sede'"),
+    ])
+    def test_malformed_report_is_parse_error(self, good, bad, message):
+        with pytest.raises(sp.ParseError, match=f"^{message}$"):
+            serialize.loads_report(self.REPORT.replace(good, bad))
+
 
 class TestSimulate:
     def poisson_params(self, tmp_path, nu=2e-5):

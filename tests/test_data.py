@@ -5,7 +5,7 @@ import scanpp as sp
 from scanpp.data import Box, POOLED_READER
 from scanpp.fileio import dumps_scanpaths, loads_scanpaths
 
-from conftest import make_fixations, on_word, random_scanpath
+from conftest import LINE_BREAKS, make_fixations, on_word, random_scanpath
 
 
 def path_on_words(layout, word_seq, durations, reader="r1"):
@@ -112,9 +112,7 @@ class TestScanpathColumns:
                                                      r"duration must be > 0, got 0.0$"):
             loads_scanpaths(text)
 
-    # every character on which str.splitlines, and so the loader, breaks a line
-    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d",
-                                     "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
     def test_ids_with_a_line_break_rejected(self, brk):
         locs = np.zeros((1, 2))
         for reader_id, text_id in ((f"r{brk}1", "t"), ("r", f"t{brk}"), (brk, "t")):

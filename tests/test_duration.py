@@ -1,10 +1,13 @@
+import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import dense_duration as dense
 import scanpp as sp
 from scanpp.duration import (
     DurationParams,
@@ -21,7 +24,12 @@ from scanpp.duration import (
     lognormal_logpdf,
 )
 
-from conftest import make_fixations
+from conftest import assert_shrunk, make_fixations, shrink_blocks
+
+
+def path_data(onsets, durations, design):
+    """The events as a one-scanpath batch; the duration models read no locations."""
+    return sp.PathData(onsets, durations, np.zeros((len(onsets), 2)), design)
 
 
 def two_event_path():
@@ -104,6 +112,12 @@ class TestSpecValidation:
     def test_markov_needs_lags(self):
         with pytest.raises(sp.ValidationError):
             DurationSpec(mean_variant="markov", spillover=("e",), columns=("e",), lags=0)
+
+    @pytest.mark.parametrize("variant,spillover", [("plain", ()), ("convolution", ()),
+                                                   ("convolution", ("e",))])
+    def test_only_markov_takes_lags(self, variant, spillover):
+        with pytest.raises(sp.ValidationError, match="the .* mean has no lags"):
+            DurationSpec(mean_variant=variant, spillover=spillover, columns=("e",), lags=3)
 
     def test_param_shape_mismatch(self):
         spec = DurationSpec(mean_variant="markov", spillover=("e",),
@@ -194,8 +208,9 @@ class TestDesignRows:
             sp.duration_loglik(path, None, spec, params)
         with pytest.raises(sp.UsageError, match="design rows"):
             sp.duration_means(path.onsets, None, spec, params)
-        with pytest.raises(sp.UsageError, match="design rows"):
-            duration_loglik_grad(path.onsets, path.durations, None, spec, params)
+        # a PathData always holds rows, by default none, so those are of the wrong shape
+        with pytest.raises(sp.ValidationError, match="design rows"):
+            duration_loglik_grad(sp.PathData.from_scanpath(path), spec, params)
 
     @pytest.mark.parametrize("design", [np.ones((2, 2)), np.ones((3, 1)), np.ones(2)])
     def test_design_shape_checked(self, design):
@@ -204,8 +219,9 @@ class TestDesignRows:
             sp.duration_loglik(path, design, spec, params)
         with pytest.raises(sp.ValidationError, match="design rows"):
             sp.duration_means(path.onsets, design, spec, params)
-        with pytest.raises(sp.ValidationError, match="design rows"):
-            duration_loglik_grad(path.onsets, path.durations, design, spec, params)
+        if design.shape == (2, 2):
+            with pytest.raises(sp.ValidationError, match="design rows"):
+                duration_loglik_grad(sp.PathData.from_scanpath(path, design), spec, params)
 
 
 def mean_setup(variant, distribution, rng, n=40):
@@ -243,9 +259,8 @@ class TestEventMean:
         got = [event_mean(n, onsets, design, spec, params) for n in range(len(onsets))]
         want = [duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
                 for n in range(len(onsets))]
-        # the spillover sum is a dot product here and a matrix product there;
-        # 40 terms of size O(1) round apart by at most about 40 * 2.2e-16
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+        # row n's spillover sums its pairs in the same order in both
+        assert got == want
 
     @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
     def test_convolution_bitwise_without_spillover_values(self, distribution):
@@ -265,10 +280,11 @@ class TestEventMean:
 
 
 def fd_check(spec, params, onsets, durations, design, fields, eps=1e-6, tol=2e-5):
-    _, grads = duration_loglik_grad(onsets, durations, design, spec, params)
+    pd = path_data(onsets, durations, design)
+    _, grads = duration_loglik_grad(pd, spec, params)
 
     def total(p):
-        ll, _ = duration_loglik_grad(onsets, durations, design, spec, p)
+        ll, _ = duration_loglik_grad(pd, spec, p)
         return ll.total
 
     for field in fields:
@@ -330,7 +346,8 @@ class TestGradients:
         durations = rng.uniform(0.1, 0.4, size=n)
         spec = DurationSpec(mean_variant="convolution", columns=("c",))
         params = DurationParams.initial(spec, sigma2=0.7).replace(w=np.array([-1.2]))
-        _, grads = duration_loglik_grad(onsets, durations, np.ones((n, 1)), spec, params)
+        _, grads = duration_loglik_grad(path_data(onsets, durations, np.ones((n, 1))), spec,
+                                        params)
         for key in ("w_prime", "kernel_alpha", "kernel_beta", "kernel_theta"):
             assert grads[key].shape == (0,), key
         fd_check(spec, params, onsets, durations, np.ones((n, 1)), ("w", "sigma2"))
@@ -344,6 +361,96 @@ class TestGradients:
         spec = DurationSpec(columns=("c",))
         params = DurationParams.initial(spec, sigma2=0.7).replace(w=np.array([-1.2]))
         fd_check(spec, params, onsets, durations, design, ("w", "sigma2"))
+
+
+SEGMENTS = (0, 1, 2, 90, 1500)
+
+
+def duration_units(lengths, seed=31):
+    """Scanpaths of the given lengths over columns (c, e, f), c = 1, e and f normal."""
+    rng = np.random.default_rng(seed)
+    units = []
+    for k, m in enumerate(lengths):
+        onsets = np.cumsum(rng.uniform(0.1, 0.5, m))
+        design = np.column_stack([np.ones(m), rng.normal(size=(m, 2))])
+        units.append(sp.PathData(onsets, rng.uniform(0.1, 0.4, m), np.zeros((m, 2)), design,
+                                 f"r{k}/t{k}"))
+    return units
+
+
+def spill_case(variant, distribution, n_spill):
+    """A spec over (c, e, f) with the first n_spill of (e, f) spilling over."""
+    spec = DurationSpec(mean_variant=variant, spillover=("e", "f")[:n_spill],
+                        lags=3 if variant == "markov" else 0, distribution=distribution,
+                        columns=("c", "e", "f"))
+    params = DurationParams.initial(spec, sigma2=0.3).replace(
+        w=np.array([math.log(0.2), 0.1, -0.05]), shape=4.0)
+    if variant == "convolution":
+        params = params.replace(w_prime=np.array([0.3, -0.2][:n_spill]),
+                                kernel_alpha=np.array([2.2, 3.0][:n_spill]),
+                                kernel_beta=np.array([3.0, 5.0][:n_spill]),
+                                kernel_theta=np.array([0.05, 0.0][:n_spill]))
+    elif variant == "markov":
+        params = params.replace(w_prime=np.array([[0.3, -0.2], [0.1, 0.05],
+                                                  [-0.1, 0.2]])[:, :n_spill])
+    return spec, params
+
+
+@functools.lru_cache(maxsize=None)
+def dense_convolution(distribution, n_spill):
+    spec, params = spill_case("convolution", distribution, n_spill)
+    return dense.loglik_grad(sp.PathData.concat(duration_units(SEGMENTS)), spec, params)
+
+
+def assert_matches(got, grads, want, want_grads):
+    """Every per-event term and every gradient entry within 1e-12, relative or absolute."""
+    np.testing.assert_allclose(got.per_event, want.per_event, rtol=1e-12, atol=1e-12)
+    assert list(grads) == list(want_grads)
+    for key, value in want_grads.items():
+        np.testing.assert_allclose(grads[key], value, rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+class TestBandAgainstDense:
+    @pytest.mark.parametrize("tiny", [False, True], ids=["blocks", "tiny-blocks"])
+    @pytest.mark.parametrize("n_spill", [0, 1, 2])
+    @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
+    def test_convolution(self, monkeypatch, distribution, n_spill, tiny):
+        spec, params = spill_case("convolution", distribution, n_spill)
+        batch = sp.PathData.concat(duration_units(SEGMENTS))
+        if tiny:
+            blocks = shrink_blocks(monkeypatch)
+        got, grads = duration_loglik_grad(batch, spec, params)
+        assert_matches(got, grads, *dense_convolution(distribution, n_spill))
+        if tiny and n_spill:
+            # every pair within a segment, 20 to a block or one long row alone
+            assert_shrunk(blocks, 1400)
+            assert sum(size for _, size in blocks) == sum(m * (m - 1) // 2 for m in SEGMENTS)
+
+    @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
+    def test_markov_lags_stay_in_their_scanpath(self, distribution):
+        spec, params = spill_case("markov", distribution, 2)
+        units = duration_units((0, 1, 2, 90, 3, 40))
+        batch = sp.PathData.concat(units)
+        got, grads = duration_loglik_grad(batch, spec, params)
+        per_path = [duration_loglik_grad(u, spec, params) for u in units]
+        np.testing.assert_array_equal(got.per_event,
+                                      np.concatenate([r.per_event for r, _ in per_path]))
+        want_grads = {key: sum(g[key] for _, g in per_path) for key in grads}
+        assert_matches(got, grads, got, want_grads)
+        assert_matches(got, grads, *dense.loglik_grad(batch, spec, params))
+
+    def test_long_path_memory(self):
+        spec, params = spill_case("convolution", "lognormal", 1)
+        (unit,) = duration_units((4000,))
+        tracemalloc.start()
+        try:
+            result, grads = duration_loglik_grad(unit, spec, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(result.per_event)) and np.all(np.isfinite(grads["kernel_alpha"]))
+        # one dense n x n array at n = 4000 takes 128 MB
+        assert peak < 32 * 2**20
 
 
 class TestLinearFit:

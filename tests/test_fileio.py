@@ -4,7 +4,7 @@ import pytest
 import scanpp as sp
 import scanpp.fileio as fio
 
-from conftest import make_fixations
+from conftest import LINE_BREAKS, make_fixations
 
 
 @pytest.fixture
@@ -109,6 +109,18 @@ class TestLayoutFiles:
         assert layout.boxes[1].word_index is None
         assert layout.boxes[1].is_whitespace
 
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_text_id_with_a_line_break_rejected(self, word_layout, brk):
+        for text_id in (f"t{brk}1", f"t{brk}", brk):
+            with pytest.raises(sp.ValidationError, match=r"^layout .*: the text id must hold "
+                                                         "no line break$"):
+                sp.TextLayout(text_id, word_layout.screen, word_layout.boxes)
+
+    @pytest.mark.parametrize("text_id", ["t,1", 't "a", b', " t ", "текст", ""])
+    def test_text_id_without_a_line_break_round_trips(self, word_layout, text_id):
+        layout = sp.TextLayout(text_id, word_layout.screen, word_layout.boxes)
+        assert fio.loads_layouts(fio.dumps_layouts([layout])) == {text_id: layout}
+
     def test_box_outside_screen_rejected(self):
         text = ("# screen=100x100\n"
                 "text_id,glyph,x0,y0,w,h,word_index,char_index,is_whitespace\n"
@@ -131,6 +143,19 @@ class TestEffectsFiles:
         dumped = fio.dumps_effects(table)
         assert fio.loads_effects(dumped).values == table.values
         assert fio.dumps_effects(fio.loads_effects(dumped)) == dumped
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_ids_with_a_line_break_rejected(self, brk):
+        for key in ((f"r{brk}1", "t"), ("r", f"t{brk}"), (brk, "t")):
+            with pytest.raises(sp.ValidationError, match=r"^effects of \(.*\): reader and text "
+                                                         "ids must hold no line break$"):
+                fio.EffectsTable(("freq",), {("r", "t"): {}, key: {"freq": {0: 1.0}}})
+
+    @pytest.mark.parametrize("reader_id,text_id", [("r,1", 't "a", b'), ('"r"', "t\t1"),
+                                                   (" r ", "текст"), ("", "")])
+    def test_ids_without_a_line_break_round_trip(self, reader_id, text_id):
+        table = fio.EffectsTable(("freq",), {(reader_id, text_id): {"freq": {0: 1.5}}})
+        assert fio.loads_effects(fio.dumps_effects(table)).values == table.values
 
     def test_unknown_scanpath_gets_empty_maps(self):
         text = ("reader_id,text_id,fixation_index,effect_name,value\n"

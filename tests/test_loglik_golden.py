@@ -111,7 +111,8 @@ def sections():
         sp.Fixation(t, x, y, d) for t, (x, y), d in zip(unit.onsets, unit.locations,
                                                        unit.durations)))
     for name, spec, params in duration_cases():
-        result, grads = duration_loglik_grad(unit.onsets, unit.durations, design, spec, params)
+        result, grads = duration_loglik_grad(
+            sp.PathData(unit.onsets, unit.durations, unit.locations, design), spec, params)
         text = [line("terms", result.per_event),
                 line("duration_loglik", duration_loglik(scanpath, design, spec, params).per_event)]
         text += [line(f"grad {key}", value) for key, value in grads.items()]

@@ -8,7 +8,7 @@ from scipy import integrate
 
 import dense_saccade as dense
 import scanpp as sp
-from scanpp import saccade
+from scanpp import mathutil, saccade
 from scanpp.plotting import split_at_time
 from scanpp.saccade import (
     compensator_increments,
@@ -17,7 +17,7 @@ from scanpp.saccade import (
     spatial_mass,
 )
 
-from conftest import make_fixations, small_instance
+from conftest import assert_shrunk, make_fixations, shrink_blocks, small_instance
 from test_golden import OMEGA as RSE_OMEGA, rse_model
 
 
@@ -268,8 +268,14 @@ class TestHistoryState:
         assert np.array_equal(scalar, reference)
         assert np.array_equal(state.intensity_at(t, points), scalar)
         # 37 points in blocks of max(1, 20 // n) rows: a ragged last block
-        monkeypatch.setattr(sp.saccade, "_BLOCK_PAIRS", 20)
+        monkeypatch.setattr(mathutil, "_BLOCK_PAIRS", 20)
+        rows = []
+        density = saccade._density
+        monkeypatch.setattr(saccade, "_density",
+                            lambda p, c, s2: rows.append(len(p)) or density(p, c, s2))
         assert np.array_equal(state.intensity_at(t, points), scalar)
+        if variant == "hawkes" and n:
+            assert sum(rows) == 37 and max(rows) == max(1, 20 // n)
 
     def test_columns_require_history_design(self):
         path, X, spec, params, _ = history_case("hawkes", "full", "softplus", True, 3)
@@ -607,7 +613,7 @@ def assert_matches_dense(pd, spec, params, omega):
 def kept_pairs(pd, spec, params):
     state = sp.HistoryState.from_path(pd, spec, params)
     w = saccade._window(state.a, state.b, params.nu, params.sigma2, pd.n)
-    return sum(cols.size for *_, cols in saccade._band(pd.clock, w)), w
+    return sum(cols.size for *_, cols in mathutil._band(pd.clock, w)), w
 
 
 @pytest.fixture(scope="module")
@@ -656,8 +662,10 @@ class TestBandAgainstDense:
         pd = sp.PathData.from_scanpath(path, X)
         assert_matches_dense(pd, spec, params, omega)
         # blocks of 20 pairs: most rows alone in a block, many longer than it
-        monkeypatch.setattr(saccade, "_BLOCK_PAIRS", 20)
+        blocks = shrink_blocks(monkeypatch)
         assert_matches_dense(pd, spec, params, omega)
+        if variant == "hawkes":
+            assert_shrunk(blocks, 10 if n == 90 else 0)
 
     def test_long_path_drops_most_pairs(self, rse_long):
         pd = prefix(rse_long, 1500)
@@ -803,7 +811,7 @@ def batch_kept_pairs(batch, spec, params):
     w = saccade._window(state.a, state.b, params.nu, params.sigma2, int(batch.lengths.max()))
     seg = segment_ids(batch)
     kept = 0
-    for _, _, rows, cols in saccade._band(batch.clock, w, batch.starts):
+    for _, _, rows, cols in mathutil._band(batch.clock, w, batch.starts):
         assert np.array_equal(seg[rows], seg[cols])
         kept += cols.size
     return kept, w
@@ -838,7 +846,6 @@ class TestPathDataBatch:
         assert batch.after_first.tolist() == [1, 2, 3, 6, 7]
         assert [batch.locate(k) for k in (0, 3, 4, 5, 7)] == [
             ("p0", 0), ("p0", 3), ("p2", 0), ("p3", 0), ("p3", 2)]
-        assert [s.n for s in batch.segments] == [4, 0, 1, 3]
         # the same batch built from its arrays computes the same clock
         direct = sp.PathData(batch.onsets, batch.durations, batch.locations, batch.design,
                              starts=batch.starts, labels=batch.labels)
@@ -847,7 +854,7 @@ class TestPathDataBatch:
         moved = batch.with_locations(batch.locations * 2.0)
         assert moved.labels == batch.labels and np.array_equal(moved.starts, batch.starts)
         assert moved.clock is batch.clock
-        assert np.array_equal(moved.segments[3].locations, 2.0 * units[3].locations)
+        assert np.array_equal(moved.locations[5:], 2.0 * units[3].locations)
         assert sp.PathData.concat(units[:1]) is units[0]
         empty = sp.PathData.concat([])
         assert empty.n == 0 and empty.labels == () and empty.clock.size == 0
@@ -868,7 +875,7 @@ class TestPathDataBatch:
     def test_single_path_is_a_batch_of_one(self):
         pd = random_segment(np.random.default_rng(4), 5, sp.Rect(0, 0, 3, 2), 2, "r/t")
         assert pd.starts.tolist() == [0] and pd.labels == ("r/t",)
-        assert pd.segments == (pd,) and pd.after_first.tolist() == [1, 2, 3, 4]
+        assert pd.after_first.tolist() == [1, 2, 3, 4]
         assert pd.locate(3) == ("r/t", 3)
 
     @pytest.mark.parametrize("starts,labels", [([1, 3], ("a", "b")), ([0, 3, 2], "abc"),
@@ -895,8 +902,10 @@ class TestBatchAgainstPerPath:
                  for k, m in enumerate(LENGTHS)]
         assert_batch_matches(units, spec, params, omega)
         # blocks of 20 pairs, which straddle segment boundaries
-        monkeypatch.setattr(saccade, "_BLOCK_PAIRS", 20)
+        blocks = shrink_blocks(monkeypatch)
         assert_batch_matches(units, spec, params, omega)
+        if variant == "hawkes":
+            assert_shrunk(blocks, 10)
 
     def test_banded_segments(self, monkeypatch):
         units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5])
@@ -906,9 +915,9 @@ class TestBatchAgainstPerPath:
         assert terms.invalid_count == 0
         # at one cutoff, the batch keeps exactly each segment's own band
         pairs = np.concatenate([np.stack([rows, cols]) for *_, rows, cols
-                                in saccade._band(batch.clock, w, batch.starts)], axis=1)
+                                in mathutil._band(batch.clock, w, batch.starts)], axis=1)
         want = np.concatenate([np.stack([rows, cols]) + lo for u, lo in zip(units, batch.starts)
-                               for *_, rows, cols in saccade._band(u.clock, w)], axis=1)
+                               for *_, rows, cols in mathutil._band(u.clock, w)], axis=1)
         assert np.array_equal(pairs, want)
         # and the cutoff is the batch's: its largest a, smallest b, longest segment
         calls = []
