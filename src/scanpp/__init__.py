@@ -85,7 +85,6 @@ from .saccade import (
     intensity,
     log_density,
     scanpath_loglik,
-    spatial_mean,
 )
 from .serialize import (
     dumps_fit,

@@ -31,14 +31,7 @@ from .data import (
 )
 from .duration import DurationParams, DurationSpec
 from .errors import ParseError, ScanppError, UsageError, ValidationError
-from .evaluate import (
-    ComparisonReport,
-    _block_labels,
-    _units,
-    bootstrap,
-    delta_loglik,
-    model_name,
-)
+from .evaluate import _block_labels, _compare, _units, model_name
 from .fit import DurationModel, GridSpec, SaccadeModel, TrainConfig, grid_search, split, train
 from .plotting import plot_intensity
 from .saccade import PathData, SaccadeSpec
@@ -284,13 +277,9 @@ def cmd_eval(args) -> int:
     reports = []
     for loaded in others:
         vals = _test_per_event(loaded, scanpaths, idx_split.test, effects)
-        deltas = delta_loglik(vals, base_vals)
-        summary = bootstrap(deltas, replicates=args.replicates,
-                            seed=args.bootstrap_seed, blocks=blocks)
-        report = ComparisonReport(model=_model_label(loaded.model),
-                                  baseline=_model_label(base.model), values=deltas,
-                                  summary=summary, dataset_variant=args.variant_tag,
-                                  test_events=int(deltas.size))
+        report = _compare(_model_label(loaded.model), _model_label(base.model), vals,
+                          base_vals, args.replicates, args.bootstrap_seed, blocks,
+                          args.variant_tag)
         log.info("%s vs %s: mean %s, CI [%s, %s] over %d fixations",
                  report.model, report.baseline, fileio.format_float(report.mean),
                  fileio.format_float(report.summary.low),

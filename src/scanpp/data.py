@@ -101,7 +101,7 @@ class Fixation:
 
 
 def _check_ids(owner: str, what: str, *ids: str) -> None:
-    """Reject ids holding a line break, which would split their rows in a file."""
+    """Reject ids, names or glyphs holding a line break, which would split their rows in a file."""
     if any(i.splitlines() not in ([], [i]) for i in ids):
         raise ValidationError(f"{owner}: {what} must hold no line break")
 
@@ -189,6 +189,7 @@ class Box:
     is_whitespace: bool
 
     def __post_init__(self):
+        _check_ids(f"box {self.glyph!r} (char {self.char_index})", "the glyph", self.glyph)
         if self.is_whitespace != (self.word_index is None):
             raise ValidationError(
                 f"box {self.glyph!r} (char {self.char_index}): whitespace boxes must have no "

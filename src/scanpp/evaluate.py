@@ -171,6 +171,19 @@ class ComparisonReport:
         return self.summary.low > 0.0 or self.summary.high < 0.0
 
 
+def _compare(model: str, baseline: str, model_values: np.ndarray,
+             baseline_values: np.ndarray, replicates: int, seed: int,
+             blocks: Optional[np.ndarray], dataset_variant: str) -> ComparisonReport:
+    """The report of a model against a baseline from their per-event test values.
+
+    ``compare_suite`` and ``scanpp eval`` both build their reports here.
+    """
+    values = delta_loglik(model_values, baseline_values)
+    summary = bootstrap(values, replicates=replicates, seed=seed, blocks=blocks)
+    return ComparisonReport(model=model, baseline=baseline, values=values, summary=summary,
+                            dataset_variant=dataset_variant, test_events=int(values.size))
+
+
 @dataclass(frozen=True, eq=False)
 class SuiteMember:
     """One fitted model of a comparison suite."""
@@ -240,11 +253,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             continue
         members.append(member)
         prev = member.result
-        values = delta_loglik(member.test_per_event, baseline.test_per_event)
-        summary = bootstrap(values, replicates=replicates, seed=bootstrap_seed,
-                            blocks=blocks)
-        reports.append(ComparisonReport(
-            model=member.name, baseline=baseline.name, values=values,
-            summary=summary, dataset_variant=dataset_variant,
-            test_events=int(values.size)))
+        reports.append(_compare(member.name, baseline.name, member.test_per_event,
+                                baseline.test_per_event, replicates, bootstrap_seed, blocks,
+                                dataset_variant))
     return reports, members

@@ -246,6 +246,8 @@ class EffectsTable:
     values: Mapping[tuple[str, str], Mapping[str, Mapping[int, float]]]
 
     def __post_init__(self):
+        for name in self.names:
+            _check_ids(f"effect {name!r}", "the effect name", name)
         for key in self.values:
             _check_ids(f"effects of {key!r}", "reader and text ids", *key)
 

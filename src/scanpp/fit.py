@@ -311,10 +311,10 @@ class SaccadeModel:
 
     kind = "saccade"
 
-    def __init__(self, spec: SaccadeSpec, omega: Rect, rescale: bool = True):
+    def __init__(self, spec: SaccadeSpec, omega: Rect):
         self.spec = spec
         self.omega = omega
-        self.scale = max(omega.width, omega.height) if rescale else 1.0
+        self.scale = max(omega.width, omega.height)
         L = self.scale
         self.omega_s = Rect(omega.x0 / L, omega.y0 / L, omega.width / L, omega.height / L)
         self.log_jac = 2.0 * math.log(L)

@@ -156,20 +156,17 @@ def _band(clock: np.ndarray, w: float, starts=(0,)):
         return
     idx = np.arange(n)
     start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
-    if len(starts) == 1:
-        # One segment: lo_i <= i already, and the offset and clamp below are no-ops.
-        lo = np.searchsorted(np.maximum.accumulate(clock), start - w)
-    else:
-        starts = np.asarray(starts, dtype=np.intp)
-        seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
-        # Segment k's clock, offset by k times the clock's span, lies above
-        # every earlier segment's, so the running maximum of the offset clock
-        # restarts at each segment; the clamp to the segment's first row does
-        # the rest, also where w is infinite. A segment's first row keeps no
-        # sources, so its window start may read the clock of the segment before.
-        offset = seg * (clock.max() - clock.min())
-        lo = np.searchsorted(np.maximum.accumulate(clock + offset), start + offset - w)
-        lo = np.minimum(np.maximum(lo, starts[seg]), idx)
+    starts = np.asarray(starts, dtype=np.intp)
+    seg = np.repeat(np.arange(starts.shape[0]), np.concatenate((starts[1:], [n])) - starts)
+    # Segment k's clock, offset by k times the clock's span, lies above every
+    # earlier segment's, so the running maximum of the offset clock restarts
+    # at each segment; the clamp to the segment's first row does the rest,
+    # also where w is infinite. A segment's first row keeps no sources, so its
+    # window start may read the clock of the segment before. With one segment
+    # the offset is zero and the clamp changes nothing.
+    offset = seg * (clock.max() - clock.min())
+    lo = np.searchsorted(np.maximum.accumulate(clock + offset), start + offset - w)
+    lo = np.minimum(np.maximum(lo, starts[seg]), idx)
     ends = np.cumsum(idx - lo)
     r0 = 0
     while r0 < n:

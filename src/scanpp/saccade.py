@@ -15,24 +15,29 @@ per-scanpath layer takes a ``PathData``: one scanpath, or a batch of them
 held as the segments of one concatenation. The kernel clock and the exposure
 windows restart at each segment, no source excites an event of another
 segment, and the per-event terms come back in path order, so a batch costs
-one pass. That pass, ``_evaluate``, serves all four entry points:
-``event_intensities``, ``loglik_terms`` and ``compensator_increments`` run
-it without the gradient and ``loglik_grad`` with it. It checks its inputs
-and forms the gap terms once, adds the last-fixation or the self-exciting
-excitation, which returns that variant's gradient when asked, and takes the
-base-rate gradient last, once every intensity is complete. ``_screen_mass``
-is the one definition of a center's Gaussian mass inside the screen and,
-for the gradient, of its sigma2 and center derivatives; ``spatial_mass``,
-the history state and both variants read it.
+one pass; one scanpath is a batch of one segment. That pass, ``_evaluate``,
+serves all four entry points: ``event_intensities``, ``loglik_terms`` and
+``compensator_increments`` run it without the gradient and ``loglik_grad``
+with it. It checks its inputs and forms the gap terms once, adds the
+last-fixation or the self-exciting excitation, which returns that variant's
+gradient when asked, and takes the base-rate gradient last, once every
+intensity is complete. ``_screen_mass`` is the one definition of a center's
+Gaussian mass inside the screen and, for the gradient, of its sigma2 and
+center derivatives; the history state and both variants read it.
+``_sources`` is the one formula for each source row's excitation center,
+link outputs and screen mass, over any number of rows; the history state
+and the self-exciting variant read it.
 
 The pointwise layer builds a ``HistoryState`` once per history: the kernel
 clock, the link outputs, the excitation centers and their screen mass.
-``HistoryState.intensity_at`` evaluates the intensity at many points in
-blocks of bounded size, with each value bit-identical to the one-point
-reference ``intensity``; ``compensator`` and ``log_density`` read the same
-state, and the sampler grows one by ``HistoryState.append``. Both layers
-share one convention: event times are seconds, locations are pixels, and
-the screen region bounds all spatial mass integrals.
+``build`` forms them for the whole history and ``append`` for one new row,
+both through ``_sources``. ``HistoryState.intensity_at`` evaluates the
+intensity at many points in blocks of bounded size, with each value
+bit-identical to the one-point reference ``intensity``; ``compensator`` and
+``log_density`` read the same state, and the sampler grows one by
+``HistoryState.append``. Both layers share one convention: event times are
+seconds, locations are pixels, and the screen region bounds all spatial
+mass integrals.
 
 The per-scanpath layer evaluates the self-exciting variant on the pair band
 ``mathutil._band``, in O(n·w) time and memory. A source's kernel
@@ -196,11 +201,6 @@ def check_compatible(spec: SaccadeSpec, params: SaccadeParams) -> None:
         )
 
 
-# The segment starts of a PathData that holds one scanpath.
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
-_ONE_SEGMENT.setflags(write=False)
-
-
 @dataclass(frozen=True, eq=False)
 class PathData:
     """Array view of one or more scanpaths plus their design rows, ready for evaluation.
@@ -210,16 +210,16 @@ class PathData:
     ``labels`` each segment's label. The kernel clock and the exposure
     windows restart at every segment start, so no event of one scanpath
     excites an event of another. One scanpath is a batch of one segment,
-    labelled ``label``; ``concat`` builds a batch.
+    ``starts=(0,)`` with its one label, checked like any batch; ``concat``
+    builds a batch of several.
     """
 
     onsets: np.ndarray
     durations: np.ndarray
     locations: np.ndarray
     design: np.ndarray
-    label: str = ""
-    starts: Optional[np.ndarray] = None
-    labels: tuple[str, ...] = ()
+    starts: np.ndarray = (0,)
+    labels: tuple[str, ...] = ("",)
 
     def __post_init__(self):
         t = np.asarray(self.onsets, dtype=float).reshape(-1)
@@ -231,17 +231,13 @@ class PathData:
             x = x.reshape(n, -1) if n else x.reshape(0, 0)
         if d.shape[0] != n or x.shape[0] != n:
             raise ValidationError("onsets, durations, locations, design must agree in length")
-        if self.starts is None or self.starts is _ONE_SEGMENT:
-            # one scanpath, named by ``label``; nothing to check
-            starts, labels = _ONE_SEGMENT, (self.label,)
-        else:
-            starts = np.asarray(self.starts, dtype=np.intp).reshape(-1)
-            labels = tuple(self.labels)
-            if len(labels) != starts.shape[0]:
-                raise ValidationError(f"{starts.shape[0]} segment starts but {len(labels)} labels")
-            if not (starts[0] == 0 and starts[-1] <= n and np.all(starts[1:] >= starts[:-1])
-                    if starts.size else n == 0):
-                raise ValidationError("segment starts must rise from 0 and stay within the events")
+        starts = np.asarray(self.starts, dtype=np.intp).reshape(-1)
+        labels = tuple(self.labels)
+        if len(labels) != starts.shape[0]:
+            raise ValidationError(f"{starts.shape[0]} segment starts but {len(labels)} labels")
+        if not (starts[0] == 0 and starts[-1] <= n and np.all(starts[1:] >= starts[:-1])
+                if starts.size else n == 0):
+            raise ValidationError("segment starts must rise from 0 and stay within the events")
         self.__dict__.update(onsets=t, durations=d, locations=s, design=x, starts=starts,
                              labels=labels)
 
@@ -249,8 +245,8 @@ class PathData:
     def from_scanpath(cls, scanpath: Scanpath, design: np.ndarray | None = None) -> "PathData":
         """``design`` defaults to no columns, for specs that declare none."""
         x = np.zeros((len(scanpath), 0)) if design is None else design
-        label = f"{scanpath.reader_id}/{scanpath.text_id}"
-        return cls(scanpath.onsets, scanpath.durations, scanpath.locations, x, label)
+        return cls(scanpath.onsets, scanpath.durations, scanpath.locations, x,
+                   labels=(f"{scanpath.reader_id}/{scanpath.text_id}",))
 
     @classmethod
     def concat(cls, units: Sequence["PathData"]) -> "PathData":
@@ -265,7 +261,7 @@ class PathData:
             return units[0]
         if not units:
             return cls(np.empty(0), np.empty(0), np.empty((0, 2)), np.empty((0, 0)),
-                       starts=np.empty(0, dtype=np.intp))
+                       starts=(), labels=())
         widths = {u.p for u in units}
         if len(widths) > 1:
             raise ValidationError(f"units with design widths {sorted(widths)} cannot share a batch")
@@ -301,8 +297,7 @@ class PathData:
 
     def with_locations(self, locations: np.ndarray) -> "PathData":
         """The same events and segments at other locations; the kernel clock carries over."""
-        moved = PathData(self.onsets, self.durations, locations, self.design, self.label,
-                         self.starts, self.labels)
+        moved = dataclasses.replace(self, locations=locations)
         if "clock" in self.__dict__:
             moved.__dict__["clock"] = self.clock
         return moved
@@ -340,24 +335,6 @@ class PathData:
 
 # --- Spatial components -----------------------------------------------------
 
-def spatial_mean(s, x, spec: SaccadeSpec, params: SaccadeParams) -> np.ndarray:
-    """Excitation center for a source fixation at s with predictors x."""
-    s = np.asarray(s, dtype=float).reshape(2)
-    if spec.mean_fn == "baseline":
-        return s.copy()
-    mu = params.A @ s + params.b
-    if spec.mean_fn == "full":
-        mu = mu + params.C @ np.asarray(x, dtype=float).reshape(-1)
-    return mu
-
-
-def spatial_mass(mean, sigma2: float, omega: Rect):
-    """Gaussian probability mass inside the screen; separable per axis."""
-    mean = np.asarray(mean, dtype=float)
-    mass, _, _ = _screen_mass(mean.reshape(-1, 2), sigma2, omega, grad=False)
-    return float(mass[0]) if mean.ndim == 1 else mass
-
-
 def _screen_mass(mu: np.ndarray, sigma2: float, omega: Rect, grad: bool):
     """Screen mass gx·gy of the Gaussian around each center (row of ``mu``).
 
@@ -385,14 +362,29 @@ def _screen_mass(mu: np.ndarray, sigma2: float, omega: Rect, grad: bool):
     return mass, dmass_ds2, dmass_dmu
 
 
-def _centers(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec,
-             params: SaccadeParams) -> np.ndarray:
-    if spec.mean_fn == "baseline":
-        return locations
-    mu = locations @ params.A.T + params.b
-    if spec.mean_fn == "full":
-        mu = mu + X @ params.C.T
-    return mu
+def _sources(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec, params: SaccadeParams,
+             omega: Optional[Rect] = None) -> dict[str, np.ndarray]:
+    """Per-source fields of the source rows at ``locations`` (m, 2) with design rows ``X``.
+
+    ``mu``, each excitation center; under the self-exciting variant ``a``
+    and ``b``, the link outputs; given a screen ``omega``, ``mass``, each
+    center's screen mass. The products are matrix products over all m rows,
+    so a row formed alone, as ``HistoryState.append`` forms it, may differ
+    in its last bits from the same row formed among many.
+    """
+    mu = locations
+    if spec.mean_fn != "baseline":
+        mu = locations @ params.A.T + params.b
+        if spec.mean_fn == "full":
+            mu = mu + X @ params.C.T
+    fields = {"mu": mu}
+    if spec.variant == "hawkes":
+        # one link call for both: on a one-row append it costs more than the products
+        fields["a"], fields["b"] = apply_link(spec.link, np.array([X @ params.alpha,
+                                                                   X @ params.beta]))
+    if omega is not None:
+        fields["mass"] = _screen_mass(mu, params.sigma2, omega, grad=False)[0]
+    return fields
 
 
 # Most that dropping the sources beyond the band's cutoff may change an
@@ -426,13 +418,13 @@ class HistoryState:
     ``clock`` is the kernel clock; ``a`` and ``b`` are each source's link
     outputs (empty unless the variant is self-exciting), ``mu`` its
     excitation center and ``mass`` that center's Gaussian mass inside the
-    screen ``omega`` (None for a state built without one). ``build`` and
-    ``from_path`` prepare a whole history at once; the per-scanpath layer
-    reads the fields that ``from_path`` builds. ``append`` adds one event,
-    computing its row as the one-event formulas (``spatial_mean``,
-    ``spatial_mass``) do. Every field is a view of the first ``n`` rows of a
-    buffer whose capacity doubles when full, so n appends cost O(n) array
-    work in all, and a view taken before an append does not see the new row.
+    screen ``omega`` (None for a state built without one). ``build``
+    prepares a whole history at once and ``append`` adds one event; both
+    form the per-source fields through the one formula ``_sources``, on the
+    whole history or on the new row. Every field is a view of the first
+    ``n`` rows of a buffer whose capacity doubles when full, so n appends
+    cost O(n) array work in all, and a view taken before an append does not
+    see the new row.
     """
 
     spec: SaccadeSpec
@@ -477,28 +469,15 @@ class HistoryState:
     @classmethod
     def build(cls, history: Scanpath, X: Optional[np.ndarray], spec: SaccadeSpec,
               params: SaccadeParams, omega: Optional[Rect] = None) -> "HistoryState":
-        """``X`` holds the history's design rows, under ``data.check_design``."""
-        check_compatible(spec, params)
-        X = check_design(X, spec.p, len(history))
-        return cls.from_path(PathData.from_scanpath(history, X), spec, params, omega)
+        """``X`` holds the history's design rows, under ``data.check_design``.
 
-    @classmethod
-    def from_path(cls, pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
-                  omega: Optional[Rect] = None) -> "HistoryState":
-        """The state of a history whose design rows ``pd`` already holds.
-
-        The buffers are ``pd``'s own arrays, full to capacity, so the first
-        ``append`` copies them before it writes. The per-scanpath layer also
-        builds one from a batch, and reads only its per-event fields.
+        The buffers are the history's own arrays, full to capacity, so the
+        first ``append`` copies them before it writes.
         """
-        X = pd.design
+        check_compatible(spec, params)
+        pd = PathData.from_scanpath(history, check_design(X, spec.p, len(history)))
         buffers = dict(onsets=pd.onsets, durations=pd.durations, locations=pd.locations,
-                       clock=pd.clock, mu=_centers(pd.locations, X, spec, params))
-        if spec.variant == "hawkes":
-            buffers.update(a=np.atleast_1d(apply_link(spec.link, X @ params.alpha)),
-                           b=np.atleast_1d(apply_link(spec.link, X @ params.beta)))
-        if omega is not None:
-            buffers["mass"] = spatial_mass(buffers["mu"], params.sigma2, omega)
+                       clock=pd.clock, **_sources(pd.locations, pd.design, spec, params, omega))
         last_end = float(pd.onsets[-1] + pd.durations[-1]) if pd.n else 0.0
         return cls(spec, params, omega, pd.n, buffers, last_end, float(np.sum(pd.durations)))
 
@@ -516,16 +495,12 @@ class HistoryState:
     def append(self, onset: float, duration: float, location,
                x: Optional[np.ndarray] = None) -> None:
         """Add an event after the history; ``x`` is its design row, under ``data.check_design``."""
-        spec, params = self.spec, self.params
-        x = check_design(x, spec.p)
-        row = dict(onsets=onset, durations=duration, locations=location,
+        x = check_design(x, self.spec.p)
+        location = np.asarray(location, dtype=float).reshape(1, 2)
+        fields = _sources(location, x[None], self.spec, self.params, self.omega)
+        row = dict(onsets=onset, durations=duration, locations=location[0],
                    clock=onset - self.total_duration,
-                   mu=spatial_mean(location, x, spec, params))
-        if spec.variant == "hawkes":
-            row["a"], row["b"] = apply_link(spec.link, np.array([x @ params.alpha,
-                                                                 x @ params.beta]))
-        if self.omega is not None:
-            row["mass"] = spatial_mass(row["mu"], params.sigma2, self.omega)
+                   **{name: value[0] for name, value in fields.items()})
         self._reserve()
         for name, value in row.items():
             self._buffers[name][self.n] = value
@@ -727,8 +702,8 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
     within its block, so with ``grad`` the per-source sums of the gradient
     take the same pass; with no sources they are zeros of the right shapes.
     """
-    state = HistoryState.from_path(pd, spec, params)
-    a, b, mu, locations = state.a, state.b, state.mu, state.locations
+    fields = _sources(pd.locations, pd.design, spec, params)
+    a, b, mu, locations = fields["a"], fields["b"], fields["mu"], pd.locations
     clock, clock_prev = pd.clock, pd.clock_prev
     s2 = params.sigma2
     mass, dmass_ds2, dmass_dmu = _screen_mass(mu, s2, omega, grad)

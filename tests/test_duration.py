@@ -374,7 +374,7 @@ def duration_units(lengths, seed=31):
         onsets = np.cumsum(rng.uniform(0.1, 0.5, m))
         design = np.column_stack([np.ones(m), rng.normal(size=(m, 2))])
         units.append(sp.PathData(onsets, rng.uniform(0.1, 0.4, m), np.zeros((m, 2)), design,
-                                 f"r{k}/t{k}"))
+                                 labels=(f"r{k}/t{k}",)))
     return units
 
 

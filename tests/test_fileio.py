@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,20 @@ class TestLayoutFiles:
         layout = sp.TextLayout(text_id, word_layout.screen, word_layout.boxes)
         assert fio.loads_layouts(fio.dumps_layouts([layout])) == {text_id: layout}
 
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_glyph_with_a_line_break_rejected(self, brk):
+        for glyph in (f"a{brk}b", brk):
+            with pytest.raises(sp.ValidationError, match=r"^box .* \(char 3\): the glyph must "
+                                                         "hold no line break$"):
+                sp.data.Box(glyph, sp.Rect(0.0, 0.0, 5.0, 10.0), None, 3, True)
+
+    @pytest.mark.parametrize("glyph", [",", '"', "a,b", '"a", b', "\t", " ", "  "])
+    def test_glyph_without_a_line_break_round_trips(self, word_layout, glyph):
+        boxes = tuple(replace(b, glyph=glyph) if b.is_whitespace else b
+                      for b in word_layout.boxes)
+        layout = sp.TextLayout("t1", word_layout.screen, boxes)
+        assert fio.loads_layouts(fio.dumps_layouts([layout])) == {"t1": layout}
+
     def test_box_outside_screen_rejected(self):
         text = ("# screen=100x100\n"
                 "text_id,glyph,x0,y0,w,h,word_index,char_index,is_whitespace\n"
@@ -156,6 +172,20 @@ class TestEffectsFiles:
     def test_ids_without_a_line_break_round_trip(self, reader_id, text_id):
         table = fio.EffectsTable(("freq",), {(reader_id, text_id): {"freq": {0: 1.5}}})
         assert fio.loads_effects(fio.dumps_effects(table)).values == table.values
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_effect_name_with_a_line_break_rejected(self, brk):
+        for name in (f"f{brk}1", f"f{brk}", brk):
+            with pytest.raises(sp.ValidationError, match=r"^effect .*: the effect name must "
+                                                         "hold no line break$"):
+                fio.EffectsTable(("freq", name), {("r", "t"): {name: {0: 1.0}}})
+
+    @pytest.mark.parametrize("name", ["f,1", 'f "a", b', '"f"', "f\t1", " f ", "частота"])
+    def test_effect_name_without_a_line_break_round_trips(self, name):
+        table = fio.EffectsTable(("freq", name), {("r", "t"): {"freq": {0: 0.5},
+                                                              name: {0: 1.5, 2: -1.0}}})
+        loaded = fio.loads_effects(fio.dumps_effects(table))
+        assert loaded.names == table.names and loaded.values == table.values
 
     def test_unknown_scanpath_gets_empty_maps(self):
         text = ("reader_id,text_id,fixation_index,effect_name,value\n"

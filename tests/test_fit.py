@@ -13,6 +13,7 @@ from scanpp.fit import (
     SaccadeModel,
     Split,
     TrainConfig,
+    _whitener,
     dataset_loglik,
     grid_search,
     objective,
@@ -135,14 +136,13 @@ class TestAdapters:
         rng = np.random.default_rng(12)
         spec = sp.SaccadeSpec(variant="hawkes", mean_fn="full",
                               columns=("intercept", "x1"))
-        scaled = SaccadeModel(spec, PIXEL_OMEGA, rescale=True)
-        plain = SaccadeModel(spec, PIXEL_OMEGA, rescale=False)
+        scaled = SaccadeModel(spec, PIXEL_OMEGA)
         units = saccade_units(rng, scaled, count=2)
         params = scaled.unpack(rng.uniform(-0.5, 0.5, size=scaled.dim))
         ll_s = sum(scaled.loglik_unit(scaled.pack(params), scaled.prepare_unit(u))[0]
                    for u in units)
-        ll_p = sum(plain.loglik_unit(plain.pack(params), plain.prepare_unit(u))[0]
-                   for u in units)
+        # the same likelihood evaluated in pixels
+        ll_p = sum(sp.saccade.loglik_terms(u, spec, params, PIXEL_OMEGA).total for u in units)
         assert ll_s == pytest.approx(ll_p, rel=1e-9)
 
         # The trainer's fitting coordinates are a second exact change of
@@ -152,12 +152,12 @@ class TestAdapters:
         prepared = [scaled.prepare_unit(u) for u in units]
         raw = scaled.pack(params)
         basis = scaled.fitting_basis(prepared, raw)
-        # the lift is screen size over kernel width in either unit system
-        kernel = [i for i, name in enumerate(scaled.names) if name.startswith(("alpha", "beta"))]
-        plain_basis = plain.fitting_basis([plain.prepare_unit(u) for u in units],
-                                          plain.pack(params))
-        assert np.allclose(plain_basis[np.ix_(kernel, kernel)], basis[np.ix_(kernel, kernel)],
-                           rtol=1e-12, atol=0.0)
+        # the lift is screen size over kernel width, the same computed in pixels
+        lift = max(PIXEL_OMEGA.width, PIXEL_OMEGA.height) / math.sqrt(1600.0)
+        W = lift * _whitener(np.concatenate([u.design for u in prepared]))
+        for part in ("alpha", "beta"):
+            block = scaled.layout.slices[part]
+            assert np.allclose(basis[block, block], W, rtol=1e-12, atol=0.0)
         z = np.linalg.solve(basis, raw)
         through_z = basis @ z
         loss, grad = objective(scaled, prepared, raw)
@@ -494,7 +494,7 @@ class TestTraining:
         onsets = [0.1, 0.6, 1.1, 1.35, 1.9]
         pd = sp.PathData(onsets=onsets, durations=[0.3] * 5,
                          locations=[(100.0 * k, 200.0) for k in range(1, 6)],
-                         design=np.ones((5, 1)), label="r/t")
+                         design=np.ones((5, 1)), labels=("r/t",))
         spec = sp.SaccadeSpec(variant="hawkes", mean_fn="affine", columns=("intercept",))
         model = SaccadeModel(spec, PIXEL_OMEGA)
         params = sp.SaccadeParams.initial(spec, nu=1e-6, sigma2=900.0).replace(
@@ -503,7 +503,7 @@ class TestTraining:
         # the bad path is the second of three, so its events sit at 4..8 of the batch
         good = [sp.PathData(onsets=[0.2, 0.9, 1.5, 2.4][:n], durations=[0.3] * n,
                             locations=[(150.0 * k, 300.0) for k in range(1, n + 1)],
-                            design=np.ones((n, 1)), label=label)
+                            design=np.ones((n, 1)), labels=(label,))
                 for n, label in ((4, "a/x"), (3, "b/y"))]
         units = [model.prepare_unit(u) for u in (good[0], pd, good[1])]
         lam, comp, _ = sp.saccade.event_intensities(pd, spec, params, PIXEL_OMEGA)
@@ -526,7 +526,8 @@ class TestTraining:
         bad = units[2]
         durations = bad.durations.copy()
         durations[2] = np.inf
-        units[2] = sp.PathData(bad.onsets, durations, bad.locations, bad.design, "r/t")
+        units[2] = sp.PathData(bad.onsets, durations, bad.locations, bad.design,
+                               labels=("r/t",))
         for want_grad in (True, False):
             with pytest.raises(sp.DivergenceError,
                                match=r"scanpath 'r/t': event 2 has log-density -inf at "

@@ -62,6 +62,38 @@ def spillover_durations():
     return spec, params
 
 
+def relu_hawkes_model():
+    spec = sp.SaccadeSpec(variant="hawkes", link="relu", columns=("intercept",))
+    params = sp.SaccadeParams.initial(spec, nu=5e-7, sigma2=2000.0).replace(
+        alpha=np.array([1.4]), beta=np.array([2.6]))
+    return spec, params
+
+
+def last_fixation_model():
+    spec = sp.SaccadeSpec(variant="last_fixation")
+    return spec, sp.SaccadeParams.initial(spec, nu=4e-7, sigma2=2200.0)
+
+
+def poisson_model():
+    spec = sp.SaccadeSpec(variant="poisson")
+    return spec, sp.SaccadeParams.initial(spec, nu=6e-7)
+
+
+def gamma_durations():
+    spec = sp.DurationSpec(distribution="gamma", columns=("intercept",))
+    params = sp.DurationParams.initial(spec, sigma2=0.1).replace(w=np.array([math.log(0.21)]))
+    return spec, params
+
+
+def markov_durations():
+    """Two markov lags of ``freq``."""
+    spec = sp.DurationSpec(mean_variant="markov", spillover=("freq",), lags=2,
+                           columns=("intercept", "freq"))
+    params = sp.DurationParams.initial(spec, sigma2=0.09).replace(
+        w=np.array([math.log(0.2), 0.1]), w_prime=np.array([[0.25], [-0.1]]))
+    return spec, params
+
+
 def simulate(saccade, durations, x_row, x_dur_row):
     spec, params = saccade
     dur_spec, dur_params = durations
@@ -81,6 +113,13 @@ def sections():
     rse = rse_path()
     affine = simulate(affine_model(), spillover_durations(), np.ones(1),
                       np.array([1.0, 0.0]))
+    # spillover of a nonzero freq value, markov lags, gamma durations, and the
+    # relu, last-fixation and poisson saccade models
+    spillover = simulate(affine_model(), spillover_durations(), np.ones(1),
+                         np.array([1.0, 0.8]))
+    relu = simulate(relu_hawkes_model(), gamma_durations(), np.ones(1), np.ones(1))
+    last = simulate(last_fixation_model(), markov_durations(), None, np.array([1.0, -0.6]))
+    poisson = simulate(poisson_model(), plain_durations(), None, np.ones(1))
     spec, params = rse_model()
     fixes = rse.fixations
     t = (fixes[99].end + fixes[100].onset) / 2.0
@@ -90,6 +129,10 @@ def sections():
         "sample_scanpath rse plain": dumps_scanpaths([rse]),
         "sample_scanpath affine convolution": dumps_scanpaths([affine]),
         "grid_csv rse 16x16 after 100": grid_csv(xs, ys, values),
+        "sample_scanpath affine convolution freq 0.8": dumps_scanpaths([spillover]),
+        "sample_scanpath hawkes relu gamma": dumps_scanpaths([relu]),
+        "sample_scanpath last_fixation markov": dumps_scanpaths([last]),
+        "sample_scanpath poisson plain": dumps_scanpaths([poisson]),
     }
 
 
@@ -112,7 +155,11 @@ def computed():
 
 @pytest.mark.parametrize("name", ["sample_scanpath rse plain",
                                   "sample_scanpath affine convolution",
-                                  "grid_csv rse 16x16 after 100"])
+                                  "grid_csv rse 16x16 after 100",
+                                  "sample_scanpath affine convolution freq 0.8",
+                                  "sample_scanpath hawkes relu gamma",
+                                  "sample_scanpath last_fixation markov",
+                                  "sample_scanpath poisson plain"])
 def test_bytes_match_golden(computed, name):
     assert computed[name] == golden_sections()[name]
 

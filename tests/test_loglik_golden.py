@@ -34,7 +34,7 @@ def segment(rng, m, label):
     onsets = np.cumsum(gaps) + np.concatenate(([0.0], np.cumsum(durs[:-1])))[:m]
     locs = np.column_stack([rng.uniform(0.1, 2.9, m), rng.uniform(0.1, 1.9, m)])
     design = np.column_stack([np.ones(m), rng.uniform(-1.0, 1.0, m)])
-    return sp.PathData(onsets, durs, locs, design, label)
+    return sp.PathData(onsets, durs, locs, design, labels=(label,))
 
 
 def saccade_batch(p):

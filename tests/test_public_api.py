@@ -25,7 +25,7 @@ PUBLIC = [
     "load_effects", "load_layouts", "load_scanpaths", "loads_fit", "loads_params",
     "log_density", "model_name", "plot_intensity", "poisson_mle_nu",
     "pool_across_readers", "reports_csv", "sample_scanpath", "scanpath_loglik",
-    "spatial_mean", "spawn_rngs", "split", "time_rescaling_gaps", "train", "warm_start",
+    "spawn_rngs", "split", "time_rescaling_gaps", "train", "warm_start",
     "write_effects", "write_layouts", "write_scanpaths",
 ]
 

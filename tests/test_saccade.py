@@ -14,7 +14,6 @@ from scanpp.saccade import (
     compensator_increments,
     loglik_grad,
     loglik_terms,
-    spatial_mass,
 )
 
 from conftest import assert_shrunk, make_fixations, shrink_blocks, small_instance
@@ -109,18 +108,22 @@ class TestKernels:
     def test_spatial_mean_variants(self):
         s = np.array([2.0, 3.0])
         x = np.array([1.0, -1.0])
+
+        def center(spec, params):
+            return saccade._sources(s[None], x[None], spec, params)["mu"][0]
+
         base = sp.SaccadeSpec(variant="hawkes", mean_fn="baseline", columns=("a", "b"))
         params = sp.SaccadeParams.initial(base)
-        assert np.allclose(sp.spatial_mean(s, x, base, params), s)
+        assert np.allclose(center(base, params), s)
         aff = sp.SaccadeSpec(variant="hawkes", mean_fn="affine", columns=("a", "b"))
         A = np.array([[0.9, 0.1], [-0.2, 1.1]])
         b = np.array([5.0, -2.0])
         params = sp.SaccadeParams.initial(aff).replace(A=A, b=b)
-        assert np.allclose(sp.spatial_mean(s, x, aff, params), A @ s + b)
+        assert np.allclose(center(aff, params), A @ s + b)
         full = sp.SaccadeSpec(variant="hawkes", mean_fn="full", columns=("a", "b"))
         C = np.array([[1.0, 2.0], [0.5, -0.5]])
         params = sp.SaccadeParams.initial(full).replace(A=A, b=b, C=C)
-        assert np.allclose(sp.spatial_mean(s, x, full, params), A @ s + b + C @ x)
+        assert np.allclose(center(full, params), A @ s + b + C @ x)
 
     def test_spatial_mass_matches_quadrature_and_is_subunit(self):
         rng = np.random.default_rng(11)
@@ -128,7 +131,7 @@ class TestKernels:
             omega = sp.Rect(0.0, 0.0, float(rng.uniform(1, 3)), float(rng.uniform(1, 3)))
             mu = np.array([rng.uniform(-0.5, 3.5), rng.uniform(-0.5, 3.5)])
             s2 = float(rng.uniform(0.05, 1.0))
-            mass = spatial_mass(mu, s2, omega)
+            mass = float(saccade._screen_mass(mu[None], s2, omega, grad=False)[0][0])
             assert 0.0 < mass <= 1.0
 
             def density(y, x):
@@ -493,7 +496,7 @@ class TestCompensatorOracle:
         assert np.all(np.isfinite(vals))
         assert vals[-1] == pytest.approx(vals[-2], rel=1e-6)
         # b=0 means no decay: the kernel integral is mass * gap exactly
-        mass = spatial_mass(np.array([0.5, 0.5]), 0.2, omega)
+        mass = float(saccade._screen_mass(np.array([[0.5, 0.5]]), 0.2, omega, grad=False)[0][0])
         gap = 0.6 - 0.3
         expect = 0.5 * 1.0 * gap + 1.0 * mass * gap
         assert vals[-1] == pytest.approx(expect, rel=1e-12)
@@ -611,8 +614,8 @@ def assert_matches_dense(pd, spec, params, omega):
 
 
 def kept_pairs(pd, spec, params):
-    state = sp.HistoryState.from_path(pd, spec, params)
-    w = saccade._window(state.a, state.b, params.nu, params.sigma2, pd.n)
+    src = saccade._sources(pd.locations, pd.design, spec, params)
+    w = saccade._window(src["a"], src["b"], params.nu, params.sigma2, pd.n)
     return sum(cols.size for *_, cols in mathutil._band(pd.clock, w)), w
 
 
@@ -689,7 +692,7 @@ class TestBandAgainstDense:
     def test_relu_zero_amplitude_sources(self):
         # a = relu(1 - 2z) is 0 where z = 1; the decay is 1.5 or 2.5 everywhere
         pd, spec, params, omega = long_case("relu", alpha=[-1.0, -2.0], beta=[2.0, 0.5])
-        a = sp.HistoryState.from_path(pd, spec, params).a
+        a = saccade._sources(pd.locations, pd.design, spec, params)["a"]
         assert np.any(a == 0.0) and np.any(a > 0.0)
         kept, w = kept_pairs(pd, spec, params)
         assert kept < 0.8 * pd.n * (pd.n - 1) / 2
@@ -764,9 +767,9 @@ def random_segment(rng, m, omega, p, label, signed=False):
     locs = np.column_stack([rng.uniform(omega.x0 + 0.05, omega.x1 - 0.05, m),
                             rng.uniform(omega.y0 + 0.05, omega.y1 - 0.05, m)])
     if not p:
-        return sp.PathData(onsets, durs, locs, np.zeros((m, 0)), label)
+        return sp.PathData(onsets, durs, locs, np.zeros((m, 0)), labels=(label,))
     z = rng.choice([-1.0, 1.0], (m, p - 1)) if signed else rng.uniform(-1.0, 1.0, (m, p - 1))
-    return sp.PathData(onsets, durs, locs, np.column_stack([np.ones(m), z]), label)
+    return sp.PathData(onsets, durs, locs, np.column_stack([np.ones(m), z]), labels=(label,))
 
 
 def segment_ids(batch):
@@ -807,8 +810,8 @@ def assert_batch_matches(units, spec, params, omega):
 
 def batch_kept_pairs(batch, spec, params):
     """Kept pairs of the batch's band; every one lies within a segment."""
-    state = sp.HistoryState.from_path(batch, spec, params)
-    w = saccade._window(state.a, state.b, params.nu, params.sigma2, int(batch.lengths.max()))
+    src = saccade._sources(batch.locations, batch.design, spec, params)
+    w = saccade._window(src["a"], src["b"], params.nu, params.sigma2, int(batch.lengths.max()))
     seg = segment_ids(batch)
     kept = 0
     for _, _, rows, cols in mathutil._band(batch.clock, w, batch.starts):
@@ -954,7 +957,8 @@ class TestBatchAgainstPerPath:
         bad = units[1]
         onsets = bad.onsets.copy()
         onsets[k:] -= onsets[k] - (onsets[k - 1] + bad.durations[k - 1] - overlap)
-        units[1] = sp.PathData(onsets, bad.durations, bad.locations, bad.design, bad.label)
+        units[1] = sp.PathData(onsets, bad.durations, bad.locations, bad.design,
+                               labels=bad.labels)
         batch, terms = assert_batch_matches(units, spec, params, omega)
         assert np.flatnonzero(~np.isfinite(terms.per_event)).tolist() == [90 + k]
         assert batch.locate(90 + k) == ("r1/t1", k)

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import scanpp as sp
-from scanpp.saccade import spatial_mass
+from scanpp.saccade import _screen_mass
 from scanpp.simulate import (
     SimConfig,
     _Counts,
@@ -62,7 +62,7 @@ class TestUpperBound:
             a = np.log1p(np.exp(design @ params.alpha))
             b = np.log1p(np.exp(design @ params.beta))
             mu = (path.locations @ params.A.T + params.b + design @ params.C.T)
-            mass = spatial_mass(mu, params.sigma2, omega)
+            mass = _screen_mass(mu, params.sigma2, omega, grad=False)[0]
             t0 = path.fixations[-1].end + float(rng.uniform(0.0, 0.5))
             state = sp.HistoryState.build(path, design, spec, params, omega)
             bound = state.intensity_upper_bound(t0)
