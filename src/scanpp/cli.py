@@ -116,7 +116,7 @@ def _resolve_config(args) -> tuple[TrainConfig, Optional[GridSpec]]:
         f"{f}={getattr(config, f)}[{sources[f]}]" for f in _CONFIG_FIELDS))
     if grid is not None:
         log.info("grid: batch_sizes=%s learning_rates=%s weight_decays=%s "
-                 "kernel_inits=%s (%d runs)", list(grid.batch_sizes),
+                 "kernel_inits=%s (%d configurations)", list(grid.batch_sizes),
                  list(grid.learning_rates), list(grid.weight_decays),
                  [list(k) for k in grid.kernel_inits], grid.size)
     return config, grid
@@ -259,7 +259,7 @@ def cmd_fit(args) -> int:
 def _test_per_event(loaded, scanpaths, idx_test, effects_by_path) -> np.ndarray:
     model = loaded.model
     units = _units([scanpaths[i] for i in idx_test], model.spec.columns, effects_by_path)
-    return model.per_event_loglik(loaded.result.raw, model.prepare_unit(PathData.concat(units)))
+    return model.per_event_loglik(loaded.result.raw, PathData.concat(units))
 
 
 def cmd_eval(args) -> int:
@@ -328,6 +328,8 @@ def _parse_row(text: Optional[str], columns, what: str) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     docs = _load_params_docs(args.params)
     if args.duration_params:
         docs += _load_params_docs(args.duration_params)

@@ -70,6 +70,10 @@ def bootstrap(values: np.ndarray, replicates: int = 1000, seed: int = 0,
     values = np.asarray(values, dtype=float).reshape(-1)
     if values.size == 0:
         raise ValidationError("cannot bootstrap an empty sample")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(
+            f"cannot bootstrap non-finite values: the value at index {bad[0]} is {values[bad[0]]}")
     if replicates < 1:
         raise ValidationError(f"need at least one replicate, got {replicates}")
     rng = np.random.default_rng(seed)
@@ -231,8 +235,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             result = grid_search(model, parts, grid, config, init=init)
         else:
             result = train(model, parts, config, init=init)
-        per_event = model.per_event_loglik(
-            result.raw, model.prepare_unit(PathData.concat(parts.test)))
+        per_event = model.per_event_loglik(result.raw, PathData.concat(parts.test))
         return SuiteMember(model_name(spec), spec, result, per_event)
 
     try:

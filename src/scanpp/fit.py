@@ -4,14 +4,15 @@ Both model families share one trainer: parameters are packed into a flat
 unconstrained vector (positivity through softplus or log), the objective is
 the mean negative log-likelihood per fixation, and optimization is SGD with
 Nesterov momentum over whole-scanpath batches, early stopping on validation
-loss, and an optional hyperparameter grid. The saccade adapter additionally
-rescales the spatial axes by the larger screen dimension while fitting; the
-mapping is an exact reparameterization, so reported likelihoods and returned
-parameters are always in pixel units.
+loss, and an optional hyperparameter grid. Both adapters evaluate batches as
+given, in seconds and pixels. The saccade layout packs its length-bearing
+fields in screen units, lengths over the larger screen dimension, through
+its transforms; likelihoods and unpacked parameters are always in pixels.
 
 Each adapter builds one ``ParamLayout`` from its spec: an ordered table of
 blocks, one per parameter field, each with its element labels, an
-elementwise transform (identity, softplus or log, with derivative and
+elementwise transform (identity, softplus or log, times a power of the
+screen size where a saccade field carries a length; with derivative and
 inverse) and a weight-decay rule. The entry names, ``pack``/``unpack``, the
 constrained values, the chain rule of ``grad_unit`` and the weight-decay mask
 are all generated from that table, so a field is declared in one place. The
@@ -95,10 +96,7 @@ class TrainConfig:
         if not 0 <= self.patience <= self.max_epochs:
             raise ValidationError(
                 f"patience must lie in [0, max_epochs], got {self.patience}")
-        if len(self.split) != 3 or any(f < 0 for f in self.split):
-            raise ValidationError(f"split must be three fractions >= 0, got {self.split}")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValidationError(f"split fractions must sum to 1, got {self.split}")
+        _check_split(self.split)
 
     def replace(self, **changes) -> "TrainConfig":
         return dataclasses.replace(self, **changes)
@@ -136,12 +134,17 @@ class Split:
     test: tuple
 
 
+def _check_split(fractions: Sequence[float]) -> None:
+    # written so that a NaN fraction fails
+    if (len(fractions) != 3 or not all(f >= 0 for f in fractions)
+            or not abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ValidationError(
+            f"split must be three fractions >= 0 that sum to 1, got {tuple(fractions)}")
+
+
 def split(data: Sequence, fractions: tuple[float, float, float], seed: int) -> Split:
     """Deterministic shuffle-and-cut split; the unit is one element of data."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValidationError(f"need three fractions >= 0, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValidationError(f"fractions must sum to 1, got {fractions}")
+    _check_split(fractions)
     data = list(data)
     n = len(data)
     perm = np.random.default_rng(seed).permutation(n)
@@ -285,12 +288,11 @@ class SaccadeModel:
     the model is poisson, the spatial variance ``sigma2`` (log scale). Weight
     decay acts on alpha and beta except their intercepts, and on all of C.
 
-    Spatial quantities are rescaled by the larger screen dimension during
-    fitting; base intensity, variance, shift, and predictor offsets transform
-    exactly under that change of units, and the per-event Jacobian constant
-    is removed again so likelihoods are reported per squared pixel. That
-    scaling is a separate step of ``pack`` and ``unpack``; the layout itself
-    works in fitting units.
+    The packed ``nu``, ``b``, ``C`` and ``sigma2`` are in screen units, with
+    lengths divided by the larger screen dimension L: the layout's transforms
+    give nu = softplus(r)/L^2, b = L r, C = L r and sigma2 = e^r L^2. So the
+    model evaluates batches as given, in pixels and seconds, and unpacked
+    parameters and likelihoods are per squared pixel.
 
     The trainer steps in the coordinates of ``fitting_basis``, a second exact
     change of variables on top of the packed vector. Under a center map
@@ -314,98 +316,88 @@ class SaccadeModel:
     def __init__(self, spec: SaccadeSpec, omega: Rect):
         self.spec = spec
         self.omega = omega
-        self.scale = max(omega.width, omega.height)
-        L = self.scale
-        self.omega_s = Rect(omega.x0 / L, omega.y0 / L, omega.width / L, omega.height / L)
-        self.log_jac = 2.0 * math.log(L)
+        # The packed nu, b, C and sigma2 are in screen units, lengths over L.
+        # Each formula's order of operations is fixed: fit documents store
+        # the packed bits, and load to the same parameters through it.
+        L = max(omega.width, omega.height)
+        per_area = Transform(lambda r: softplus(r) / (L * L), lambda r: sigmoid(r) / (L * L),
+                             lambda v: softplus_inv(np.maximum(v * L * L, 1e-300)))
+        length = Transform(lambda r: r * L, lambda r: L, lambda v: v / L)
+        area = Transform(lambda r: math.exp(r) * L * L, lambda r: math.exp(r) * L * L,
+                         lambda v: math.log(v / (L * L)))
         cols = (spec.columns,)
         xy = ("0", "1")
-        blocks = [Block("nu", transform=_softplus(1e-300))]
+        blocks = [Block("nu", transform=per_area)]
         if spec.variant == "hawkes":
             blocks += [Block("alpha", cols, decay="slopes"), Block("beta", cols, decay="slopes")]
             if spec.mean_fn in ("affine", "full"):
-                blocks += [Block("A", (xy, xy)), Block("b", (xy,))]
+                blocks += [Block("A", (xy, xy)), Block("b", (xy,), length)]
             if spec.mean_fn == "full":
-                blocks.append(Block("C", (xy, spec.columns), decay="all"))
+                blocks.append(Block("C", (xy, spec.columns), length, decay="all"))
         if spec.variant != "poisson":
-            blocks.append(Block("sigma2", transform=LOG))
-        self.layout = ParamLayout(blocks, SaccadeParams.initial(spec, sigma2=1.0))
+            blocks.append(Block("sigma2", transform=area))
+        # a poisson model's unpacked sigma2, which it never reads, is one screen unit
+        self.layout = ParamLayout(blocks, SaccadeParams.initial(spec, sigma2=L * L))
         self.names: tuple[str, ...] = self.layout.names
         self.dim = self.layout.dim
 
     def prepare_unit(self, pd: PathData) -> PathData:
-        L = self.scale
-        if L == 1.0:
-            return pd
-        return pd.with_locations(pd.locations / L)
-
-    def _unpack_scaled(self, raw: np.ndarray) -> SaccadeParams:
-        return SaccadeParams(**self.layout.unpack(raw))
+        """The batch as given. The model evaluates pixel batches, so no caller
+        needs this; it stays for the benchmark's workloads, which call it."""
+        return pd
 
     def unpack(self, raw: np.ndarray) -> SaccadeParams:
-        ps = self._unpack_scaled(raw)
-        L = self.scale
-        return ps.replace(nu=ps.nu / (L * L), b=ps.b * L, C=ps.C * L,
-                          sigma2=ps.sigma2 * L * L)
+        return SaccadeParams(**self.layout.unpack(raw))
 
     def pack(self, params: SaccadeParams) -> np.ndarray:
-        L = self.scale
-        scaled = params.replace(nu=params.nu * L * L, b=params.b / L, C=params.C / L,
-                                sigma2=params.sigma2 / (L * L))
-        return self.layout.pack(scaled)
+        return self.layout.pack(params)
 
     def constrained(self, raw: np.ndarray) -> np.ndarray:
         """Pixel-space parameter values aligned with ``names``."""
         return self.layout.flatten(self.unpack(raw))
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
-        """Total log-likelihood and event count of a prepared batch, in one pass."""
-        params = self._unpack_scaled(raw)
-        terms = loglik_terms(unit, self.spec, params, self.omega_s)
-        if terms.invalid_count:
-            return float("-inf"), unit.n
-        return terms.total - unit.n * self.log_jac, unit.n
+        """Total log-likelihood and event count of a batch, in one pass."""
+        terms = loglik_terms(unit, self.spec, self.unpack(raw), self.omega)
+        return (float("-inf") if terms.invalid_count else terms.total), unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
-        """Log-density of every event of a prepared batch, in path order."""
-        params = self._unpack_scaled(raw)
-        terms = loglik_terms(unit, self.spec, params, self.omega_s)
-        return terms.per_event - self.log_jac
+        """Log-density of every event of a batch, in path order."""
+        return loglik_terms(unit, self.spec, self.unpack(raw), self.omega).per_event
 
     def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
         """The first event with a non-finite term: its scanpath, intensity and increment."""
-        params = self._unpack_scaled(raw)
-        lam, comp, invalid = event_intensities(unit, self.spec, params, self.omega_s)
+        lam, comp, invalid = event_intensities(unit, self.spec, self.unpack(raw), self.omega)
         bad = np.flatnonzero(~np.isfinite(_finish(lam, comp, invalid).per_event))
         if not bad.size:
             return f"{_scanpaths(unit)}: every event's term is finite"
         k = int(bad[0])
         label, i = unit.locate(k)
         overlap = ", and starts before the previous fixation ends" if invalid[k] else ""
-        return (f"scanpath {label!r}: event {i} has intensity {lam[k] / self.scale ** 2:.6g} "
+        return (f"scanpath {label!r}: event {i} has intensity {lam[k]:.6g} "
                 f"per s per px^2 and compensator increment {comp[k]:.6g}{overlap}")
 
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
         """``loglik_unit`` plus its gradient in the packed vector, in one pass."""
         raw = np.asarray(raw, dtype=float)
-        terms, grads = loglik_grad(unit, self.spec, self._unpack_scaled(raw), self.omega_s)
-        ll = float("-inf") if terms.invalid_count else terms.total - unit.n * self.log_jac
+        terms, grads = loglik_grad(unit, self.spec, self.unpack(raw), self.omega)
+        ll = float("-inf") if terms.invalid_count else terms.total
         return ll, unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Invertible matrix taking fitting coordinates to ``raw``.
 
-        Built from the prepared training units and the start of the fit
-        ``raw``, of which only the spatial variance is read. The identity
-        unless the model has a center map.
+        Built from the training units and the start of the fit ``raw``, of
+        which only the spatial variance is read. The identity unless the
+        model has a center map.
         """
         basis = np.eye(self.dim)
         slices = self.layout.slices
         if "A" not in slices or not self.spec.columns:
             return basis
-        # screen size over kernel width at the start of the fit
-        size = max(self.omega_s.width, self.omega_s.height)
-        gain = max(1.0, size * math.exp(-0.5 * float(raw[slices["sigma2"].start])))
+        # screen size over kernel width at the start of the fit; the packed
+        # variance is in screen units, where the screen size is 1
+        gain = max(1.0, math.exp(-0.5 * float(raw[slices["sigma2"].start])))
         W = gain * _whitener(np.concatenate([u.design for u in units]))
         for part in ("alpha", "beta"):
             basis[slices[part], slices[part]] = W
@@ -414,22 +406,22 @@ class SaccadeModel:
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:
         spec = self.spec
+        L = max(self.omega.width, self.omega.height)
         try:
-            nu = poisson_mle_nu(units, self.omega_s)
+            nu = poisson_mle_nu(units, self.omega)
         except ValidationError:  # no exposure to estimate from
-            nu = 1e-3
-        params = SaccadeParams.initial(spec, nu=nu, sigma2=1.0)
+            nu = 1e-3 / (L * L)
+        params = SaccadeParams.initial(spec, nu=nu, sigma2=L * L)
         disp = [np.linalg.norm(np.diff(u.locations, axis=0), axis=1)
                 for u in units if u.n > 1]
         if disp:
             var = float(np.var(np.concatenate(disp)))
-            params = params.replace(sigma2=max(var, 1e-4))
+            params = params.replace(sigma2=max(var, 1e-4 * L * L))
         if spec.variant == "hawkes":
             alpha = np.zeros(spec.p)
             alpha[spec.columns.index("intercept") if "intercept" in spec.columns
                   else slice(None)] = softplus_inv(1.0)
             params = params.replace(alpha=alpha, beta=alpha.copy())
-        # built from prepared units, so already in fitting units
         return self.layout.pack(params)
 
 
@@ -462,9 +454,6 @@ class DurationModel:
         self.layout = ParamLayout(blocks, fill)
         self.names: tuple[str, ...] = self.layout.names
         self.dim = self.layout.dim
-
-    def prepare_unit(self, pd: PathData) -> PathData:
-        return pd
 
     def unpack(self, raw: np.ndarray) -> DurationParams:
         return DurationParams(**self.layout.unpack(raw))
@@ -543,8 +532,8 @@ def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarra
               want_grad: bool = True) -> tuple[float, Optional[np.ndarray]]:
     """Mean negative log-likelihood per fixation over the batch, with gradient.
 
-    ``units`` is one prepared batch, or a sequence of prepared units to
-    concatenate into one. The model evaluates the batch in one call.
+    ``units`` is one batch, or a sequence of units to concatenate into one.
+    The model evaluates the batch in one call.
     """
     batch = _as_batch(units)
     if batch.n == 0:
@@ -569,7 +558,7 @@ def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarra
 
 def dataset_loglik(model: Model, units: PathData | Sequence[PathData], raw: np.ndarray
                    ) -> tuple[float, int]:
-    """Total log-likelihood and fixation count of a prepared dataset, in one call."""
+    """Total log-likelihood and fixation count of a dataset, in one call."""
     return model.loglik_unit(raw, _as_batch(units))
 
 
@@ -609,7 +598,7 @@ def _as_split(data, config: TrainConfig) -> Split:
 
 @dataclass(frozen=True, eq=False)
 class _Prepared:
-    """A split's prepared training units, and one batch per part.
+    """A split's training units, and one batch per part.
 
     Built once per ``train`` or ``grid_search`` call, and dropped with it.
     """
@@ -620,13 +609,12 @@ class _Prepared:
     test: PathData
 
 
-def _prepare(model: Model, parts: Split) -> _Prepared:
-    units = tuple(model.prepare_unit(u) for u in parts.train)
+def _prepare(parts: Split) -> _Prepared:
+    units = tuple(parts.train)
     if not units:
         raise ValidationError("training split is empty")
-    return _Prepared(units, PathData.concat(units),
-                     PathData.concat([model.prepare_unit(u) for u in parts.val]),
-                     PathData.concat([model.prepare_unit(u) for u in parts.test]))
+    return _Prepared(units, PathData.concat(units), PathData.concat(parts.val),
+                     PathData.concat(parts.test))
 
 
 def train(model: Model, data, config: TrainConfig,
@@ -635,13 +623,12 @@ def train(model: Model, data, config: TrainConfig,
     """SGD with Nesterov momentum, early-stopped on validation loss.
 
     ``data`` is a sequence of PathData (split internally per config) or a
-    prepared Split. Returns the parameters of the best validation epoch.
+    Split. Returns the parameters of the best validation epoch.
     Steps are taken in the model's fitting coordinates (``fitting_basis``);
     weight decay acts on the packed vector.
     """
     t0 = time.perf_counter()
-    return _train(model, _prepare(model, _as_split(data, config)), config, init,
-                  kernel_init, t0)
+    return _train(model, _prepare(_as_split(data, config)), config, init, kernel_init, t0)
 
 
 def _train(model: Model, prep: _Prepared, config: TrainConfig,
@@ -725,15 +712,23 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
     learning rate, weight decay, kernel init), so the first strict improvement
     wins and results are reproducible. The split's batches are built once and
     shared by every configuration.
+
+    Only the default start of a model with convolution kernels reads the
+    kernel init. Trained from ``init``, or for any other model, the kernel
+    axis collapses to its first entry, and the grid trace lists only the runs
+    trained.
     """
     t0 = time.perf_counter()
-    prep = _prepare(model, _as_split(data, config))
+    prep = _prepare(_as_split(data, config))
+    kernels = grid.kernel_inits
+    if init is not None or "kernel_alpha" not in model.layout.slices:
+        kernels = kernels[:1]
     runs: list[tuple[dict, float]] = []
     best: Optional[FitResult] = None
     best_loss = float("inf")
     best_hp: dict = {}
     for bs, lr, wd, kern in itertools.product(grid.batch_sizes, grid.learning_rates,
-                                              grid.weight_decays, grid.kernel_inits):
+                                              grid.weight_decays, kernels):
         hp = {"batch_size": bs, "learning_rate": lr, "weight_decay": wd,
               "kernel_init": tuple(kern)}
         cfg = config.replace(batch_size=bs, learning_rate=lr, weight_decay=wd)
@@ -766,8 +761,7 @@ def warm_start(source_names: Sequence[str], source_raw: np.ndarray, target_model
     if missing:
         raise ValidationError(
             f"source parameters {missing} do not exist in the target model")
-    prepared = [target_model.prepare_unit(u) for u in units]
-    raw = np.array(target_model.default_init(prepared, kernel=kernel_init), dtype=float)
+    raw = np.array(target_model.default_init(units, kernel=kernel_init), dtype=float)
     source_raw = np.asarray(source_raw, dtype=float)
     for name, value in zip(source_names, source_raw):
         raw[target_names.index(name)] = value

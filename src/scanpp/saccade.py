@@ -295,13 +295,6 @@ class PathData:
         follows[self.starts[self.starts < self.n]] = False
         return np.flatnonzero(follows)
 
-    def with_locations(self, locations: np.ndarray) -> "PathData":
-        """The same events and segments at other locations; the kernel clock carries over."""
-        moved = dataclasses.replace(self, locations=locations)
-        if "clock" in self.__dict__:
-            moved.__dict__["clock"] = self.clock
-        return moved
-
     def locate(self, k: int) -> tuple[str, int]:
         """Label of the scanpath that holds event k, and k's index within it."""
         seg = int(np.searchsorted(self.starts, k, side="right")) - 1

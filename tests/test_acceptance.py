@@ -178,7 +178,7 @@ def _saccade_grad_instance(rng, variant, mean_fn, link):
             if margin < 1e-2:
                 continue
         pd = PathData(path.onsets, path.durations, path.locations, design)
-        return model, [model.prepare_unit(pd)], raw
+        return model, [pd], raw
 
 
 def _duration_grad_instance(rng, mean_variant, distribution):
@@ -194,7 +194,7 @@ def _duration_grad_instance(rng, mean_variant, distribution):
     model = sp.DurationModel(spec)
     pd = PathData(path.onsets, path.durations, path.locations, design)
     raw = rng.normal(0.0, 0.3, model.dim)
-    return model, [model.prepare_unit(pd)], raw
+    return model, [pd], raw
 
 
 def test_criterion_02_gradients_finite_difference(capsys):
@@ -329,13 +329,11 @@ def _fit_rse_chain(paths):
     base = sp.TrainConfig(momentum=0.9, batch_size=64, seed=1, split=(1.0, 0.0, 0.0))
     r1 = sp.train(m_hawkes, units, base.replace(learning_rate=0.01, max_epochs=400,
                                                 patience=400))
-    raw = sp.warm_start(m_hawkes.names, r1.raw, m_affine,
-                        units=[m_affine.prepare_unit(u) for u in units])
+    raw = sp.warm_start(m_hawkes.names, r1.raw, m_affine, units=units)
     raw = m_affine.pack(m_affine.unpack(raw).replace(b=b0, sigma2=s2_0))
     r2 = sp.train(m_affine, units, base.replace(learning_rate=0.001, max_epochs=200,
                                                 patience=200), init=raw)
-    raw = sp.warm_start(m_affine.names, r2.raw, m_full,
-                        units=[m_full.prepare_unit(u) for u in units])
+    raw = sp.warm_start(m_affine.names, r2.raw, m_full, units=units)
     r3 = sp.train(m_full, units, base.replace(learning_rate=0.0005, max_epochs=1200,
                                               patience=1200), init=raw)
     r4 = sp.train(m_full, units, base.replace(learning_rate=0.0002, momentum=0.95,

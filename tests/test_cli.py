@@ -497,6 +497,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"ERROR {flag} must be comma-separated numbers, got 'abc'" in err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, count):
+        path = self.poisson_params(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        code = main(["simulate", "--params", path, "--horizon", "2", "--count", count,
+                     "--out", str(out)])
+        assert code == 2
+        assert f"ERROR --count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_without_parameters(self, tmp_path):
         bogus = tmp_path / "empty.txt"
         bogus.write_text("nothing here\n")

@@ -90,6 +90,14 @@ class TestBootstrap:
         with pytest.raises(sp.ValidationError):
             bootstrap(np.ones(5), blocks=np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    @pytest.mark.parametrize("blocks", [None, np.array([0, 0, 1, 1, 2])])
+    def test_non_finite_value_is_named(self, bad, blocks):
+        values = np.array([1.0, bad, 2.0, bad, 3.0])
+        with pytest.raises(sp.ValidationError,
+                           match=rf"non-finite values: the value at index 1 is {bad}$"):
+            bootstrap(values, replicates=50, seed=0, blocks=blocks)
+
     def test_summary_ordering_enforced(self):
         with pytest.raises(sp.ValidationError):
             Bootstrap(mean=1.0, low=2.0, high=3.0, replicates=10, seed=0)

@@ -52,14 +52,13 @@ def duration_units(rng, p, count=4, events=8):
 
 
 def assert_fd_matches(model, units, raw, eps=1e-6, tol=1e-4):
-    prepared = [model.prepare_unit(u) for u in units]
     grad = np.zeros(model.dim)
-    for u in prepared:
+    for u in units:
         _, _, g = model.grad_unit(raw, u)
         grad += g
 
     def total(r):
-        return sum(model.loglik_unit(r, u)[0] for u in prepared)
+        return sum(model.loglik_unit(r, u)[0] for u in units)
 
     for j in range(model.dim):
         step = np.zeros(model.dim)
@@ -132,43 +131,64 @@ class TestAdapters:
         assert values[model.names.index("b[1]")] == pytest.approx(params.b[1])
         assert values[model.names.index("C[1,x1]")] == pytest.approx(params.C[1, 1])
 
+    @pytest.mark.parametrize("variant,mean_fn", [
+        ("poisson", "baseline"), ("last_fixation", "baseline"), ("hawkes", "baseline"),
+        ("hawkes", "affine"), ("hawkes", "full")])
+    def test_pixel_batch_gives_pixel_likelihood(self, variant, mean_fn):
+        # a batch in pixels, as read from file, gives the likelihood and the
+        # chained gradient of the saccade model in pixels, bit for bit
+        rng = np.random.default_rng(15)
+        cols = ("intercept", "x1") if variant == "hawkes" else ()
+        spec = sp.SaccadeSpec(variant=variant, mean_fn=mean_fn, columns=cols)
+        model = SaccadeModel(spec, PIXEL_OMEGA)
+        batch = sp.PathData.concat(saccade_units(rng, model, count=3, events=20))
+        raw = rng.uniform(-0.5, 0.5, size=model.dim)
+        params = model.unpack(raw)
+        terms = sp.saccade.loglik_terms(batch, spec, params, PIXEL_OMEGA)
+        assert model.loglik_unit(raw, batch) == (terms.total, batch.n)
+        assert np.array_equal(model.per_event_loglik(raw, batch), terms.per_event)
+        terms, grads = sp.saccade.loglik_grad(batch, spec, params, PIXEL_OMEGA)
+        ll, n, grad = model.grad_unit(raw, batch)
+        assert (ll, n) == (terms.total, batch.n)
+        assert np.array_equal(grad, model.layout.chain(raw, grads))
+
     def test_rescaling_is_exact_reparameterization(self):
         rng = np.random.default_rng(12)
         spec = sp.SaccadeSpec(variant="hawkes", mean_fn="full",
                               columns=("intercept", "x1"))
         scaled = SaccadeModel(spec, PIXEL_OMEGA)
         units = saccade_units(rng, scaled, count=2)
-        params = scaled.unpack(rng.uniform(-0.5, 0.5, size=scaled.dim))
-        ll_s = sum(scaled.loglik_unit(scaled.pack(params), scaled.prepare_unit(u))[0]
-                   for u in units)
-        # the same likelihood evaluated in pixels
+        raw = rng.uniform(-0.5, 0.5, size=scaled.dim)
+        params = scaled.unpack(raw)
+        # the packed vector is in screen units, and the model's likelihood is
+        # the one in pixels
+        ll_s = sum(scaled.loglik_unit(raw, u)[0] for u in units)
         ll_p = sum(sp.saccade.loglik_terms(u, spec, params, PIXEL_OMEGA).total for u in units)
-        assert ll_s == pytest.approx(ll_p, rel=1e-9)
+        assert ll_s == ll_p
 
         # The trainer's fitting coordinates are a second exact change of
         # variables: raw = basis @ z. A kernel 20 times narrower than the
         # screen makes the basis lift the kernel weights.
         params = params.replace(sigma2=1600.0)
-        prepared = [scaled.prepare_unit(u) for u in units]
         raw = scaled.pack(params)
-        basis = scaled.fitting_basis(prepared, raw)
+        basis = scaled.fitting_basis(units, raw)
         # the lift is screen size over kernel width, the same computed in pixels
         lift = max(PIXEL_OMEGA.width, PIXEL_OMEGA.height) / math.sqrt(1600.0)
-        W = lift * _whitener(np.concatenate([u.design for u in prepared]))
+        W = lift * _whitener(np.concatenate([u.design for u in units]))
         for part in ("alpha", "beta"):
             block = scaled.layout.slices[part]
             assert np.allclose(basis[block, block], W, rtol=1e-12, atol=0.0)
         z = np.linalg.solve(basis, raw)
         through_z = basis @ z
-        loss, grad = objective(scaled, prepared, raw)
-        assert objective(scaled, prepared, through_z, want_grad=False)[0] == pytest.approx(
+        loss, grad = objective(scaled, units, raw)
+        assert objective(scaled, units, through_z, want_grad=False)[0] == pytest.approx(
             loss, rel=1e-12)
         grad_z = basis.T @ grad
         for j in range(scaled.dim):
             step = np.zeros(scaled.dim)
             step[j] = 1e-6
-            fd = (objective(scaled, prepared, basis @ (z + step), want_grad=False)[0]
-                  - objective(scaled, prepared, basis @ (z - step), want_grad=False)[0]) / 2e-6
+            fd = (objective(scaled, units, basis @ (z + step), want_grad=False)[0]
+                  - objective(scaled, units, basis @ (z - step), want_grad=False)[0]) / 2e-6
             assert abs(grad_z[j] - fd) <= 1e-4 * max(abs(fd), 1e-3), (j, grad_z[j], fd)
 
         # Packing, unpacking and fit documents never see the basis.
@@ -196,7 +216,7 @@ class TestAdapters:
             spec = sp.SaccadeSpec(variant="hawkes", mean_fn=mean_fn, columns=cols)
             model = SaccadeModel(spec, PIXEL_OMEGA)
             raw = model.pack(sp.SaccadeParams.initial(spec, nu=1e-6, sigma2=width ** 2))
-            basis = model.fitting_basis([model.prepare_unit(u) for u in units], raw)
+            basis = model.fitting_basis(units, raw)
             if mean_fn == "baseline":
                 # no center map sets the step size: packed coordinates
                 assert np.array_equal(basis, np.eye(model.dim))
@@ -248,8 +268,7 @@ class TestAdapters:
         spec = sp.SaccadeSpec(variant="poisson")
         model = SaccadeModel(spec, PIXEL_OMEGA)
         units = saccade_units(rng, model, count=3)
-        prepared = [model.prepare_unit(u) for u in units]
-        nu = model.unpack(model.default_init(prepared)).nu
+        nu = model.unpack(model.default_init(units)).nu
         assert nu == pytest.approx(poisson_mle_nu(units, PIXEL_OMEGA), rel=1e-12)
 
         dspec = sp.DurationSpec(columns=("intercept",))
@@ -273,10 +292,13 @@ class TestSplits:
         assert a == b
 
     def test_bad_fractions(self):
-        with pytest.raises(sp.ValidationError):
-            split([1, 2, 3], (0.5, 0.2, 0.2), seed=0)
-        with pytest.raises(sp.ValidationError):
-            split([1, 2, 3], (0.9, 0.2, -0.1), seed=0)
+        # one rule and one message for a split, given directly or in a config
+        for bad in ((0.5, 0.2, 0.2), (0.9, 0.2, -0.1), (0.5, 0.5), (math.nan, 0.5, 0.5)):
+            message = re.escape(f"split must be three fractions >= 0 that sum to 1, got {bad}")
+            with pytest.raises(sp.ValidationError, match=f"^{message}$"):
+                split([1, 2, 3], bad, seed=0)
+            with pytest.raises(sp.ValidationError, match=f"^{message}$"):
+                TrainConfig(split=bad)
 
 
 class TestConfigs:
@@ -381,7 +403,6 @@ class TestTraining:
             model = SaccadeModel(sp.SaccadeSpec(variant="hawkes", mean_fn="full",
                                                 columns=("intercept", "x1")), PIXEL_OMEGA)
             units = saccade_units(np.random.default_rng(34), model, count=3)
-        prepared = [model.prepare_unit(u) for u in units]
         parts = Split(train=tuple(units), val=(), test=())
         config = TrainConfig(learning_rate=0.002, batch_size=64, max_epochs=4, patience=4,
                              seed=5)
@@ -390,7 +411,7 @@ class TestTraining:
         for k in range(1, 5):
             part = train(model, parts, config.replace(max_epochs=k, patience=k), init=init)
             assert part.train_trace == full.train_trace[:k]
-            assert part.train_trace[-1] == objective(model, prepared, part.raw,
+            assert part.train_trace[-1] == objective(model, units, part.raw,
                                                      want_grad=False)[0]
 
     def test_sgd_reaches_lbfgs_optimum_on_collinear_design(self):
@@ -423,8 +444,7 @@ class TestTraining:
         config = TrainConfig(learning_rate=0.0005, momentum=0.9, batch_size=64,
                              max_epochs=300, patience=300, seed=1, split=(1.0, 0.0, 0.0))
         result = train(model, units, config, init=init)
-        prepared = [model.prepare_unit(u) for u in units]
-        best = scipy.optimize.minimize(lambda r: objective(model, prepared, r), init, jac=True,
+        best = scipy.optimize.minimize(lambda r: objective(model, units, r), init, jac=True,
                                        method="L-BFGS-B",
                                        options={"maxiter": 2000, "gtol": 1e-9, "ftol": 1e-14})
         # the reference must be an optimum, not an early stop
@@ -484,7 +504,7 @@ class TestTraining:
         spec = sp.SaccadeSpec(variant="poisson")
         model = SaccadeModel(spec, PIXEL_OMEGA)
         with pytest.raises(sp.DivergenceError):
-            objective(model, [model.prepare_unit(pd)], np.array([0.0]))
+            objective(model, [pd], np.array([0.0]))
         with pytest.raises(sp.DivergenceError):
             train(model, Split(train=(pd,), val=(), test=()),
                   TrainConfig(max_epochs=2, patience=2))
@@ -505,7 +525,7 @@ class TestTraining:
                             locations=[(150.0 * k, 300.0) for k in range(1, n + 1)],
                             design=np.ones((n, 1)), labels=(label,))
                 for n, label in ((4, "a/x"), (3, "b/y"))]
-        units = [model.prepare_unit(u) for u in (good[0], pd, good[1])]
+        units = [good[0], pd, good[1]]
         lam, comp, _ = sp.saccade.event_intensities(pd, spec, params, PIXEL_OMEGA)
         for want_grad in (True, False):
             with pytest.raises(sp.DivergenceError) as info:
@@ -548,25 +568,24 @@ class TestBatchObjective:
                                    spillover=("z",), lags=2 if kind == "markov" else 0)
             model = DurationModel(spec)
             units = duration_units(rng, 2, count=5, events=7)
-        prepared = [model.prepare_unit(u) for u in units]
-        raw = model.default_init(prepared) + rng.normal(0.0, 0.05, model.dim)
-        batch = sp.PathData.concat(prepared)
+        raw = model.default_init(units) + rng.normal(0.0, 0.05, model.dim)
+        batch = sp.PathData.concat(units)
         ll, n, grad = model.grad_unit(raw, batch)
-        parts = [model.grad_unit(raw, u) for u in prepared]
+        parts = [model.grad_unit(raw, u) for u in units]
         assert n == 35 and ll == pytest.approx(sum(p[0] for p in parts), rel=1e-13)
         want = np.sum([p[2] for p in parts], axis=0)
         assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
         assert model.loglik_unit(raw, batch) == (pytest.approx(ll, rel=1e-13), 35)
         assert np.allclose(model.per_event_loglik(raw, batch),
-                           np.concatenate([model.per_event_loglik(raw, u) for u in prepared]),
+                           np.concatenate([model.per_event_loglik(raw, u) for u in units]),
                            rtol=1e-13, atol=0.0)
-        loss, g = objective(model, prepared, raw)
+        loss, g = objective(model, units, raw)
         assert (loss, g.tolist()) == (-ll / n, (-grad / n).tolist())
         assert objective(model, batch, raw, want_grad=False)[0] == pytest.approx(loss, rel=1e-14)
-        assert dataset_loglik(model, prepared, raw) == model.loglik_unit(raw, batch)
+        assert dataset_loglik(model, units, raw) == model.loglik_unit(raw, batch)
         assert objective(model, [], raw) == (0.0, pytest.approx(np.zeros(model.dim)))
         assert dataset_loglik(model, [], raw) == (0.0, 0)
-        empty = model.prepare_unit(sp.PathData.concat([]))
+        empty = sp.PathData.concat([])
         ll, n, grad = model.grad_unit(raw, empty)
         assert (ll, n, grad.tolist()) == (0.0, 0, np.zeros(model.dim).tolist())
         assert model.per_event_loglik(raw, empty).shape == (0,)
@@ -605,6 +624,28 @@ class TestGridSearch:
         assert result.grid_trace[best_idx][0] == result.selected
         assert result.best_val_loss == pytest.approx(min(losses))
 
+    def test_kernel_axis_only_where_the_start_reads_it(self):
+        kernels = ((2.0, 3.0, 0.5), (1.5, 2.0, 0.2), (3.0, 1.0, 0.0))
+        grid = GridSpec(batch_sizes=(8,), learning_rates=(0.01,), weight_decays=(0.0,),
+                        kernel_inits=kernels)
+        config = TrainConfig(max_epochs=2, patience=2, seed=1, split=(0.7, 0.3, 0.0))
+        rng = np.random.default_rng(47)
+        units = duration_units(rng, 2, count=6, events=6)
+        conv = DurationModel(sp.DurationSpec(mean_variant="convolution", spillover=("x1",),
+                                             columns=("intercept", "x1")))
+        result = grid_search(conv, units, grid, config)
+        assert [hp["kernel_init"] for hp, _ in result.grid_trace] == list(kernels)
+        # a given start, or a model without kernels, reads no kernel init:
+        # one run, under the first entry
+        plain = DurationModel(sp.DurationSpec(columns=("intercept", "x1")))
+        last = SaccadeModel(sp.SaccadeSpec(variant="last_fixation"), PIXEL_OMEGA)
+        for model, data, init in ((conv, units, conv.default_init(units)),
+                                  (plain, units, None),
+                                  (last, saccade_units(rng, last, count=6), None)):
+            result = grid_search(model, data, grid, config, init=init)
+            assert [hp["kernel_init"] for hp, _ in result.grid_trace] == [kernels[0]]
+            assert result.selected["kernel_init"] == kernels[0]
+
     def test_deterministic_across_runs(self):
         model, units, grid, config = self.setup_run()
         a = grid_search(model, units, grid, config)
@@ -623,10 +664,9 @@ class TestWarmStart:
         source = train(pois, units, config)
         target = SaccadeModel(
             sp.SaccadeSpec(variant="hawkes", columns=("intercept",)), PIXEL_OMEGA)
-        prepared = [target.prepare_unit(u) for u in units]
         init = warm_start(source.names, source.raw, target, units)
         assert init[target.names.index("nu")] == source.raw[0]
-        default = target.default_init(prepared)
+        default = target.default_init(units)
         for name in ("alpha[intercept]", "beta[intercept]", "sigma2"):
             j = target.names.index(name)
             assert init[j] == default[j]
@@ -650,10 +690,8 @@ class TestWarmStart:
                            columns=("intercept",)), PIXEL_OMEGA)
         init = warm_start(base.names, raw, target, units)
         # the full map adds only predictor offsets; defaults leave them at zero
-        prepared = [base.prepare_unit(u) for u in units]
-        tprepared = [target.prepare_unit(u) for u in units]
-        ll_base = sum(base.loglik_unit(raw, u)[0] for u in prepared)
-        ll_full = sum(target.loglik_unit(init, u)[0] for u in tprepared)
+        ll_base = sum(base.loglik_unit(raw, u)[0] for u in units)
+        ll_full = sum(target.loglik_unit(init, u)[0] for u in units)
         assert ll_full == pytest.approx(ll_base, rel=1e-12)
 
 

@@ -678,10 +678,6 @@ class TestBandAgainstDense:
         assert kept <= 0.2 * pd.n * (pd.n - 1) / 2
         terms, _ = assert_matches_dense(pd, spec, params, RSE_OMEGA)
         assert terms.invalid_count == 0
-        # the same in the units the trainer fits in
-        model = sp.SaccadeModel(spec, RSE_OMEGA)
-        scaled = model._unpack_scaled(model.pack(params))
-        assert_matches_dense(model.prepare_unit(pd), spec, scaled, model.omega_s)
 
     def test_relu_zero_decay_keeps_every_pair(self):
         pd, spec, params, omega = long_case("relu", alpha=[1.0, 0.3], beta=[0.0, 1.5])
@@ -854,10 +850,6 @@ class TestPathDataBatch:
                              starts=batch.starts, labels=batch.labels)
         assert np.array_equal(direct.clock, batch.clock)
         assert np.array_equal(direct.gaps, batch.gaps)
-        moved = batch.with_locations(batch.locations * 2.0)
-        assert moved.labels == batch.labels and np.array_equal(moved.starts, batch.starts)
-        assert moved.clock is batch.clock
-        assert np.array_equal(moved.locations[5:], 2.0 * units[3].locations)
         assert sp.PathData.concat(units[:1]) is units[0]
         empty = sp.PathData.concat([])
         assert empty.n == 0 and empty.labels == () and empty.clock.size == 0
@@ -970,14 +962,13 @@ class TestBatchAgainstPerPath:
         units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5])
         model = sp.SaccadeModel(spec, omega)
         raw = model.pack(params)
-        prepared = [model.prepare_unit(u) for u in units]
-        ll, n, grad = model.grad_unit(raw, sp.PathData.concat(prepared))
-        parts = [model.grad_unit(raw, u) for u in prepared]
+        ll, n, grad = model.grad_unit(raw, sp.PathData.concat(units))
+        parts = [model.grad_unit(raw, u) for u in units]
         assert n == sum(u.n for u in units)
         assert ll == pytest.approx(sum(p[0] for p in parts), rel=1e-13)
         want = np.sum([p[2] for p in parts], axis=0)
         assert np.linalg.norm(grad - want) <= 1e-10 * np.linalg.norm(want)
-        per_event = model.per_event_loglik(raw, sp.PathData.concat(prepared))
+        per_event = model.per_event_loglik(raw, sp.PathData.concat(units))
         assert np.allclose(per_event,
-                           np.concatenate([model.per_event_loglik(raw, u) for u in prepared]),
+                           np.concatenate([model.per_event_loglik(raw, u) for u in units]),
                            rtol=1e-12, atol=0.0)
