@@ -281,7 +281,8 @@ def _means(onsets, design: Optional[np.ndarray], starts, spec: DurationSpec,
     feats, sums = None, None
     if spec.mean_variant == "convolution":
         conv = np.zeros((4 if grad else 1, onsets.shape[0], spec.n_spill))
-        for r0, r1, rows, cols in mathutil._band(onsets, math.inf, starts) if spec.n_spill else ():
+        lo = mathutil._first_kept(onsets, math.inf, starts)
+        for r0, r1, rows, cols in mathutil._band(lo) if spec.n_spill else ():
             conv[:, r0:r1] = _pair_sums(onsets, design, rows, cols, r0, r1 - r0, spec, params,
                                         grad)
         feats, sums = conv[0], (conv[1:] if grad else None)

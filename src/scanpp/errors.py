@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check of a numeric setting."""
+
+import math
 
 
 class ScanppError(Exception):
@@ -25,3 +27,17 @@ class UsageError(ScanppError):
 
 class DomainError(ScanppError):
     """Numerical input outside the mathematical domain of an operation."""
+
+
+def check_number(name: str, value: float, low: float, *, closed: bool = False,
+                 finite: bool = True) -> None:
+    """Raise a ValidationError unless ``value`` lies above ``low``, or at it if
+    ``closed``, and is finite, or may be infinite if ``finite`` is false.
+
+    NaN always fails. The message reads "<name> must be [finite and] > <low>,
+    got <value>", with >= for a closed bound.
+    """
+    above = value >= low if closed else value > low
+    if not (above and (not finite or math.isfinite(value))):
+        raise ValidationError(f"{name} must be {'finite and ' if finite else ''}"
+                              f"{'>=' if closed else '>'} {low:g}, got {value}")

@@ -235,8 +235,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             result = grid_search(model, parts, grid, config, init=init)
         else:
             result = train(model, parts, config, init=init)
-        per_event = model.per_event_loglik(result.raw, PathData.concat(parts.test))
-        return SuiteMember(model_name(spec), spec, result, per_event)
+        return SuiteMember(model_name(spec), spec, result, result.test_per_event)
 
     try:
         baseline = fit_one(baseline_spec, None)

@@ -49,7 +49,7 @@ from .duration import (
     _means,
     duration_loglik_grad,
 )
-from .errors import ScanppError, ValidationError
+from .errors import ScanppError, ValidationError, check_number
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
 from .saccade import (
     PathData,
@@ -83,12 +83,10 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "split", tuple(float(f) for f in self.split))
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning rate must be > 0, got {self.learning_rate}")
+        check_number("learning rate", self.learning_rate, 0.0)
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight decay must be >= 0, got {self.weight_decay}")
+        check_number("weight decay", self.weight_decay, 0.0, closed=True)
         if self.batch_size < 1:
             raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -278,6 +276,11 @@ def _whitener(U: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     return V / np.sqrt(np.where(live, g, 1.0))
 
 
+def _total(per_event: np.ndarray) -> float:
+    """A batch's log-likelihood from its terms: their sum, or -inf if one is not finite."""
+    return float(np.sum(per_event)) if np.all(np.isfinite(per_event)) else float("-inf")
+
+
 class SaccadeModel:
     """Flattens SaccadeParams to an unconstrained vector and evaluates batches.
 
@@ -358,8 +361,7 @@ class SaccadeModel:
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
         """Total log-likelihood and event count of a batch, in one pass."""
-        terms = loglik_terms(unit, self.spec, self.unpack(raw), self.omega)
-        return (float("-inf") if terms.invalid_count else terms.total), unit.n
+        return _total(self.per_event_loglik(raw, unit)), unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
         """Log-density of every event of a batch, in path order."""
@@ -381,8 +383,7 @@ class SaccadeModel:
         """``loglik_unit`` plus its gradient in the packed vector, in one pass."""
         raw = np.asarray(raw, dtype=float)
         terms, grads = loglik_grad(unit, self.spec, self.unpack(raw), self.omega)
-        ll = float("-inf") if terms.invalid_count else terms.total
-        return ll, unit.n, self.layout.chain(raw, grads)
+        return _total(terms.per_event), unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Invertible matrix taking fitting coordinates to ``raw``.
@@ -467,7 +468,7 @@ class DurationModel:
 
     def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
         """Total log-likelihood and event count of a batch."""
-        return float(np.sum(self.per_event_loglik(raw, unit))), unit.n
+        return _total(self.per_event_loglik(raw, unit)), unit.n
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
         """Log-density of every event of a batch, in path order."""
@@ -490,7 +491,7 @@ class DurationModel:
         """``loglik_unit`` plus its gradient in the packed vector."""
         raw = np.asarray(raw, dtype=float)
         result, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
-        return result.total, unit.n, self.layout.chain(raw, grads)
+        return _total(result.per_event), unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Identity: duration models fit in the packed coordinates."""
@@ -556,15 +557,14 @@ def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarra
     return loss, grad
 
 
-def dataset_loglik(model: Model, units: PathData | Sequence[PathData], raw: np.ndarray
-                   ) -> tuple[float, int]:
-    """Total log-likelihood and fixation count of a dataset, in one call."""
-    return model.loglik_unit(raw, _as_batch(units))
-
-
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Outcome of one training run (or the winning grid-search run)."""
+    """Outcome of one training run (or the winning grid-search run).
+
+    ``test_per_event`` holds the log-density of each test event at ``raw``,
+    in path order, from the one pass that gives ``test_loglik``; a result
+    loaded from a fit document has none.
+    """
 
     names: tuple[str, ...]
     raw: np.ndarray
@@ -578,6 +578,7 @@ class FitResult:
     test_events: int = 0
     seed: int = 0
     wall_clock: float = 0.0
+    test_per_event: np.ndarray = dataclasses.field(default_factory=lambda: np.empty(0))
 
     @property
     def best_val_loss(self) -> float:
@@ -623,17 +624,28 @@ def train(model: Model, data, config: TrainConfig,
     """SGD with Nesterov momentum, early-stopped on validation loss.
 
     ``data`` is a sequence of PathData (split internally per config) or a
-    Split. Returns the parameters of the best validation epoch.
-    Steps are taken in the model's fitting coordinates (``fitting_basis``);
-    weight decay acts on the packed vector.
+    Split. Returns the parameters of the best validation epoch, and the
+    log-density of each test event at them. Steps are taken in the model's
+    fitting coordinates (``fitting_basis``); weight decay acts on the packed
+    vector.
     """
     t0 = time.perf_counter()
-    return _train(model, _prepare(_as_split(data, config)), config, init, kernel_init, t0)
+    prep = _prepare(_as_split(data, config))
+    return _scored(model, prep, _train(model, prep, config, init, kernel_init), t0)
+
+
+def _scored(model: Model, prep: _Prepared, result: FitResult, t0: float) -> FitResult:
+    """``result`` with its test split scored once at its ``raw``, and the time since t0."""
+    per_event = model.per_event_loglik(result.raw, prep.test)
+    return dataclasses.replace(
+        result, test_loglik=_total(per_event) if prep.test.labels else math.nan,
+        test_events=prep.test.n, test_per_event=per_event, wall_clock=time.perf_counter() - t0)
 
 
 def _train(model: Model, prep: _Prepared, config: TrainConfig,
-           init: Optional[np.ndarray], kernel_init: Optional[tuple[float, float, float]],
-           t0: float) -> FitResult:
+           init: Optional[np.ndarray],
+           kernel_init: Optional[tuple[float, float, float]]) -> FitResult:
+    """One SGD run on the prepared split; its test split is left unscored."""
     train_units = prep.units
     raw = np.array(model.default_init(train_units, kernel=kernel_init)
                    if init is None else init, dtype=float)
@@ -694,14 +706,10 @@ def _train(model: Model, prep: _Prepared, config: TrainConfig,
         if epoch - best_epoch >= config.patience:
             break
 
-    test_ll, test_n = (dataset_loglik(model, prep.test, best_raw) if prep.test.labels
-                       else (float("nan"), 0))
     return FitResult(
         names=model.names, raw=best_raw, params=model.unpack(best_raw),
         train_trace=tuple(train_trace), val_trace=tuple(val_trace),
-        best_epoch=best_epoch, selected={},
-        test_loglik=test_ll, test_events=test_n, seed=config.seed,
-        wall_clock=time.perf_counter() - t0)
+        best_epoch=best_epoch, selected={}, seed=config.seed)
 
 
 def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
@@ -711,7 +719,8 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
     Enumeration and tie-breaking follow the declared field order (batch size,
     learning rate, weight decay, kernel init), so the first strict improvement
     wins and results are reproducible. The split's batches are built once and
-    shared by every configuration.
+    shared by every configuration, and only the selected run scores the test
+    split.
 
     Only the default start of a model with convolution kernels reads the
     kernel init. Trained from ``init``, or for any other model, the kernel
@@ -733,7 +742,7 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
               "kernel_init": tuple(kern)}
         cfg = config.replace(batch_size=bs, learning_rate=lr, weight_decay=wd)
         try:
-            result = _train(model, prep, cfg, init, tuple(kern), time.perf_counter())
+            result = _train(model, prep, cfg, init, tuple(kern))
             loss = result.best_val_loss
         except DivergenceError:
             result = None
@@ -743,9 +752,10 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
             best, best_loss, best_hp = result, loss, hp
     if best is None:
         raise DivergenceError(f"all {len(runs)} grid configurations diverged")
-    return dataclasses.replace(best, selected=dict(best_hp),
-                               grid_trace=tuple((dict(hp), loss) for hp, loss in runs),
-                               wall_clock=time.perf_counter() - t0)
+    return _scored(model, prep,
+                   dataclasses.replace(best, selected=dict(best_hp),
+                                       grid_trace=tuple((dict(hp), loss) for hp, loss in runs)),
+                   t0)
 
 
 def warm_start(source_names: Sequence[str], source_raw: np.ndarray, target_model: Model,

@@ -1,5 +1,6 @@
 """Numerical helpers: link functions, stable exponential-interval integrals, and
-``_band``, the pair band on which both model families sum over pairs of events."""
+the pair band on which both model families sum over pairs of events: each
+row's first kept source, ``_first_kept``, and its row blocks, ``_band``."""
 
 from __future__ import annotations
 
@@ -127,7 +128,10 @@ def exp_integrals(b, lo, gap):
     """``exp_integral_0`` and ∫ (lo + u) exp(-b(lo + u)) du over u in [0, gap].
 
     The two share exp(-b·lo) and g0; the first is bitwise the value
-    ``exp_integral_0`` gives.
+    ``exp_integral_0`` gives. The band's gradient pass calls it once per
+    source, with lo = 0 and gap the span on the kernel clock that the
+    source's kept rows tile, so its sums over rows of both integrals come
+    in closed form.
     """
     b = np.asarray(b, dtype=float)
     x = b * gap
@@ -137,23 +141,23 @@ def exp_integrals(b, lo, gap):
             decay * (lo * gap * g0 + gap * gap * exp_interval_g1(x)))
 
 
-def _band(clock: np.ndarray, w: float, starts=(0,)):
-    """Row blocks of the band: (first row, end row, rows, sources) of its pairs.
-
-    A pass over the blocks takes O(n·w) memory and forms no n x n array.
+def _first_kept(clock: np.ndarray, w: float, starts=(0,)) -> np.ndarray:
+    """The band's first kept source lo_i of each row i; non-decreasing in i.
 
     ``starts`` holds the first row of each segment. Row i keeps the sources
-    lo_i <= j < i of its own segment, where lo_i is the first source at
-    which the running maximum of the segment's clock reaches
+    lo_i <= j < i of its own segment, where lo_i is at most the first source
+    at which the running maximum of the segment's clock reaches
     min(c_{i-1}, c_i) - w, with c_{i-1} = 0 at a segment's first row. So
     every dropped source is older than w at both ends of event i's window,
     also where the clock is not monotone; an infinite w keeps every pair
-    within a segment. A block holds at most ``_BLOCK_PAIRS`` pairs, or one
-    row, and no row straddles two blocks.
+    within a segment. Where the clock runs backwards, a row may take a later
+    row's smaller lo, which only keeps more pairs; so the rows that keep
+    source j are j+1 up to the last row i with lo_i <= j. Where the clock is
+    monotone, every lo_i is the first source that reaches the bound.
     """
     n = clock.shape[0]
     if not n:
-        return
+        return np.zeros(0, dtype=np.intp)
     idx = np.arange(n)
     start = np.minimum(clock, np.concatenate(([0.0], clock[:-1])))
     starts = np.asarray(starts, dtype=np.intp)
@@ -167,6 +171,19 @@ def _band(clock: np.ndarray, w: float, starts=(0,)):
     offset = seg * (clock.max() - clock.min())
     lo = np.searchsorted(np.maximum.accumulate(clock + offset), start + offset - w)
     lo = np.minimum(np.maximum(lo, starts[seg]), idx)
+    return np.minimum.accumulate(lo[::-1])[::-1]
+
+
+def _band(lo: np.ndarray):
+    """Row blocks of the band: (first row, end row, rows, sources) of its pairs.
+
+    Row i holds the pairs (i, j) for lo[i] <= j < i, with ``lo`` from
+    ``_first_kept``. A pass over the blocks takes O(n·w) memory and forms no
+    n x n array. A block holds at most ``_BLOCK_PAIRS`` pairs, or one row,
+    and no row straddles two blocks.
+    """
+    n = lo.shape[0]
+    idx = np.arange(n)
     ends = np.cumsum(idx - lo)
     r0 = 0
     while r0 < n:

@@ -81,14 +81,16 @@ def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _color(frac: float) -> str:
-    frac = min(max(frac, 0.0), 1.0)
-    pos = frac * (len(_STOPS) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(_STOPS) - 1)
-    w = pos - lo
-    rgb = [round((1 - w) * a + w * b) for a, b in zip(_STOPS[lo], _STOPS[hi])]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _colors(fracs: np.ndarray) -> list[str]:
+    """Hex colour of each fraction of the value range, linear between the ramp's stops."""
+    pos = np.clip(fracs, 0.0, 1.0) * (len(_STOPS) - 1)
+    lo = pos.astype(int)
+    hi = np.minimum(lo + 1, len(_STOPS) - 1)
+    w = (pos - lo)[:, None]
+    stops = np.array(_STOPS, dtype=float)
+    # np.rint rounds half to even, as round() does
+    rgb = np.rint((1 - w) * stops[lo] + w * stops[hi]).astype(int).tolist()
+    return ["#{:02x}{:02x}{:02x}".format(*c) for c in rgb]
 
 
 def svg_heatmap(t: float, scanpath: Scanpath, omega: Rect, xs: np.ndarray,
@@ -107,12 +109,15 @@ def svg_heatmap(t: float, scanpath: Scanpath, omega: Rect, xs: np.ndarray,
         f'width="640" height="{640 * omega.height / omega.width:g}">',
         f"<title>intensity at t={t:g}</title>",
     ]
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            frac = 0.5 if span == 0 else (float(values[j, i]) - vmin) / span
-            parts.append(
-                f'<rect x="{x - cw / 2:g}" y="{y - ch / 2:g}" width="{cw:g}" '
-                f'height="{ch:g}" fill="{_color(frac)}"/>')
+    fracs = np.full(values.size, 0.5) if span == 0 else (np.ravel(values) - vmin) / span
+    fills = _colors(fracs)
+    # each column's x and each row's y formatted once
+    cols = [f'<rect x="{x - cw / 2:g}" y="' for x in xs.tolist()]
+    size = f'" width="{cw:g}" height="{ch:g}" fill="'
+    for j, y in enumerate(ys.tolist()):
+        row = f"{y - ch / 2:g}{size}"
+        parts.extend(f'{col}{row}{fill}"/>'
+                     for col, fill in zip(cols, fills[j * len(cols):(j + 1) * len(cols)]))
     pts = [f"{x:g},{y:g}" for x, y in history.locations.tolist()]
     if len(pts) > 1:
         parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '

@@ -43,7 +43,18 @@ The per-scanpath layer evaluates the self-exciting variant on the pair band
 ``mathutil._band``, in O(n·w) time and memory. A source's kernel
 a_j·exp(-b_j·age) decays exponentially in its age on the kernel clock c, so
 the band runs on c with cutoff w. Each row's intensity is complete within
-its block, and the per-source gradient sums are scatter-adds over its pairs.
+its block. What weights a pair by its row stays per pair, as scatter-adds
+over the block's pairs: lam, the compensator increments, and the gradient's
+sums weighted by P_i = 1/lambda_i. The gradient's compensator sums per
+source, of I0_ij = ∫ exp(-b_j·age) and I1_ij = ∫ age·exp(-b_j·age) over row
+i's window, need no pair. Source j's kept rows are j+1..hi_j, as each row's
+first kept source (``mathutil._first_kept``) never falls, and their windows
+tile (c_j, c_hi_j] on the kernel clock. So each sum is one integral over
+ages [0, c_hi_j - c_j], in closed form for any b_j. It integrates over the
+kept rows only, so the tail bound below holds for it as for the per-pair
+sums. Where the clock steps back by less than the gap tolerance, the
+windows overlap by that step, and the two sums differ by at most its
+integral.
 
 The cutoff w is derived on each call from (a, b, nu, sigma2, n), one for the
 whole batch: n is the length of its longest segment, and A and b_min below
@@ -692,39 +703,39 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
 
     One cutoff serves every segment of ``pd``, from the batch's largest a,
     its smallest b and its longest segment. Each row's lam is complete
-    within its block, so with ``grad`` the per-source sums of the gradient
-    take the same pass; with no sources they are zeros of the right shapes.
+    within its block, so with ``grad`` the P-weighted per-source sums of the
+    gradient take the same pass; the compensator's per-source sums come in
+    closed form after it. With no sources they are zeros of the right shapes.
     """
     fields = _sources(pd.locations, pd.design, spec, params)
-    a, b, mu, locations = fields["a"], fields["b"], fields["mu"], pd.locations
+    a, b, mu = fields["a"], fields["b"], fields["mu"]
     clock, clock_prev = pd.clock, pd.clock_prev
+    # gathers from contiguous columns
+    sx, sy = np.ascontiguousarray(pd.locations.T)
+    mx, my = np.ascontiguousarray(mu.T)
     s2 = params.sigma2
     mass, dmass_ds2, dmass_dmu = _screen_mass(mu, s2, omega, grad)
     am = mass * a
     # Per-source sums over the kept pairs: sum_i P_i E_ij psi_ij, sum_i P_i
-    # W_ij dhi_ij, I0, I1 and sum_i P_i W_ij (s_i - mu_j); and the total of
+    # W_ij dhi_ij and sum_i P_i W_ij (s_i - mu_j); and the total of
     # P_i W_ij (r2_ij / (2 s2^2) - 1 / s2).
-    sum_a, sum_b, sum_I0, sum_I1 = (np.zeros(pd.n) for _ in range(4))
+    sum_a, sum_b = np.zeros(pd.n), np.zeros(pd.n)
     sum_mu = np.zeros((pd.n, 2))
     sum_s2 = 0.0
     w = _window(a, b, params.nu, s2, int(pd.lengths.max(initial=0)))
-    for r0, r1, rows, cols in mathutil._band(clock, w, pd.starts):
+    lo = mathutil._first_kept(clock, w, pd.starts)
+    for r0, r1, rows, cols in mathutil._band(lo):
         if not cols.size:
             continue
         bj = b[cols]
         dhi = clock[rows] - clock[cols]
         E = np.exp(-bj * dhi)
-        dx = locations[rows, 0] - mu[cols, 0]
-        dy = locations[rows, 1] - mu[cols, 1]
+        dx = sx[rows] - mx[cols]
+        dy = sy[rows] - my[cols]
         r2 = dx * dx + dy * dy
         EP = E * (np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2))
         W = a[cols] * EP
-        dlo = clock_prev[rows] - clock[cols]
-        g = gaps[rows]
-        if grad:
-            I0, I1 = exp_integrals(bj, dlo, g)
-        else:
-            I0 = exp_integral_0(bj, dlo, g)
+        I0 = exp_integral_0(bj, clock_prev[rows] - clock[cols], gaps[rows])
         local = rows - r0
         lam[r0:r1] += np.bincount(local, W, minlength=r1 - r0)
         comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
@@ -741,14 +752,17 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         PW = P * W
         add(sum_a, P * EP)
         add(sum_b, PW * dhi)
-        add(sum_I0, I0)
-        add(sum_I1, I1)
         sum_s2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
         if spec.mean_fn != "baseline":
             add(sum_mu[:, 0], PW * dx)
             add(sum_mu[:, 1], PW * dy)
     if not grad:
         return {}
+    # Source j's kept rows are j+1..hi_j, whose exposure windows tile
+    # (c_j, c_hi_j] on the kernel clock, so its sums of the pair integrals
+    # are the two integrals over that span.
+    hi = np.searchsorted(lo, np.arange(pd.n), side="right") - 1
+    sum_I0, sum_I1 = exp_integrals(b, 0.0, clock[hi] - clock)
     X = pd.design
     d_a = sum_a - mass * sum_I0
     grads = {"alpha": X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))}

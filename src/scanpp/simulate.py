@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Rect, Scanpath, check_design
 from .duration import DurationParams, DurationSpec, event_mean
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_number
 from .mathutil import norm_cdf, norm_ppf
 from .saccade import HistoryState, SaccadeParams, SaccadeSpec
 
@@ -47,14 +47,17 @@ _REJECTION_CAP = 1000
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Where and how long to sample: a path ends at the first event past
+    ``horizon`` seconds or at ``max_events`` events. An infinite horizon is
+    allowed, and samples ``max_events`` events; NaN is not."""
+
     horizon: float
     omega: Rect
     seed: int = 0
     max_events: int = 100_000
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        check_number("horizon", self.horizon, 0.0, finite=False)
         if self.max_events < 1:
             raise ValidationError(f"max_events must be >= 1, got {self.max_events}")
 

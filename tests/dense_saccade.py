@@ -5,6 +5,8 @@ older than its cutoff: every source-target pair goes through an n x n array
 whose upper triangle is masked. It shares no code with the package but the
 numerical helpers in ``scanpp.mathutil``, and tests compare
 ``loglik_terms``, ``compensator_increments`` and ``loglik_grad`` against it.
+``loglik_grad`` may restrict the pairs to a mask, such as the pairs the band
+keeps, and then sums every pair's compensator integrals one by one.
 ``spatial_density`` is the one-point Gaussian density that the package's
 ``_density`` reproduces bit for bit.
 """
@@ -72,7 +74,7 @@ def _last_fixation_pieces(pd, params, omega):
     return r2, psi, gx, gy, (zx0, zx1, zy0, zy1)
 
 
-def _hawkes_pieces(pd, spec, params, omega, gaps):
+def _hawkes_pieces(pd, spec, params, omega, gaps, keep=None):
     n = pd.n
     X = pd.design
     a = np.atleast_1d(apply_link(spec.link, X @ params.alpha))
@@ -80,6 +82,8 @@ def _hawkes_pieces(pd, spec, params, omega, gaps):
     clock = pd.clock
     clock_prev = np.concatenate(([0.0], clock[:-1]))
     tri = np.tril(np.ones((n, n), dtype=bool), k=-1)
+    if keep is not None:
+        tri &= keep
     dhi = np.where(tri, clock[:, None] - clock[None, :], 0.0)
     dlo = np.where(tri, clock_prev[:, None] - clock[None, :], 0.0)
     E = np.where(tri, np.exp(-b[None, :] * dhi), 0.0)
@@ -123,7 +127,9 @@ def loglik_terms(pd, spec, params, omega):
     return _finish(lam, comp, invalid)
 
 
-def loglik_grad(pd, spec, params, omega):
+def loglik_grad(pd, spec, params, omega, keep=None):
+    """Terms and gradient over the source-target pairs (i, j), j < i, where the
+    (n, n) mask ``keep`` holds, or over every such pair."""
     n = pd.n
     area = omega.area
     if n == 0:
@@ -168,7 +174,7 @@ def loglik_grad(pd, spec, params, omega):
             d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
         return terms, {"nu": d_nu, "sigma2": d_sigma2}
 
-    pieces = _hawkes_pieces(pd, spec, params, omega, gaps)
+    pieces = _hawkes_pieces(pd, spec, params, omega, gaps, keep)
     grads = {}
     X, a, b = pieces["X"], pieces["a"], pieces["b"]
     E, psi, mass, I0 = pieces["E"], pieces["psi"], pieces["mass"], pieces["I0"]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,18 @@ class TestSimulate:
                      "--out", str(out)])
         assert code == 2
         assert f"ERROR --count must be >= 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_horizon_fails_before_sampling(self, tmp_path, capsys):
+        path = self.poisson_params(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        t0 = time.perf_counter()
+        # the event cap bounds the run where a NaN horizon gets through
+        code = main(["simulate", "--params", path, "--horizon", "nan", "--max-events", "200",
+                     "--out", str(out)])
+        assert code == 1 and time.perf_counter() - t0 < 5.0
+        assert "ERROR horizon must be > 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_file_without_parameters(self, tmp_path):

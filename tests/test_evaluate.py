@@ -8,6 +8,7 @@ from scipy import stats
 
 import scanpp as sp
 import scanpp.evaluate
+import scanpp.fit
 from scanpp.evaluate import (
     Bootstrap,
     ComparisonReport,
@@ -246,6 +247,37 @@ class TestCompareSuite:
             assert report.test_events == n_test
             assert report.values.shape == (n_test,)
             assert report.summary.replicates == 50
+
+    @pytest.mark.parametrize("grid", [None, sp.GridSpec(batch_sizes=(4,),
+                                                        learning_rates=(0.02, 0.01),
+                                                        weight_decays=(0.0,))])
+    def test_each_rung_scores_its_test_split_once(self, monkeypatch, grid):
+        paths = self.scanpaths()
+        config = self.config()
+        test_idx = sp.split(list(range(len(paths))), config.split, config.seed).test
+        test_labels = tuple(f"{paths[i].reader_id}/{paths[i].text_id}" for i in test_idx)
+        scored = []
+        loglik_terms = scanpp.fit.loglik_terms
+
+        def counted(pd, *args):
+            scored.append(pd.labels)
+            return loglik_terms(pd, *args)
+
+        monkeypatch.setattr(scanpp.fit, "loglik_terms", counted)
+        specs = [sp.SaccadeSpec(variant="last_fixation"),
+                 sp.SaccadeSpec(variant="hawkes", columns=("intercept",))]
+        _, members = compare_suite(paths, self.OMEGA, specs, sp.SaccadeSpec(variant="poisson"),
+                                   config, replicates=50, grid=grid)
+        monkeypatch.undo()
+        assert len(members) == 3 and scored.count(test_labels) == 3
+        for member in members:
+            model = sp.SaccadeModel(member.spec, self.OMEGA)
+            units = scanpp.evaluate._units(paths, member.spec.columns)
+            test = sp.PathData.concat([units[i] for i in test_idx])
+            want = model.per_event_loglik(member.result.raw, test)
+            assert np.array_equal(member.test_per_event, want)
+            assert member.result.test_loglik == float(np.sum(want))
+            assert member.result.test_events == want.size
 
     def test_deterministic(self):
         paths = self.scanpaths()

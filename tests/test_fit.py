@@ -14,7 +14,6 @@ from scanpp.fit import (
     Split,
     TrainConfig,
     _whitener,
-    dataset_loglik,
     grid_search,
     objective,
     poisson_mle_nu,
@@ -318,6 +317,17 @@ class TestConfigs:
         with pytest.raises(sp.ValidationError):
             TrainConfig(split=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("learning_rate", math.nan, "learning rate must be finite and > 0, got nan"),
+        ("learning_rate", math.inf, "learning rate must be finite and > 0, got inf"),
+        ("learning_rate", -math.inf, "learning rate must be finite and > 0, got -inf"),
+        ("weight_decay", math.nan, "weight decay must be finite and >= 0, got nan"),
+        ("weight_decay", math.inf, "weight decay must be finite and >= 0, got inf"),
+    ])
+    def test_non_finite_rates_rejected(self, field, value, message):
+        with pytest.raises(sp.ValidationError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
+
     def test_grid_spec(self):
         grid = GridSpec(batch_sizes=(2, 4, 8), learning_rates=(0.1, 0.01, 0.001),
                         weight_decays=(0.0, 1e-4))
@@ -488,7 +498,7 @@ class TestTraining:
                       test=tuple(units[7:]))
         config = TrainConfig(max_epochs=3, patience=3, seed=0)
         result = train(model, parts, config)
-        want_ll, want_n = dataset_loglik(model, [units[7]], result.raw)
+        want_ll, want_n = model.loglik_unit(result.raw, units[7])
         assert result.test_events == want_n
         assert result.test_loglik == pytest.approx(want_ll, rel=1e-12)
 
@@ -582,10 +592,9 @@ class TestBatchObjective:
         loss, g = objective(model, units, raw)
         assert (loss, g.tolist()) == (-ll / n, (-grad / n).tolist())
         assert objective(model, batch, raw, want_grad=False)[0] == pytest.approx(loss, rel=1e-14)
-        assert dataset_loglik(model, units, raw) == model.loglik_unit(raw, batch)
         assert objective(model, [], raw) == (0.0, pytest.approx(np.zeros(model.dim)))
-        assert dataset_loglik(model, [], raw) == (0.0, 0)
         empty = sp.PathData.concat([])
+        assert model.loglik_unit(raw, empty) == (0.0, 0)
         ll, n, grad = model.grad_unit(raw, empty)
         assert (ll, n, grad.tolist()) == (0.0, 0, np.zeros(model.dim).tolist())
         assert model.per_event_loglik(raw, empty).shape == (0,)

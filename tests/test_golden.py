@@ -1,8 +1,9 @@
 """Byte-exact outputs of the sampler and of an intensity snapshot.
 
 Every benchmark input and ``scanpp simulate`` output comes from
-``sample_scanpath``, and ``scanpp plot`` writes ``grid_csv``, so the golden
-file ``data/sim_golden.txt`` holds their bytes for fixed seeds. Each section
+``sample_scanpath``, and ``scanpp plot`` writes ``grid_csv`` and
+``svg_heatmap``, so the golden file ``data/sim_golden.txt`` holds their bytes
+for fixed seeds. Each section
 starts with a ``--- name`` line. Regenerate it with
 ``python tests/test_golden.py`` only when these outputs change on purpose.
 """
@@ -14,7 +15,7 @@ import pytest
 
 import scanpp as sp
 from scanpp.fileio import dumps_scanpaths
-from scanpp.plotting import grid_csv, intensity_grid
+from scanpp.plotting import grid_csv, intensity_grid, svg_heatmap
 
 GOLDEN = Path(__file__).parent / "data" / "sim_golden.txt"
 OMEGA = sp.Rect(0.0, 0.0, 1920.0, 1080.0)
@@ -129,6 +130,7 @@ def sections():
         "sample_scanpath rse plain": dumps_scanpaths([rse]),
         "sample_scanpath affine convolution": dumps_scanpaths([affine]),
         "grid_csv rse 16x16 after 100": grid_csv(xs, ys, values),
+        "svg_heatmap rse 16x16 after 100": svg_heatmap(t, rse, OMEGA, xs, ys, values),
         "sample_scanpath affine convolution freq 0.8": dumps_scanpaths([spillover]),
         "sample_scanpath hawkes relu gamma": dumps_scanpaths([relu]),
         "sample_scanpath last_fixation markov": dumps_scanpaths([last]),
@@ -156,6 +158,7 @@ def computed():
 @pytest.mark.parametrize("name", ["sample_scanpath rse plain",
                                   "sample_scanpath affine convolution",
                                   "grid_csv rse 16x16 after 100",
+                                  "svg_heatmap rse 16x16 after 100",
                                   "sample_scanpath affine convolution freq 0.8",
                                   "sample_scanpath hawkes relu gamma",
                                   "sample_scanpath last_fixation markov",

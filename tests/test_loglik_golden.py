@@ -7,8 +7,10 @@ compensator increment and gradient entry over the saccade variant grid, on
 one batch of segments of lengths 0, 1, 2 and 90, and of the duration terms
 and gradient for each mean x distribution pair. The values must not depend
 on the BLAS thread count. Each section starts with a ``--- name`` line.
-Regenerate the file with ``python tests/test_loglik_golden.py`` only when
-these values change on purpose.
+Regenerate the file with ``PYTHONPATH=src python tests/test_loglik_golden.py``
+only when these values change on purpose. Before it writes, it prints each
+section that changes and the largest relative change of each of its lines,
+so a regeneration states its size.
 """
 import itertools
 import math
@@ -124,6 +126,64 @@ def golden_text():
     return "".join(f"--- {name}\n{text}" for name, text in sections().items())
 
 
+def parse(text):
+    """{section: {line name: values}} of a golden text, as ``line`` writes it."""
+    out = {}
+    for chunk in text.split("--- ")[1:]:
+        name, _, body = chunk.partition("\n")
+        lines = out[name] = {}
+        for row in body.splitlines():
+            words = row.split()
+            k = 2 if words[0] == "grad" else 1
+            lines[" ".join(words[:k])] = np.array(words[k:], dtype=float)
+    return out
+
+
+def relative_change(old, new):
+    """Largest |new - old| / |old| over aligned values; inf where a value changes
+    from zero, changes finiteness or the shapes differ; 0 where every value is equal."""
+    if old.shape != new.shape:
+        return math.inf
+    same = (old == new) | (np.isnan(old) & np.isnan(new))
+    if same.all():
+        return 0.0
+    old, new = old[~same], new[~same]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(new - old) / np.abs(old)
+    return float(np.max(np.where(np.isfinite(rel), rel, math.inf)))
+
+
+def golden_changes(old_text, new_text):
+    """One line per section that differs between two golden texts, with the
+    largest relative change of each line that moved."""
+    old, new = parse(old_text), parse(new_text)
+    report = []
+    for name in list(old) + [n for n in new if n not in old]:
+        if name not in new or name not in old:
+            report.append(f"{name}: section {'removed' if name not in new else 'added'}")
+            continue
+        if list(old[name]) != list(new[name]):
+            report.append(f"{name}: lines differ: {list(old[name])} -> {list(new[name])}")
+            continue
+        moved = [(line, relative_change(old[name][line], new[name][line]))
+                 for line in old[name]]
+        moved = [f"{line} {rel:.2g}" for line, rel in moved if rel]
+        if moved:
+            report.append(f"{name}: {', '.join(moved)}")
+    return report
+
+
+def test_change_report_names_each_moved_line():
+    text = golden_text()
+    name, body = next(iter(parse(text).items()))
+    assert golden_changes(text, text) == []
+    first = next(iter(body))
+    value = body[first][0]
+    moved = text.replace(repr(float(value)), repr(float(value) * (1.0 + 2**-40)), 1)
+    assert golden_changes(text, moved) == [f"{name}: {first} {2**-40:.2g}"]
+    assert golden_changes(text, text + "--- extra\nterms 1.0\n") == ["extra: section added"]
+
+
 @pytest.fixture(params=[1, 2], ids=lambda n: f"blas{n}")
 def blas_threads(request):
     """The BLAS thread count set to 1, then 2, and restored afterwards."""
@@ -139,5 +199,9 @@ def test_bytes_match_golden(blas_threads):
 
 
 if __name__ == "__main__":
+    text = golden_text()
+    before = GOLDEN.read_text(encoding="utf-8") if GOLDEN.exists() else ""
+    for change in golden_changes(before, text) or ["no section changes"]:
+        print(change)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(golden_text(), encoding="utf-8")
+    GOLDEN.write_text(text, encoding="utf-8")

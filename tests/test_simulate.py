@@ -356,3 +356,16 @@ class TestRngs:
             SimConfig(horizon=0.0, omega=UNIT)
         with pytest.raises(sp.ValidationError):
             SimConfig(horizon=1.0, omega=UNIT, max_events=0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, -math.inf])
+    def test_horizon_must_be_a_number_above_zero(self, horizon):
+        with pytest.raises(sp.ValidationError, match=f"^horizon must be > 0, got {horizon}$"):
+            SimConfig(horizon=horizon, omega=UNIT)
+
+    def test_infinite_horizon_runs_to_the_event_cap(self):
+        spec, params = hawkes_setup()
+        dspec, dparams = plain_durations()
+        config = SimConfig(horizon=math.inf, omega=UNIT, seed=3, max_events=7)
+        result = sample_scanpath(spec, params, dspec, dparams, config,
+                                 x_row=np.ones(1), x_dur_row=np.ones(1))
+        assert result.truncated and len(result.scanpath) == 7
