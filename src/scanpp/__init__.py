@@ -26,8 +26,6 @@ from .data import (
 from .duration import (
     DurationParams,
     DurationSpec,
-    duration_loglik,
-    duration_means,
     event_mean,
     fit_linear_aggregated,
     fit_linear_log,
@@ -80,11 +78,7 @@ from .saccade import (
     PathData,
     SaccadeParams,
     SaccadeSpec,
-    compensator,
     compensator_increments,
-    intensity,
-    log_density,
-    scanpath_loglik,
 )
 from .serialize import (
     dumps_fit,

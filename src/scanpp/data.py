@@ -16,12 +16,13 @@ immutable after construction; the functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, check_number
 
 MEASURES = ("first_fixation", "gaze", "total", "scanpath")
 
@@ -38,8 +39,12 @@ class Rect:
     height: float
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"rectangle must have positive extent, got {self}")
+        for name in ("x0", "y0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"rectangle {name} must be finite, got {value}")
+        check_number("rectangle width", self.width, 0.0)
+        check_number("rectangle height", self.height, 0.0)
 
     @property
     def x1(self) -> float:

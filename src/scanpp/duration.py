@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import digamma, gammaincc, gammaln
 
 from . import mathutil
-from .data import AggregatedRecord, Scanpath, check_design
-from .errors import UsageError, ValidationError
+from .data import AggregatedRecord, check_design
+from .errors import UsageError, ValidationError, check_number
 from .saccade import PathData
 
 MEAN_VARIANTS = ("plain", "convolution", "markov")
@@ -119,12 +119,7 @@ class DurationParams:
         k = self.kernel_alpha.shape[0]
         if self.kernel_beta.shape[0] != k or self.kernel_theta.shape[0] != k:
             raise ValidationError("kernel parameter arrays must share one length")
-        if np.any(self.kernel_alpha <= 1.0):
-            raise ValidationError("kernel shape parameters must be > 1")
-        if np.any(self.kernel_beta <= 0.0):
-            raise ValidationError("kernel rate parameters must be > 0")
-        if np.any(self.kernel_theta < 0.0):
-            raise ValidationError("kernel shifts must be >= 0")
+        check_kernel(self.kernel_alpha, self.kernel_beta, self.kernel_theta)
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0.0:
             raise ValidationError(f"log-scale variance must be > 0, got {self.sigma2}")
         if not np.isfinite(self.shape) or self.shape <= 0.0:
@@ -164,14 +159,21 @@ def check_compatible(spec: DurationSpec, params: DurationParams) -> None:
 
 # --- Kernels and densities --------------------------------------------------
 
+def check_kernel(alpha, beta, theta) -> None:
+    """The kernel rule: shape alpha > 1, rate beta > 0 and shift theta >= 0, all finite.
+
+    Each argument is a number or an array of one value per spillover column.
+    """
+    for name, values, low, closed in (("kernel shape", alpha, 1.0, False),
+                                      ("kernel rate", beta, 0.0, False),
+                                      ("kernel shift", theta, 0.0, True)):
+        for value in np.ravel(values).tolist():
+            check_number(name, value, low, closed=closed)
+
+
 def gamma_kernel(tau, alpha: float, beta: float, theta: float):
     """Shifted-gamma kernel value at elapsed time tau >= 0."""
-    if alpha <= 1.0:
-        raise ValidationError(f"kernel shape must be > 1, got {alpha}")
-    if beta <= 0.0:
-        raise ValidationError(f"kernel rate must be > 0, got {beta}")
-    if theta < 0.0:
-        raise ValidationError(f"kernel shift must be >= 0, got {theta}")
+    check_kernel(alpha, beta, theta)
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise UsageError("kernel argument must be >= 0")
@@ -293,23 +295,14 @@ def _means(onsets, design: Optional[np.ndarray], starts, spec: DurationSpec,
     return design, xi, feats, sums
 
 
-def duration_means(onsets: np.ndarray, design: Optional[np.ndarray], spec: DurationSpec,
-                   params: DurationParams) -> np.ndarray:
-    """Mean log-durations for every event of one scanpath.
-
-    ``design`` holds the events' rows, under ``data.check_design``.
-    """
-    return _means(onsets, design, (0,), spec, params)[1]
-
-
 def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpec,
                params: DurationParams) -> float:
     """Mean log-duration of event n (0-based) given the events before it, in O(n).
 
-    Reads ``onsets[:n + 1]`` and ``design[:n + 1]`` and equals
-    ``duration_means`` of those prefixes at n, bit for bit: the plain and
-    markov means are that very computation, and the convolution forms row n
-    through the same ``_pair_sums`` as the band does.
+    Reads ``onsets[:n + 1]`` and ``design[:n + 1]`` and equals the means
+    ``_means`` gives those prefixes at n, bit for bit: the plain and markov
+    means are that very computation, and the convolution forms row n through
+    the same ``_pair_sums`` as the band does.
     """
     onsets = np.asarray(onsets, dtype=float)[: n + 1]
     design = np.asarray(design, dtype=float)[: n + 1]
@@ -318,20 +311,8 @@ def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpe
     check_compatible(spec, params)
     feats = _pair_sums(onsets, design, np.full(n, n), np.arange(n), n, 1, spec, params,
                        grad=False)[0, 0]
-    # Row n of the full product, as duration_means forms it.
+    # Row n of the full product, as _means forms it.
     return float(_add_spillover((design @ params.w)[n], feats, params.w_prime))
-
-
-@dataclass(frozen=True, eq=False)
-class DurationLoglik:
-    per_event: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.per_event))
-
-    def __float__(self) -> float:
-        return self.total
 
 
 def _log_density(durations: np.ndarray, xi: np.ndarray, spec: DurationSpec,
@@ -357,19 +338,9 @@ def _log_density(durations: np.ndarray, xi: np.ndarray, spec: DurationSpec,
     return per, resid / s2, {"sigma2": float(np.sum(-0.5 / s2 + resid ** 2 / (2.0 * s2 * s2)))}
 
 
-def duration_loglik(scanpath: Scanpath, design: Optional[np.ndarray],
-                    spec: DurationSpec, params: DurationParams) -> DurationLoglik:
-    """Joint log-likelihood of the fixation durations of one scanpath.
-
-    ``design`` holds the fixations' rows, under ``data.check_design``.
-    """
-    xi = duration_means(scanpath.onsets, design, spec, params)
-    return DurationLoglik(_log_density(scanpath.durations, xi, spec, params, grad=False)[0])
-
-
 def duration_loglik_grad(pd: PathData, spec: DurationSpec, params: DurationParams
-                         ) -> tuple[DurationLoglik, dict[str, np.ndarray | float]]:
-    """Log-likelihood terms of a batch, in path order, and the gradient of their sum.
+                         ) -> tuple[np.ndarray, dict[str, np.ndarray | float]]:
+    """Log-density of every event of a batch, in path order, and the gradient of their sum.
 
     The gradient is in constrained parameter space. Keys: w always;
     w_prime plus kernel_alpha/kernel_beta/kernel_theta for the convolution
@@ -387,7 +358,7 @@ def duration_loglik_grad(pd: PathData, spec: DurationSpec, params: DurationParam
         grads["w_prime"] = np.einsum("n,njk->jk", dxi, feats)
     else:
         grads["w_prime"] = np.zeros_like(params.w_prime)
-    return DurationLoglik(np.atleast_1d(per)), grads
+    return np.atleast_1d(per), grads
 
 
 # --- Closed-form linear fits -------------------------------------------------

@@ -195,7 +195,6 @@ class SuiteMember:
     name: str
     spec: SaccadeSpec
     result: FitResult
-    test_per_event: np.ndarray
 
 
 def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
@@ -235,7 +234,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             result = grid_search(model, parts, grid, config, init=init)
         else:
             result = train(model, parts, config, init=init)
-        return SuiteMember(model_name(spec), spec, result, result.test_per_event)
+        return SuiteMember(model_name(spec), spec, result)
 
     try:
         baseline = fit_one(baseline_spec, None)
@@ -255,7 +254,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             continue
         members.append(member)
         prev = member.result
-        reports.append(_compare(member.name, baseline.name, member.test_per_event,
-                                baseline.test_per_event, replicates, bootstrap_seed, blocks,
-                                dataset_variant))
+        reports.append(_compare(member.name, baseline.name, member.result.test_per_event,
+                                baseline.result.test_per_event, replicates, bootstrap_seed,
+                                blocks, dataset_variant))
     return reports, members

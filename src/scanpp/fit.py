@@ -47,6 +47,7 @@ from .duration import (
     DurationSpec,
     _log_density,
     _means,
+    check_kernel,
     duration_loglik_grad,
 )
 from .errors import ScanppError, ValidationError, check_number
@@ -87,13 +88,13 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         check_number("weight decay", self.weight_decay, 0.0, closed=True)
-        if self.batch_size < 1:
-            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0 <= self.patience <= self.max_epochs:
+        check_number("batch size", self.batch_size, 1, closed=True)
+        check_number("max_epochs", self.max_epochs, 1, closed=True)
+        check_number("patience", self.patience, 0, closed=True)
+        if self.patience > self.max_epochs:
             raise ValidationError(
                 f"patience must lie in [0, max_epochs], got {self.patience}")
+        check_number("seed", self.seed, 0, closed=True)
         _check_split(self.split)
 
     def replace(self, **changes) -> "TrainConfig":
@@ -110,6 +111,17 @@ class GridSpec:
     kernel_inits: tuple[tuple[float, float, float], ...] = ((2.0, 3.0, 0.5),)
 
     def __post_init__(self):
+        # Each entry passes the check of the run that reads it, before int() sees it.
+        for b in self.batch_sizes:
+            TrainConfig(batch_size=b)
+        for lr in self.learning_rates:
+            TrainConfig(learning_rate=lr)
+        for wd in self.weight_decays:
+            TrainConfig(weight_decay=wd)
+        for k in self.kernel_inits:
+            if len(k) != 3:
+                raise ValidationError(f"a kernel init is (shape, rate, shift), got {tuple(k)}")
+            check_kernel(*k)
         object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
         object.__setattr__(self, "learning_rates", tuple(float(v) for v in self.learning_rates))
         object.__setattr__(self, "weight_decays", tuple(float(v) for v in self.weight_decays))
@@ -490,8 +502,8 @@ class DurationModel:
     def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
         """``loglik_unit`` plus its gradient in the packed vector."""
         raw = np.asarray(raw, dtype=float)
-        result, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
-        return _total(result.per_event), unit.n, self.layout.chain(raw, grads)
+        per_event, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
+        return _total(per_event), unit.n, self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """Identity: duration models fit in the packed coordinates."""

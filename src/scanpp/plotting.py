@@ -6,8 +6,8 @@ numbers, with past fixations and the upcoming fixation overlaid.
 
 A grid builds the history state once per timestamp and evaluates all its
 cells through ``HistoryState.intensity_at``, which works in blocks of
-bounded size; every cell value is bit-identical to calling the scalar
-``saccade.intensity`` at that cell's center.
+bounded size; every cell value is bit-identical to evaluating that cell's
+center alone.
 """
 
 from __future__ import annotations

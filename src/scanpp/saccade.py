@@ -32,9 +32,9 @@ The pointwise layer builds a ``HistoryState`` once per history: the kernel
 clock, the link outputs, the excitation centers and their screen mass.
 ``build`` forms them for the whole history and ``append`` for one new row,
 both through ``_sources``. ``HistoryState.intensity_at`` evaluates the
-intensity at many points in blocks of bounded size, with each value
-bit-identical to the one-point reference ``intensity``; ``compensator`` and
-``log_density`` read the same state, and the sampler grows one by
+intensity at many points in blocks of bounded size, and one point evaluated
+alone gets the same value, bit for bit, as the same point in a block. The
+plotting grid reads it, and the sampler grows a state by
 ``HistoryState.append``. Both layers share one convention: event times are
 seconds, locations are pixels, and the screen region bounds all spatial
 mass integrals.
@@ -521,11 +521,6 @@ class HistoryState:
         buf[self.n] = t
         return buf[:self.n + 1]
 
-    def _screen(self) -> Rect:
-        if self.omega is None:
-            raise UsageError("this history state was built without a screen region")
-        return self.omega
-
     def _require_after_history(self, t: float) -> None:
         if t < self.last_end - _GAP_TOL:
             raise DomainError(f"time {t} falls before the end of the previous "
@@ -548,7 +543,9 @@ class HistoryState:
         when the caller has it already.
         """
         self._require_after_history(t)
-        base = self.params.nu * self._screen().area
+        if self.omega is None:
+            raise UsageError("this history state was built without a screen region")
+        base = self.params.nu * self.omega.area
         if self.spec.variant == "poisson" or self.n == 0:
             return float(base)
         if self.spec.variant == "last_fixation":
@@ -559,8 +556,8 @@ class HistoryState:
         """Conditional intensity at time t at each row of an (m, 2) array of points.
 
         Points go in blocks of at most ``mathutil._BLOCK_PAIRS`` point-source pairs,
-        so memory stays bounded on fine grids and long histories. Each value
-        is bit-identical to the one-point case, ``intensity``.
+        so memory stays bounded on fine grids and long histories. A point
+        evaluated alone gets the same value, bit for bit, as in a block.
         """
         self._require_after_history(t)
         points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -579,49 +576,6 @@ class HistoryState:
             psi *= phi
             out[lo:lo + step] = nu + np.sum(psi, axis=1)
         return out
-
-    def compensator(self, t: float) -> float:
-        """Integrated intensity over (end of last fixation, t] x screen."""
-        self._require_after_history(t)
-        params = self.params
-        gap = max(t - self.last_end, 0.0)
-        base = params.nu * self._screen().area * gap
-        if self.spec.variant == "poisson" or self.n == 0:
-            return float(base)
-        if self.spec.variant == "last_fixation":
-            return float(base + self.mass[-1] * gap)
-        # The window start mapped onto the kernel clock coincides with the
-        # last event's clock value, so each source's age runs from there.
-        lo = self.ages(self.last_end)
-        return float(base + np.sum(self.mass * self.a * exp_integral_0(self.b, lo, gap)))
-
-
-def intensity(t: float, s, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
-              X: Optional[np.ndarray] = None) -> float:
-    """Conditional intensity at (t, s), per second per squared pixel."""
-    s = np.asarray(s, dtype=float).reshape(1, 2)
-    return float(HistoryState.build(history, X, spec, params).intensity_at(t, s)[0])
-
-
-def compensator(t: float, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
-                omega: Rect, X: Optional[np.ndarray] = None) -> float:
-    """Integrated intensity over (end of last fixation, t] x screen."""
-    return HistoryState.build(history, X, spec, params, omega).compensator(t)
-
-
-def log_density(t: float, s, history: Scanpath, spec: SaccadeSpec, params: SaccadeParams,
-                omega: Rect, X: Optional[np.ndarray] = None) -> float:
-    """Log joint density of the next fixation occurring at (t, s)."""
-    s = np.asarray(s, dtype=float).reshape(1, 2)
-    if not omega.contains(s[0, 0], s[0, 1]):
-        raise ValidationError(f"location {tuple(s[0])} lies outside the screen region")
-    state = HistoryState.build(history, X, spec, params, omega)
-    if t < state.last_end - _GAP_TOL:
-        return float("-inf")
-    lam = float(state.intensity_at(t, s)[0])
-    if lam <= 0.0:
-        return float("-inf")
-    return float(np.log(lam) - state.compensator(t))
 
 
 # --- Vectorized per-scanpath evaluation -------------------------------------
@@ -840,8 +794,3 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
     lam, comp, invalid, grads = _evaluate(pd, spec, params, omega, grad=True)
     return _finish(lam, comp, invalid), grads
 
-
-def scanpath_loglik(scanpath: Scanpath, design: np.ndarray | None,
-                    spec: SaccadeSpec, params: SaccadeParams, omega: Rect) -> ScanpathLoglik:
-    """Joint log-likelihood of one scanpath under the model."""
-    return loglik_terms(PathData.from_scanpath(scanpath, design), spec, params, omega)

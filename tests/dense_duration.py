@@ -4,14 +4,15 @@ This is the convolution ``scanpp.duration`` used before it summed the
 spillover over the pair band: per scanpath, the elapsed times and each
 spillover column's kernel go through n x n arrays whose upper triangle is
 masked. ``loglik_grad`` evaluates a batch one segment at a time, concatenates
-the per-event terms and sums the gradients. It shares no code with the
+the per-event terms and sums the gradients; like ``duration_loglik_grad``, it
+returns the terms as one array, then the gradient. It shares no code with the
 package but the kernel ``gamma_kernel`` and the output distribution
 ``_log_density``, and tests compare ``duration_loglik_grad`` against it.
 """
 import numpy as np
 from scipy.special import digamma
 
-from scanpp.duration import DurationLoglik, _log_density, gamma_kernel
+from scanpp.duration import _log_density, gamma_kernel
 
 
 def conv_features(onsets, design, spec, params):
@@ -104,4 +105,4 @@ def loglik_grad(pd, spec, params):
         parts.append(per)
         for key, value in grads.items():
             total[key] = total[key] + value if key in total else value
-    return DurationLoglik(np.concatenate(parts)), total
+    return np.concatenate(parts), total

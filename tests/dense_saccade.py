@@ -2,13 +2,21 @@
 
 This is the evaluation ``scanpp.saccade`` used before it dropped sources
 older than its cutoff: every source-target pair goes through an n x n array
-whose upper triangle is masked. It shares no code with the package but the
-numerical helpers in ``scanpp.mathutil``, and tests compare
-``loglik_terms``, ``compensator_increments`` and ``loglik_grad`` against it.
+whose upper triangle is masked. The dense evaluation shares no code with
+the package but the numerical helpers in ``scanpp.mathutil``, and tests
+compare ``loglik_terms``, ``compensator_increments`` and ``loglik_grad``
+against it.
 ``loglik_grad`` may restrict the pairs to a mask, such as the pairs the band
 keeps, and then sums every pair's compensator integrals one by one.
 ``spatial_density`` is the one-point Gaussian density that the package's
 ``_density`` reproduces bit for bit.
+
+``compensator`` and ``log_density`` are the pointwise reference: the
+compensator of one ``HistoryState`` over the window after its history, in
+closed form source by source, and the log-density of one next fixation,
+log lambda minus that compensator. The band has no such window, so tests
+check the compensator against quadrature and sum ``log_density`` over a
+scanpath's prefixes to check ``loglik_terms``.
 """
 import numpy as np
 
@@ -20,7 +28,7 @@ from scanpp.mathutil import (
     norm_cdf,
     norm_pdf,
 )
-from scanpp.saccade import ScanpathLoglik
+from scanpp.saccade import HistoryState, ScanpathLoglik
 
 GAP_TOL = 1e-9
 
@@ -31,6 +39,33 @@ def spatial_density(s, mean, sigma2: float) -> float:
     mean = np.asarray(mean, dtype=float).reshape(2)
     r2 = float(np.sum((s - mean) ** 2))
     return float(np.exp(-r2 / (2.0 * sigma2)) / (2.0 * np.pi * sigma2))
+
+
+def compensator(state, t: float) -> float:
+    """Integrated intensity over (end of the last fixation, t] x screen of a
+    ``HistoryState`` built with a screen."""
+    params = state.params
+    gap = max(t - state.last_end, 0.0)
+    base = params.nu * state.omega.area * gap
+    if state.spec.variant == "poisson" or state.n == 0:
+        return float(base)
+    if state.spec.variant == "last_fixation":
+        return float(base + state.mass[-1] * gap)
+    # The window start mapped onto the kernel clock coincides with the last
+    # event's clock value, so each source's age runs from there.
+    lo = state.ages(state.last_end)
+    return float(base + np.sum(state.mass * state.a * exp_integral_0(state.b, lo, gap)))
+
+
+def log_density(t: float, s, history, spec, params, omega, X=None) -> float:
+    """Log joint density of the next fixation at (t, s) after ``history``."""
+    state = HistoryState.build(history, X, spec, params, omega)
+    if t < state.last_end - GAP_TOL:
+        return float("-inf")
+    lam = float(state.intensity_at(t, [s])[0])
+    if lam <= 0.0:
+        return float("-inf")
+    return float(np.log(lam) - compensator(state, t))
 
 
 def _gap_terms(pd, nu, area):

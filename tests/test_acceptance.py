@@ -14,8 +14,10 @@ import pytest
 import scipy.integrate as sint
 import scipy.stats
 
+import dense_saccade as dense
 import scanpp as sp
 from scanpp.data import design_for_columns
+from scanpp.duration import duration_loglik_grad
 from scanpp.fit import objective
 from scanpp.mathutil import softplus_inv
 from scanpp.saccade import PathData
@@ -153,7 +155,7 @@ def test_criterion_01_compensator_quadrature(capsys):
         gap = float(rng.uniform(0.05, 0.5))
         t = path.fixations[-1].end + gap
         x_arg = design if variant == "hawkes" else None
-        got_w = sp.compensator(t, path, spec, params, omega, X=x_arg)
+        got_w = dense.compensator(sp.HistoryState.build(path, x_arg, spec, params, omega), t)
         want_w = _oracle_window(path, design, spec, params, omega, gap)
         worst = max(worst, abs(got_w - want_w) / max(abs(want_w), 1e-12))
     elapsed = time.monotonic() - t0
@@ -449,8 +451,8 @@ def test_criterion_07_duration_closed_form(capsys):
     p_conv = sp.DurationParams(w=w, w_prime=np.zeros(1), kernel_alpha=np.array([2.0]),
                                kernel_beta=np.array([3.0]), kernel_theta=np.array([0.5]),
                                sigma2=0.04)
-    ll_plain = sp.duration_loglik(path2, design, plain, p_plain).per_event
-    ll_conv = sp.duration_loglik(path2, design, conv, p_conv).per_event
+    ll_plain = duration_loglik_grad(PathData.from_scanpath(path2, design), plain, p_plain)[0]
+    ll_conv = duration_loglik_grad(PathData.from_scanpath(path2, design), conv, p_conv)[0]
     identical = np.array_equal(ll_plain, ll_conv)
     elapsed = time.monotonic() - t0
     ok = mean_err <= 1e-9 and var_err <= 1e-9 and identical

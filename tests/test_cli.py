@@ -12,7 +12,6 @@ import scanpp as sp
 from scanpp import cli, fileio, serialize
 from scanpp.cli import main
 from scanpp.fit import DurationModel, SaccadeModel, TrainConfig, GridSpec, split
-from scanpp.saccade import intensity
 
 from conftest import make_fixations, random_scanpath
 
@@ -209,6 +208,15 @@ class TestFit:
         assert loaded.result.seed == 5
         assert loaded.result.best_epoch >= 1
         assert np.isfinite(loaded.result.test_loglik)
+
+    def test_non_finite_screen_fails_at_the_boundary(self, tmp_path, capsys):
+        data, _ = write_dataset(tmp_path)
+        out = tmp_path / "p.fit"
+        capsys.readouterr()
+        assert main(["fit", "--data", data, "--out", str(out), "--variant", "poisson",
+                     "--screen", "nanx768"]) == 1
+        assert "ERROR rectangle width must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refit_is_byte_identical(self, tmp_path):
         data, _ = write_dataset(tmp_path)
@@ -556,10 +564,11 @@ class TestPlot:
         lines = (tmp_path / "page_t0.csv").read_text().splitlines()
         assert lines[0] == "x,y,intensity"
         assert len(lines) == 17
-        history = sp.Scanpath("r0", "t0", path.fixations[:2])
+        state = sp.HistoryState.build(sp.Scanpath("r0", "t0", path.fixations[:2]), None, spec,
+                                      params)
         for line in lines[1:3]:
             x, y, value = (float(tok) for tok in line.split(","))
-            expected = intensity(0.9, (x, y), history, spec, params)
+            expected = state.intensity_at(0.9, [(x, y)])[0]
             assert value == pytest.approx(expected, rel=1e-12)
 
     def test_time_inside_fixation(self, tmp_path):

@@ -12,8 +12,8 @@ import scanpp as sp
 from scanpp.duration import (
     DurationParams,
     DurationSpec,
+    _means,
     duration_loglik_grad,
-    duration_means,
     event_mean,
     extend_with_lags,
     fit_linear_aggregated,
@@ -123,9 +123,9 @@ class TestSpecValidation:
         spec = DurationSpec(mean_variant="markov", spillover=("e",),
                             columns=("e",), lags=2)
         params = DurationParams.initial(spec).replace(w_prime=np.zeros((1, 1)))
-        path = two_event_path()
+        pd = sp.PathData.from_scanpath(two_event_path(), np.ones((2, 1)))
         with pytest.raises(sp.ValidationError):
-            sp.duration_loglik(path, np.ones((2, 1)), spec, params)
+            duration_loglik_grad(pd, spec, params)
 
 
 class TestMeans:
@@ -136,7 +136,7 @@ class TestMeans:
             w=np.array([0.5]), w_prime=np.array([0.3]))
         path = two_event_path()
         design = np.array([[2.0], [1.0]])
-        xi = duration_means(path.onsets, design, spec, params)
+        xi = _means(path.onsets, design, (0,), spec, params)[1]
         k = 9.0 * math.exp(-3.0)
         assert xi[0] == pytest.approx(1.0, rel=1e-12)
         assert xi[1] == pytest.approx(0.5 + 0.3 * 2.0 * k, rel=1e-12)
@@ -149,7 +149,7 @@ class TestMeans:
         params = DurationParams.initial(spec).replace(
             w=np.array([0.0]), w_prime=np.array([[0.5], [0.5]]))
         design = np.array([[1.0], [0.5], [0.0]])
-        xi = duration_means(np.array([0.1, 0.5, 1.0]), design, spec, params)
+        xi = _means(np.array([0.1, 0.5, 1.0]), design, (0,), spec, params)[1]
         assert xi[0] == pytest.approx(0.0, abs=1e-15)
         assert xi[1] == pytest.approx(0.5, rel=1e-12)
         assert xi[2] == pytest.approx(0.75, rel=1e-12)
@@ -162,7 +162,7 @@ class TestMeans:
         params = DurationParams.initial(spec).replace(
             w=np.array([1.0, 0.0]), w_prime=np.full((3, 1), 9.0))
         design = np.array([[2.0, 5.0], [2.0, 5.0]])
-        xi = duration_means(np.array([0.1, 0.5]), design, spec, params)
+        xi = _means(np.array([0.1, 0.5]), design, (0,), spec, params)[1]
         # lags reaching before the first event contribute nothing
         assert xi[0] == pytest.approx(2.0, rel=1e-12)
         assert xi[1] == pytest.approx(2.0 + 9.0 * 5.0, rel=1e-12)
@@ -173,11 +173,10 @@ class TestMeans:
         plain = DurationSpec(mean_variant="plain", columns=("c", "e"))
         params = DurationParams.initial(spec).replace(w=np.array([0.2, -0.4]))
         plain_params = DurationParams.initial(plain).replace(w=params.w)
-        path = two_event_path()
-        design = np.array([[1.0, 0.5], [1.0, 2.0]])
-        ll_conv = sp.duration_loglik(path, design, spec, params)
-        ll_plain = sp.duration_loglik(path, design, plain, plain_params)
-        assert np.array_equal(ll_conv.per_event, ll_plain.per_event)
+        pd = sp.PathData.from_scanpath(two_event_path(), np.array([[1.0, 0.5], [1.0, 2.0]]))
+        ll_conv = duration_loglik_grad(pd, spec, params)[0]
+        ll_plain = duration_loglik_grad(pd, plain, plain_params)[0]
+        assert np.array_equal(ll_conv, ll_plain)
 
     def test_loglik_total_and_distribution_switch(self):
         path = two_event_path()
@@ -185,14 +184,14 @@ class TestMeans:
         spec_ga = DurationSpec(columns=("c",), distribution="gamma")
         params = DurationParams.initial(spec_ln, sigma2=0.4).replace(
             w=np.array([-1.0]), shape=3.0)
-        design = np.ones((2, 1))
-        ll_ln = sp.duration_loglik(path, design, spec_ln, params)
-        ll_ga = sp.duration_loglik(path, design, spec_ga, params)
+        pd = sp.PathData.from_scanpath(path, np.ones((2, 1)))
+        ll_ln = duration_loglik_grad(pd, spec_ln, params)[0]
+        ll_ga = duration_loglik_grad(pd, spec_ga, params)[0]
         want_ln = lognormal_logpdf(path.durations, -1.0, 0.4)
         want_ga = gamma_logpdf(path.durations, -1.0, 3.0)
-        assert np.allclose(ll_ln.per_event, want_ln, rtol=1e-12)
-        assert np.allclose(ll_ga.per_event, want_ga, rtol=1e-12)
-        assert float(ll_ln) == pytest.approx(np.sum(want_ln), rel=1e-12)
+        assert np.allclose(ll_ln, want_ln, rtol=1e-12)
+        assert np.allclose(ll_ga, want_ga, rtol=1e-12)
+        assert float(np.sum(ll_ln)) == pytest.approx(np.sum(want_ln), rel=1e-12)
 
 
 class TestDesignRows:
@@ -203,11 +202,9 @@ class TestDesignRows:
 
     def test_columns_require_design_rows(self):
         path, spec, params = self.case()
-        assert np.isfinite(float(sp.duration_loglik(path, np.ones((2, 1)), spec, params)))
+        assert np.isfinite(_means(path.onsets, np.ones((2, 1)), (0,), spec, params)[1]).all()
         with pytest.raises(sp.UsageError, match="design rows"):
-            sp.duration_loglik(path, None, spec, params)
-        with pytest.raises(sp.UsageError, match="design rows"):
-            sp.duration_means(path.onsets, None, spec, params)
+            _means(path.onsets, None, (0,), spec, params)
         # a PathData always holds rows, by default none, so those are of the wrong shape
         with pytest.raises(sp.ValidationError, match="design rows"):
             duration_loglik_grad(sp.PathData.from_scanpath(path), spec, params)
@@ -216,9 +213,7 @@ class TestDesignRows:
     def test_design_shape_checked(self, design):
         path, spec, params = self.case()
         with pytest.raises(sp.ValidationError, match="design rows"):
-            sp.duration_loglik(path, design, spec, params)
-        with pytest.raises(sp.ValidationError, match="design rows"):
-            sp.duration_means(path.onsets, design, spec, params)
+            _means(path.onsets, design, (0,), spec, params)
         if design.shape == (2, 2):
             with pytest.raises(sp.ValidationError, match="design rows"):
                 duration_loglik_grad(sp.PathData.from_scanpath(path, design), spec, params)
@@ -248,7 +243,7 @@ class TestEventMean:
         spec, params, onsets, design = mean_setup(variant, distribution,
                                                   np.random.default_rng(21))
         for n in range(len(onsets)):
-            want = duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
+            want = _means(onsets[:n + 1], design[:n + 1], (0,), spec, params)[1][n]
             # rows past n must not matter
             assert event_mean(n, onsets, design, spec, params) == want, n
 
@@ -257,7 +252,7 @@ class TestEventMean:
         spec, params, onsets, design = mean_setup("convolution", distribution,
                                                   np.random.default_rng(22))
         got = [event_mean(n, onsets, design, spec, params) for n in range(len(onsets))]
-        want = [duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
+        want = [_means(onsets[:n + 1], design[:n + 1], (0,), spec, params)[1][n]
                 for n in range(len(onsets))]
         # row n's spillover sums its pairs in the same order in both
         assert got == want
@@ -269,7 +264,7 @@ class TestEventMean:
                                              np.random.default_rng(23))
         design = np.tile([1.0, 0.0, 0.0], (len(onsets), 1))
         for n in range(len(onsets)):
-            want = duration_means(onsets[:n + 1], design[:n + 1], spec, params)[n]
+            want = _means(onsets[:n + 1], design[:n + 1], (0,), spec, params)[1][n]
             assert event_mean(n, onsets, design, spec, params) == want, n
 
     def test_first_event_has_no_spillover(self):
@@ -284,8 +279,7 @@ def fd_check(spec, params, onsets, durations, design, fields, eps=1e-6, tol=2e-5
     _, grads = duration_loglik_grad(pd, spec, params)
 
     def total(p):
-        ll, _ = duration_loglik_grad(pd, spec, p)
-        return ll.total
+        return float(np.sum(duration_loglik_grad(pd, spec, p)[0]))
 
     for field in fields:
         val = getattr(params, field)
@@ -404,7 +398,7 @@ def dense_convolution(distribution, n_spill):
 
 def assert_matches(got, grads, want, want_grads):
     """Every per-event term and every gradient entry within 1e-12, relative or absolute."""
-    np.testing.assert_allclose(got.per_event, want.per_event, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     assert list(grads) == list(want_grads)
     for key, value in want_grads.items():
         np.testing.assert_allclose(grads[key], value, rtol=1e-12, atol=1e-12, err_msg=key)
@@ -433,8 +427,7 @@ class TestBandAgainstDense:
         batch = sp.PathData.concat(units)
         got, grads = duration_loglik_grad(batch, spec, params)
         per_path = [duration_loglik_grad(u, spec, params) for u in units]
-        np.testing.assert_array_equal(got.per_event,
-                                      np.concatenate([r.per_event for r, _ in per_path]))
+        np.testing.assert_array_equal(got, np.concatenate([r for r, _ in per_path]))
         want_grads = {key: sum(g[key] for _, g in per_path) for key in grads}
         assert_matches(got, grads, got, want_grads)
         assert_matches(got, grads, *dense.loglik_grad(batch, spec, params))
@@ -448,7 +441,7 @@ class TestBandAgainstDense:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.all(np.isfinite(result.per_event)) and np.all(np.isfinite(grads["kernel_alpha"]))
+        assert np.all(np.isfinite(result)) and np.all(np.isfinite(grads["kernel_alpha"]))
         # one dense n x n array at n = 4000 takes 128 MB
         assert peak < 32 * 2**20
 

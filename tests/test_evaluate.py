@@ -241,7 +241,7 @@ class TestCompareSuite:
         assert [m.name for m in members] == ["poisson", "last_fixation", "hawkes"]
         assert [r.model for r in reports] == ["last_fixation", "hawkes"]
         assert all(r.baseline == "poisson" for r in reports)
-        n_test = members[0].test_per_event.size
+        n_test = members[0].result.test_per_event.size
         assert n_test == 2 * 8
         for report in reports:
             assert report.test_events == n_test
@@ -275,7 +275,7 @@ class TestCompareSuite:
             units = scanpp.evaluate._units(paths, member.spec.columns)
             test = sp.PathData.concat([units[i] for i in test_idx])
             want = model.per_event_loglik(member.result.raw, test)
-            assert np.array_equal(member.test_per_event, want)
+            assert np.array_equal(member.result.test_per_event, want)
             assert member.result.test_loglik == float(np.sum(want))
             assert member.result.test_events == want.size
 
@@ -322,7 +322,7 @@ class TestCompareSuite:
             paths, self.OMEGA, specs, sp.SaccadeSpec(variant="poisson"),
             self.config(), effects_by_path=effects, replicates=50)
         assert members[1].name == "rse+predictors"
-        assert reports[0].values.size == members[0].test_per_event.size
+        assert reports[0].values.size == members[0].result.test_per_event.size
 
     def test_baseline_failure_aborts(self):
         paths = self.scanpaths(count=4)

@@ -300,6 +300,49 @@ class TestSplits:
                 TrainConfig(split=bad)
 
 
+def _kernel_init(i):
+    """A grid whose second kernel init has entry i (shape, rate, shift) set."""
+    def build(value):
+        kernel = [2.0, 3.0, 0.5]
+        kernel[i] = value
+        return GridSpec(kernel_inits=((2.0, 3.0, 0.5), tuple(kernel)))
+    return build
+
+
+# Every numeric setting: how to build with a value, an out-of-range value (None
+# where only finiteness is required), and the field's name as its message
+# starts. Grid entries come after a valid one.
+NUMERIC_SETTINGS = {
+    "TrainConfig.learning_rate": (lambda v: TrainConfig(learning_rate=v), 0.0, "learning rate"),
+    "TrainConfig.momentum": (lambda v: TrainConfig(momentum=v), 1.0, "momentum"),
+    "TrainConfig.weight_decay": (lambda v: TrainConfig(weight_decay=v), -1e-3, "weight decay"),
+    "TrainConfig.batch_size": (lambda v: TrainConfig(batch_size=v), 0, "batch size"),
+    "TrainConfig.max_epochs": (lambda v: TrainConfig(max_epochs=v, patience=0), 0,
+                               "max_epochs"),
+    "TrainConfig.patience": (lambda v: TrainConfig(patience=v, max_epochs=30), 31, "patience"),
+    "TrainConfig.seed": (lambda v: TrainConfig(seed=v), -1, "seed"),
+    "TrainConfig.split": (lambda v: TrainConfig(split=(v, 0.5, 0.5)), -0.5, "split"),
+    "GridSpec.batch_sizes": (lambda v: GridSpec(batch_sizes=(64, v)), 0, "batch size"),
+    "GridSpec.learning_rates": (lambda v: GridSpec(learning_rates=(0.1, v)), -1.0,
+                                "learning rate"),
+    "GridSpec.weight_decays": (lambda v: GridSpec(weight_decays=(0.0, v)), -1e-4,
+                               "weight decay"),
+    "GridSpec.kernel_inits.shape": (_kernel_init(0), 1.0, "kernel shape"),
+    "GridSpec.kernel_inits.rate": (_kernel_init(1), 0.0, "kernel rate"),
+    "GridSpec.kernel_inits.shift": (_kernel_init(2), -0.1, "kernel shift"),
+    "SimConfig.horizon": (lambda v: sp.SimConfig(horizon=v, omega=PIXEL_OMEGA), 0.0,
+                          "horizon"),
+    "SimConfig.max_events": (lambda v: sp.SimConfig(horizon=1.0, omega=PIXEL_OMEGA,
+                                                    max_events=v), 0, "max_events"),
+    "SimConfig.seed": (lambda v: sp.SimConfig(horizon=1.0, omega=PIXEL_OMEGA, seed=v), -1,
+                       "seed"),
+    "Rect.x0": (lambda v: sp.Rect(v, 0.0, 1.0, 1.0), None, "rectangle x0"),
+    "Rect.y0": (lambda v: sp.Rect(0.0, v, 1.0, 1.0), None, "rectangle y0"),
+    "Rect.width": (lambda v: sp.Rect(0.0, 0.0, v, 1.0), 0.0, "rectangle width"),
+    "Rect.height": (lambda v: sp.Rect(0.0, 0.0, 1.0, v), -1.0, "rectangle height"),
+}
+
+
 class TestConfigs:
     def test_train_config_validation(self):
         with pytest.raises(sp.ValidationError):
@@ -327,6 +370,16 @@ class TestConfigs:
     def test_non_finite_rates_rejected(self, field, value, message):
         with pytest.raises(sp.ValidationError, match=f"^{message}$"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("setting,value", [
+        (name, value) for name, (_, bad, _) in NUMERIC_SETTINGS.items()
+        for value in (math.nan, math.inf, -math.inf) + (() if bad is None else (bad,))
+        # an infinite horizon is allowed: the path runs to the event cap
+        if not (name == "SimConfig.horizon" and value == math.inf)])
+    def test_numeric_setting_rejected(self, setting, value):
+        build, _, stem = NUMERIC_SETTINGS[setting]
+        with pytest.raises(sp.ValidationError, match=f"^{re.escape(stem)} must "):
+            build(value)
 
     def test_grid_spec(self):
         grid = GridSpec(batch_sizes=(2, 4, 8), learning_rates=(0.1, 0.01, 0.001),

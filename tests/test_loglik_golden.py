@@ -22,7 +22,7 @@ import pytest
 import scanpp as sp
 from scanpp import saccade
 from scanpp.cli import _blas_threads
-from scanpp.duration import duration_loglik, duration_loglik_grad
+from scanpp.duration import _log_density, _means, duration_loglik_grad
 
 GOLDEN = Path(__file__).parent / "data" / "loglik_golden.txt"
 OMEGA = sp.Rect(0.0, 0.0, 3.0, 2.0)
@@ -109,14 +109,14 @@ def sections():
         text += [line(f"grad {key}", value) for key, value in grads.items()]
         out[f"saccade {name}"] = "".join(text)
     unit, design = duration_path()
-    scanpath = sp.Scanpath("r0", "t0", tuple(
-        sp.Fixation(t, x, y, d) for t, (x, y), d in zip(unit.onsets, unit.locations,
-                                                       unit.durations)))
     for name, spec, params in duration_cases():
-        result, grads = duration_loglik_grad(
+        per_event, grads = duration_loglik_grad(
             sp.PathData(unit.onsets, unit.durations, unit.locations, design), spec, params)
-        text = [line("terms", result.per_event),
-                line("duration_loglik", duration_loglik(scanpath, design, spec, params).per_event)]
+        # the terms again without the gradient, as DurationModel.per_event_loglik forms them
+        xi = _means(unit.onsets, design, (0,), spec, params)[1]
+        text = [line("terms", per_event),
+                line("duration_loglik",
+                     _log_density(unit.durations, xi, spec, params, grad=False)[0])]
         text += [line(f"grad {key}", value) for key, value in grads.items()]
         out[f"duration {name}"] = "".join(text)
     return out

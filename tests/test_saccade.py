@@ -146,8 +146,8 @@ class TestPointwise:
     def test_poisson_constant_intensity(self, simple_scanpath, omega):
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=2.0)
-        lam = sp.intensity(5.0, (10.0, 10.0), simple_scanpath, spec, params)
-        assert lam == 2.0
+        state = sp.HistoryState.build(simple_scanpath, None, spec, params)
+        assert state.intensity_at(5.0, [(10.0, 10.0)])[0] == 2.0
 
     def test_poisson_compensator_hand_value(self):
         fixes = make_fixations([(1.0, 0.5)], [(0.5, 0.5)])
@@ -155,27 +155,23 @@ class TestPointwise:
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=2.0)
         omega = sp.Rect(0.0, 0.0, 1.0, 1.0)
-        assert sp.compensator(2.0, path, spec, params, omega) == pytest.approx(1.0)
+        state = sp.HistoryState.build(path, None, spec, params, omega)
+        assert dense.compensator(state, 2.0) == pytest.approx(1.0)
 
     def test_poisson_unit_square_log_density(self):
-        path = sp.Scanpath("r", "t", ())
+        path = sp.Scanpath("r", "t", make_fixations([(1.0, 0.5)], [(0.5, 0.5)]))
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=1.0)
         omega = sp.Rect(0.0, 0.0, 1.0, 1.0)
-        val = sp.log_density(1.0, (0.5, 0.5), path, spec, params, omega)
+        val = loglik_terms(sp.PathData.from_scanpath(path), spec, params, omega).per_event[0]
         assert val == pytest.approx(-1.0, rel=1e-12)
 
     def test_intensity_refuses_past(self, simple_scanpath):
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=1.0)
+        state = sp.HistoryState.build(simple_scanpath, None, spec, params)
         with pytest.raises(sp.DomainError):
-            sp.intensity(1.0, (1.0, 1.0), simple_scanpath, spec, params)
-
-    def test_log_density_outside_screen(self, simple_scanpath, omega):
-        spec = sp.SaccadeSpec(variant="poisson")
-        params = sp.SaccadeParams.initial(spec, nu=1.0)
-        with pytest.raises(sp.ValidationError):
-            sp.log_density(2.0, (5000.0, 0.0), simple_scanpath, spec, params, omega)
+            state.intensity_at(1.0, [(1.0, 1.0)])
 
     @pytest.mark.parametrize("op", ["intensity", "compensator", "log_density"])
     def test_columns_require_history_design(self, op):
@@ -184,9 +180,11 @@ class TestPointwise:
         t = path.fixations[-1].end + 0.1
         s = (omega.x0 + 0.5, omega.y0 + 0.5)
         calls = {
-            "intensity": lambda X: sp.intensity(t, s, path, spec, params, X=X),
-            "compensator": lambda X: sp.compensator(t, path, spec, params, omega, X=X),
-            "log_density": lambda X: sp.log_density(t, s, path, spec, params, omega, X=X),
+            "intensity": lambda X: sp.HistoryState.build(
+                path, X, spec, params).intensity_at(t, [s])[0],
+            "compensator": lambda X: dense.compensator(
+                sp.HistoryState.build(path, X, spec, params, omega), t),
+            "log_density": lambda X: dense.log_density(t, s, path, spec, params, omega, X=X),
         }
         assert math.isfinite(calls[op](design))
         with pytest.raises(sp.UsageError, match="design rows"):
@@ -206,7 +204,7 @@ class TestPointwise:
             dens = math.exp(-float(np.sum((s - mu) ** 2)) / (2 * params.sigma2)) \
                 / (2 * math.pi * params.sigma2)
             total += a[j] * math.exp(-b[j] * arg) * dens
-        got = sp.intensity(t, s, path, spec, params, X=design)
+        got = sp.HistoryState.build(path, design, spec, params).intensity_at(t, [s])[0]
         assert got == pytest.approx(total, rel=1e-12)
 
 
@@ -265,18 +263,18 @@ class TestHistoryState:
                              np.linspace(omega.y0, omega.y1, 3))
         points = np.stack([gx.ravel(), gy.ravel()], axis=1)[:37]
         state = sp.HistoryState.build(path, X, spec, params)
-        scalar = np.array([sp.intensity(t, s, path, spec, params, X=X) for s in points])
+        alone = np.array([state.intensity_at(t, [s])[0] for s in points])
         reference = np.array([reference_intensity(t, s, path, X, spec, params)
                               for s in points])
-        assert np.array_equal(scalar, reference)
-        assert np.array_equal(state.intensity_at(t, points), scalar)
+        assert np.array_equal(alone, reference)
+        assert np.array_equal(state.intensity_at(t, points), alone)
         # 37 points in blocks of max(1, 20 // n) rows: a ragged last block
         monkeypatch.setattr(mathutil, "_BLOCK_PAIRS", 20)
         rows = []
         density = saccade._density
         monkeypatch.setattr(saccade, "_density",
                             lambda p, c, s2: rows.append(len(p)) or density(p, c, s2))
-        assert np.array_equal(state.intensity_at(t, points), scalar)
+        assert np.array_equal(state.intensity_at(t, points), alone)
         if variant == "hawkes" and n:
             assert sum(rows) == 37 and max(rows) == max(1, 20 // n)
 
@@ -307,9 +305,9 @@ class TestHistoryState:
         path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 7)
         t = (path.fixations[3].end + path.fixations[4].onset) / 2.0
         xs, ys, values = sp.intensity_grid(t, path, spec, params, omega, 7, 5, X=X)
-        history = sp.Scanpath("r", "t", path.fixations[:4])
-        loop = np.array([[sp.intensity(t, (x, y), history, spec, params, X=X[:4])
-                          for x in xs] for y in ys])
+        state = sp.HistoryState.build(sp.Scanpath("r", "t", path.fixations[:4]), X[:4], spec,
+                                      params)
+        loop = np.array([[state.intensity_at(t, [(x, y)])[0] for x in xs] for y in ys])
         assert values.shape == (5, 7)
         assert np.array_equal(values, loop)
 
@@ -393,14 +391,15 @@ class TestHistoryState:
         points = np.array([[omega.x0 + 0.3, omega.y0 + 0.4], [omega.x1 - 0.2, omega.y1 - 0.7]])
         np.testing.assert_allclose(grown.intensity_at(t, points), built.intensity_at(t, points),
                                    rtol=1e-13)
-        assert grown.compensator(t) == pytest.approx(built.compensator(t), rel=1e-13)
+        assert dense.compensator(grown, t) == pytest.approx(dense.compensator(built, t),
+                                                            rel=1e-13)
 
     def test_screen_operations_need_a_screen(self):
         path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 3)
         state = sp.HistoryState.build(path, X, spec, params)
         assert state.mass is None
         with pytest.raises(sp.UsageError, match="screen"):
-            state.compensator(path.fixations[-1].end + 0.1)
+            state.intensity_upper_bound(path.fixations[-1].end + 0.1)
 
 
 class TestCompensatorOracle:
@@ -434,7 +433,7 @@ class TestCompensatorOracle:
         rng = np.random.default_rng(17)
         path, design, spec, params, omega = small_instance(rng, n=4)
         t = path.fixations[-1].end + 0.35
-        got = sp.compensator(t, path, spec, params, omega, X=design)
+        got = dense.compensator(sp.HistoryState.build(path, design, spec, params, omega), t)
         a = link_ref(spec.link, design @ params.alpha)
         b = link_ref(spec.link, design @ params.beta)
         masses = oracle_masses(path, design, spec, params, omega)
@@ -510,19 +509,19 @@ class TestLoglik:
                                  ("hawkes", "full")):
             path, design, spec, params, omega = small_instance(
                 rng, variant=variant, mean_fn=mean_fn, n=6)
-            result = sp.scanpath_loglik(path, design, spec, params, omega)
+            result = loglik_terms(sp.PathData.from_scanpath(path, design), spec, params, omega)
             total = 0.0
             for i in range(len(path)):
                 prefix = sp.Scanpath("r", "t", path.fixations[:i])
                 fix = path.fixations[i]
-                total += sp.log_density(fix.onset, (fix.x, fix.y), prefix, spec,
-                                        params, omega, X=design[:i])
+                total += dense.log_density(fix.onset, (fix.x, fix.y), prefix, spec,
+                                           params, omega, X=design[:i])
             assert float(result) == pytest.approx(total, rel=1e-9, abs=1e-9)
 
     def test_per_event_sums_to_total(self):
         rng = np.random.default_rng(2)
         path, design, spec, params, omega = small_instance(rng, n=7)
-        result = sp.scanpath_loglik(path, design, spec, params, omega)
+        result = loglik_terms(sp.PathData.from_scanpath(path, design), spec, params, omega)
         assert float(result) == pytest.approx(float(np.sum(result.per_event)), rel=1e-12)
 
     def test_affine_identity_equals_baseline(self):
@@ -531,8 +530,9 @@ class TestLoglik:
         params = params.replace(A=np.eye(2), b=np.zeros(2))
         base_spec = sp.SaccadeSpec(variant="hawkes", mean_fn="baseline",
                                    link=spec.link, columns=spec.columns)
-        ll_aff = float(sp.scanpath_loglik(path, design, spec, params, omega))
-        ll_base = float(sp.scanpath_loglik(path, design, base_spec, params, omega))
+        pd = sp.PathData.from_scanpath(path, design)
+        ll_aff = loglik_terms(pd, spec, params, omega).total
+        ll_base = loglik_terms(pd, base_spec, params, omega).total
         assert ll_aff == pytest.approx(ll_base, rel=1e-12)
 
     def test_full_with_zero_offsets_equals_affine(self):
@@ -541,8 +541,9 @@ class TestLoglik:
         params = params.replace(C=np.zeros_like(params.C))
         aff_spec = sp.SaccadeSpec(variant="hawkes", mean_fn="affine",
                                   link=spec.link, columns=spec.columns)
-        ll_full = float(sp.scanpath_loglik(path, design, spec, params, omega))
-        ll_aff = float(sp.scanpath_loglik(path, design, aff_spec, params, omega))
+        pd = sp.PathData.from_scanpath(path, design)
+        ll_full = loglik_terms(pd, spec, params, omega).total
+        ll_aff = loglik_terms(pd, aff_spec, params, omega).total
         assert ll_full == pytest.approx(ll_aff, rel=1e-12)
 
     def test_relu_dead_kernel_equals_poisson(self):
@@ -553,9 +554,9 @@ class TestLoglik:
         params = params.replace(alpha=np.array([-5.0, 0.0]))
         pois = sp.SaccadeSpec(variant="poisson")
         pois_params = sp.SaccadeParams.initial(pois, nu=params.nu)
-        ll_hawkes = float(sp.scanpath_loglik(path, design, spec, params, omega))
-        ll_pois = float(sp.scanpath_loglik(path, np.zeros((5, 0)), pois,
-                                           pois_params, omega))
+        ll_hawkes = loglik_terms(sp.PathData.from_scanpath(path, design), spec, params,
+                                 omega).total
+        ll_pois = loglik_terms(sp.PathData.from_scanpath(path), pois, pois_params, omega).total
         assert ll_hawkes == pytest.approx(ll_pois, rel=1e-12)
 
     @pytest.mark.parametrize("op", [loglik_terms, loglik_grad, compensator_increments])
@@ -565,8 +566,6 @@ class TestLoglik:
         for wrong in (design[:, :1], np.hstack([design, design]), None):
             with pytest.raises(sp.ValidationError, match="design rows"):
                 op(sp.PathData.from_scanpath(path, wrong), spec, params, omega)
-        with pytest.raises(sp.ValidationError, match="design rows"):
-            sp.scanpath_loglik(path, design[:, :1], spec, params, omega)
 
     def test_overlapping_events_marked_invalid(self, omega):
         # PathData accepts raw arrays, so an event that starts inside the
