@@ -38,7 +38,7 @@ from scipy.special import digamma, gammaincc, gammaln
 
 from . import mathutil
 from .data import AggregatedRecord, check_design
-from .errors import UsageError, ValidationError, check_number
+from .errors import UsageError, ValidationError, check_integer, check_names, check_number
 from .saccade import PathData
 
 MEAN_VARIANTS = ("plain", "convolution", "markov")
@@ -61,16 +61,15 @@ class DurationSpec:
     columns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "spillover", tuple(self.spillover))
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "spillover", check_names("spillover", self.spillover))
+        object.__setattr__(self, "columns", check_names("columns", self.columns))
         if self.mean_variant not in MEAN_VARIANTS:
             raise ValidationError(
                 f"unknown mean variant {self.mean_variant!r}; expected one of {MEAN_VARIANTS}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValidationError(
                 f"unknown distribution {self.distribution!r}; expected one of {DISTRIBUTIONS}")
-        if self.lags < 0:
-            raise UsageError(f"lag count must be >= 0, got {self.lags}")
+        check_integer("lags", self.lags, 0)
         missing = [k for k in self.spillover if k not in self.columns]
         if missing:
             raise ValidationError(f"spillover columns {missing} not in the design schema")

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the range check of a numeric setting."""
+"""Exception types shared across the package, and the checks of a setting's value."""
 
 import math
+import numbers
 
 
 class ScanppError(Exception):
@@ -41,3 +42,19 @@ def check_number(name: str, value: float, low: float, *, closed: bool = False,
     if not (above and (not finite or math.isfinite(value))):
         raise ValidationError(f"{name} must be {'finite and ' if finite else ''}"
                               f"{'>=' if closed else '>'} {low:g}, got {value}")
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise a ValidationError unless ``value`` is an integer >= ``low``: a
+    ``numbers.Integral`` but not a ``bool``. Even 64.0 fails, on purpose: a
+    count or a seed is never rounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_names(name: str, value) -> tuple:
+    """``value`` as a tuple of names; a bare string is a ValidationError, not
+    a sequence of one-letter names."""
+    if isinstance(value, str):
+        raise ValidationError(f"{name} must be a sequence of names, not the string {value!r}")
+    return tuple(value)

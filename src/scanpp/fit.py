@@ -9,14 +9,15 @@ given, in seconds and pixels. The saccade layout packs its length-bearing
 fields in screen units, lengths over the larger screen dimension, through
 its transforms; likelihoods and unpacked parameters are always in pixels.
 
-Each adapter builds one ``ParamLayout`` from its spec: an ordered table of
-blocks, one per parameter field, each with its element labels, an
-elementwise transform (identity, softplus or log, times a power of the
-screen size where a saccade field carries a length; with derivative and
-inverse) and a weight-decay rule. The entry names, ``pack``/``unpack``, the
-constrained values, the chain rule of ``grad_unit`` and the weight-decay mask
-are all generated from that table, so a field is declared in one place. The
-table's order is the order of the ``raw`` vector in fit documents.
+Each adapter, a ``Model``, builds one ``ParamLayout`` from its spec: an
+ordered table of blocks, one per parameter field, each with its element
+labels, an elementwise transform (identity, softplus or log, times a power
+of the screen size where a saccade field carries a length; with derivative
+and inverse) and a weight-decay rule. The entry names, ``pack``/``unpack``,
+the constrained values, the chain rule that takes ``grad_unit``'s gradient
+into the packed vector and the weight-decay mask are all generated from
+that table, so a field is declared in one place. The table's order is the
+order of the ``raw`` vector in fit documents.
 
 SGD does not step in the packed vector itself but in fitting coordinates z
 with ``raw = basis @ z``, where ``basis`` is an invertible matrix each model
@@ -50,13 +51,12 @@ from .duration import (
     check_kernel,
     duration_loglik_grad,
 )
-from .errors import ScanppError, ValidationError, check_number
+from .errors import ScanppError, ValidationError, check_integer, check_number
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
 from .saccade import (
     PathData,
     SaccadeParams,
     SaccadeSpec,
-    _finish,
     event_intensities,
     loglik_grad,
     loglik_terms,
@@ -88,13 +88,13 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         check_number("weight decay", self.weight_decay, 0.0, closed=True)
-        check_number("batch size", self.batch_size, 1, closed=True)
-        check_number("max_epochs", self.max_epochs, 1, closed=True)
-        check_number("patience", self.patience, 0, closed=True)
+        check_integer("batch size", self.batch_size, 1)
+        check_integer("max_epochs", self.max_epochs, 1)
+        check_integer("patience", self.patience, 0)
         if self.patience > self.max_epochs:
             raise ValidationError(
                 f"patience must lie in [0, max_epochs], got {self.patience}")
-        check_number("seed", self.seed, 0, closed=True)
+        check_integer("seed", self.seed, 0)
         _check_split(self.split)
 
     def replace(self, **changes) -> "TrainConfig":
@@ -111,7 +111,7 @@ class GridSpec:
     kernel_inits: tuple[tuple[float, float, float], ...] = ((2.0, 3.0, 0.5),)
 
     def __post_init__(self):
-        # Each entry passes the check of the run that reads it, before int() sees it.
+        # Each entry passes the check of the run that reads it.
         for b in self.batch_sizes:
             TrainConfig(batch_size=b)
         for lr in self.learning_rates:
@@ -122,7 +122,7 @@ class GridSpec:
             if len(k) != 3:
                 raise ValidationError(f"a kernel init is (shape, rate, shift), got {tuple(k)}")
             check_kernel(*k)
-        object.__setattr__(self, "batch_sizes", tuple(int(b) for b in self.batch_sizes))
+        object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
         object.__setattr__(self, "learning_rates", tuple(float(v) for v in self.learning_rates))
         object.__setattr__(self, "weight_decays", tuple(float(v) for v in self.weight_decays))
         object.__setattr__(self, "kernel_inits",
@@ -227,6 +227,7 @@ class ParamLayout:
     """
 
     def __init__(self, blocks: Sequence[Block], fill):
+        self._fill = fill
         self.slices: dict[str, slice] = {}
         self._parts = []  # (field, slice, shape, transform) per block
         names: list[str] = []
@@ -241,19 +242,16 @@ class ParamLayout:
         self.names = tuple(names)
         self.dim = len(names)
         self.decay_mask = np.array(mask, dtype=bool)
-        self.fixed = {f.name: getattr(fill, f.name) for f in dataclasses.fields(fill)
-                      if f.name not in self.slices}
-        for value in self.fixed.values():
+        for value in vars(fill).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def unpack(self, raw: np.ndarray) -> dict:
-        """Every field of the parameter set, by name."""
+    def unpack(self, raw: np.ndarray):
+        """The parameter set ``raw`` packs, its other fields taken from ``fill``."""
         raw = np.asarray(raw, dtype=float)
-        values = dict(self.fixed)
-        for field, s, shape, transform in self._parts:
-            values[field] = transform.forward(raw[s].reshape(shape) if shape else raw[s.start])
-        return values
+        return dataclasses.replace(self._fill, **{
+            field: transform.forward(raw[s].reshape(shape) if shape else raw[s.start])
+            for field, s, shape, transform in self._parts})
 
     def pack(self, params) -> np.ndarray:
         return np.concatenate([np.reshape(transform.inverse(getattr(params, field)), -1)
@@ -293,7 +291,59 @@ def _total(per_event: np.ndarray) -> float:
     return float(np.sum(per_event)) if np.all(np.isfinite(per_event)) else float("-inf")
 
 
-class SaccadeModel:
+def _scanpaths(batch: PathData) -> str:
+    if len(batch.labels) == 1:
+        return f"scanpath {batch.labels[0]!r}"
+    return f"a batch of {len(batch.labels)} scanpaths"
+
+
+class Model:
+    """A model family as the trainer reads it, over the family's ``ParamLayout``.
+
+    This base defines what both families share: ``names`` and ``dim``,
+    ``pack``, ``unpack`` and ``constrained`` from the layout, the identity
+    ``fitting_basis``, and ``nonfinite_event``, the divergence report. A
+    family sets ``kind``, passes its spec and layout to this constructor,
+    and supplies ``per_event_loglik`` (the log-density of every event of a
+    batch, in path order), ``grad_unit`` (the batch's log-likelihood and its
+    gradient in the packed vector, from one pass), ``default_init`` and
+    ``_event_detail`` (what the report says of event k, given the terms).
+    """
+
+    def __init__(self, spec, layout: ParamLayout):
+        self.spec = spec
+        self.layout = layout
+        self.names: tuple[str, ...] = layout.names
+        self.dim = layout.dim
+
+    def unpack(self, raw: np.ndarray):
+        return self.layout.unpack(raw)
+
+    def pack(self, params) -> np.ndarray:
+        return self.layout.pack(params)
+
+    def constrained(self, raw: np.ndarray) -> np.ndarray:
+        """Unpacked parameter values, in pixels for a saccade model, aligned with ``names``."""
+        return self.layout.flatten(self.unpack(raw))
+
+    def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
+        """Invertible matrix taking fitting coordinates to ``raw``; the identity
+        unless a family derives one from its training units and ``raw``."""
+        return np.eye(self.dim)
+
+    def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
+        """The first event with a non-finite term: its scanpath, its index there
+        and the family's detail of it."""
+        per_event = self.per_event_loglik(raw, unit)
+        bad = np.flatnonzero(~np.isfinite(per_event))
+        if not bad.size:
+            return f"{_scanpaths(unit)}: every event's term is finite"
+        k = int(bad[0])
+        label, i = unit.locate(k)
+        return f"scanpath {label!r}: event {i} {self._event_detail(raw, unit, per_event, k)}"
+
+
+class SaccadeModel(Model):
     """Flattens SaccadeParams to an unconstrained vector and evaluates batches.
 
     The layout, in packed order: the base rate ``nu`` (softplus); for the
@@ -329,7 +379,6 @@ class SaccadeModel:
     kind = "saccade"
 
     def __init__(self, spec: SaccadeSpec, omega: Rect):
-        self.spec = spec
         self.omega = omega
         # The packed nu, b, C and sigma2 are in screen units, lengths over L.
         # Each formula's order of operations is fixed: fit documents store
@@ -352,58 +401,31 @@ class SaccadeModel:
         if spec.variant != "poisson":
             blocks.append(Block("sigma2", transform=area))
         # a poisson model's unpacked sigma2, which it never reads, is one screen unit
-        self.layout = ParamLayout(blocks, SaccadeParams.initial(spec, sigma2=L * L))
-        self.names: tuple[str, ...] = self.layout.names
-        self.dim = self.layout.dim
+        super().__init__(spec, ParamLayout(blocks, SaccadeParams.initial(spec, sigma2=L * L)))
 
     def prepare_unit(self, pd: PathData) -> PathData:
         """The batch as given. The model evaluates pixel batches, so no caller
         needs this; it stays for the benchmark's workloads, which call it."""
         return pd
 
-    def unpack(self, raw: np.ndarray) -> SaccadeParams:
-        return SaccadeParams(**self.layout.unpack(raw))
-
-    def pack(self, params: SaccadeParams) -> np.ndarray:
-        return self.layout.pack(params)
-
-    def constrained(self, raw: np.ndarray) -> np.ndarray:
-        """Pixel-space parameter values aligned with ``names``."""
-        return self.layout.flatten(self.unpack(raw))
-
-    def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
-        """Total log-likelihood and event count of a batch, in one pass."""
-        return _total(self.per_event_loglik(raw, unit)), unit.n
-
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
-        """Log-density of every event of a batch, in path order."""
         return loglik_terms(unit, self.spec, self.unpack(raw), self.omega).per_event
 
-    def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
-        """The first event with a non-finite term: its scanpath, intensity and increment."""
+    def _event_detail(self, raw: np.ndarray, unit: PathData, per_event: np.ndarray,
+                      k: int) -> str:
         lam, comp, invalid = event_intensities(unit, self.spec, self.unpack(raw), self.omega)
-        bad = np.flatnonzero(~np.isfinite(_finish(lam, comp, invalid).per_event))
-        if not bad.size:
-            return f"{_scanpaths(unit)}: every event's term is finite"
-        k = int(bad[0])
-        label, i = unit.locate(k)
         overlap = ", and starts before the previous fixation ends" if invalid[k] else ""
-        return (f"scanpath {label!r}: event {i} has intensity {lam[k]:.6g} "
-                f"per s per px^2 and compensator increment {comp[k]:.6g}{overlap}")
+        return (f"has intensity {lam[k]:.6g} per s per px^2 and compensator increment "
+                f"{comp[k]:.6g}{overlap}")
 
-    def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
-        """``loglik_unit`` plus its gradient in the packed vector, in one pass."""
+    def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, np.ndarray]:
         raw = np.asarray(raw, dtype=float)
         terms, grads = loglik_grad(unit, self.spec, self.unpack(raw), self.omega)
-        return _total(terms.per_event), unit.n, self.layout.chain(raw, grads)
+        return _total(terms.per_event), self.layout.chain(raw, grads)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
-        """Invertible matrix taking fitting coordinates to ``raw``.
-
-        Built from the training units and the start of the fit ``raw``, of
-        which only the spatial variance is read. The identity unless the
-        model has a center map.
-        """
+        """The identity unless the model has a center map; of ``raw``, the start
+        of the fit, only the spatial variance is read."""
         basis = np.eye(self.dim)
         slices = self.layout.slices
         if "A" not in slices or not self.spec.columns:
@@ -435,10 +457,10 @@ class SaccadeModel:
             alpha[spec.columns.index("intercept") if "intercept" in spec.columns
                   else slice(None)] = softplus_inv(1.0)
             params = params.replace(alpha=alpha, beta=alpha.copy())
-        return self.layout.pack(params)
+        return self.pack(params)
 
 
-class DurationModel:
+class DurationModel(Model):
     """Flattens DurationParams; kernel shapes and scales stay in bounds by construction.
 
     The layout, in packed order: ``w``, then ``w_prime`` per spillover column
@@ -449,7 +471,6 @@ class DurationModel:
     kind = "duration"
 
     def __init__(self, spec: DurationSpec):
-        self.spec = spec
         spill = (spec.spillover,)
         blocks = [Block("w", (spec.columns,), decay="slopes")]
         if spec.mean_variant == "convolution":
@@ -464,50 +485,21 @@ class DurationModel:
                             transform=LOG))
         # unpacked kernels of the other variants are (2, 1, 0), unused
         fill = DurationParams.initial(spec, kernel=(2.0, 1.0, 0.0), sigma2=1.0)
-        self.layout = ParamLayout(blocks, fill)
-        self.names: tuple[str, ...] = self.layout.names
-        self.dim = self.layout.dim
-
-    def unpack(self, raw: np.ndarray) -> DurationParams:
-        return DurationParams(**self.layout.unpack(raw))
-
-    def pack(self, params: DurationParams) -> np.ndarray:
-        return self.layout.pack(params)
-
-    def constrained(self, raw: np.ndarray) -> np.ndarray:
-        """Constrained parameter values aligned with ``names``."""
-        return self.layout.flatten(self.unpack(raw))
-
-    def loglik_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int]:
-        """Total log-likelihood and event count of a batch."""
-        return _total(self.per_event_loglik(raw, unit)), unit.n
+        super().__init__(spec, ParamLayout(blocks, fill))
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
-        """Log-density of every event of a batch, in path order."""
         params = self.unpack(raw)
         xi = _means(unit.onsets, unit.design, unit.starts, self.spec, params)[1]
         return _log_density(unit.durations, xi, self.spec, params, grad=False)[0]
 
-    def nonfinite_event(self, raw: np.ndarray, unit: PathData) -> str:
-        """The first event with a non-finite term: its scanpath, duration and log-density."""
-        per_event = self.per_event_loglik(raw, unit)
-        bad = np.flatnonzero(~np.isfinite(per_event))
-        if not bad.size:
-            return f"{_scanpaths(unit)}: every event's term is finite"
-        k = int(bad[0])
-        label, i = unit.locate(k)
-        return (f"scanpath {label!r}: event {i} has log-density {per_event[k]:.6g} at "
-                f"duration {unit.durations[k]:.6g} s")
+    def _event_detail(self, raw: np.ndarray, unit: PathData, per_event: np.ndarray,
+                      k: int) -> str:
+        return f"has log-density {per_event[k]:.6g} at duration {unit.durations[k]:.6g} s"
 
-    def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, int, np.ndarray]:
-        """``loglik_unit`` plus its gradient in the packed vector."""
+    def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, np.ndarray]:
         raw = np.asarray(raw, dtype=float)
         per_event, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
-        return _total(per_event), unit.n, self.layout.chain(raw, grads)
-
-    def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
-        """Identity: duration models fit in the packed coordinates."""
-        return np.eye(self.dim)
+        return _total(per_event), self.layout.chain(raw, grads)
 
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:
@@ -526,20 +518,7 @@ class DurationModel:
         return self.pack(params)
 
 
-Model = SaccadeModel | DurationModel
-
-
 # --- Objective and training --------------------------------------------------
-
-def _scanpaths(batch: PathData) -> str:
-    if len(batch.labels) == 1:
-        return f"scanpath {batch.labels[0]!r}"
-    return f"a batch of {len(batch.labels)} scanpaths"
-
-
-def _as_batch(units: PathData | Sequence[PathData]) -> PathData:
-    return units if isinstance(units, PathData) else PathData.concat(units)
-
 
 def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarray,
               want_grad: bool = True) -> tuple[float, Optional[np.ndarray]]:
@@ -548,22 +527,22 @@ def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarra
     ``units`` is one batch, or a sequence of units to concatenate into one.
     The model evaluates the batch in one call.
     """
-    batch = _as_batch(units)
+    batch = units if isinstance(units, PathData) else PathData.concat(units)
     if batch.n == 0:
         return 0.0, (np.zeros(model.dim) if want_grad else None)
     if want_grad:
-        ll, n, grad = model.grad_unit(raw, batch)
+        ll, grad = model.grad_unit(raw, batch)
     else:
-        ll, n = model.loglik_unit(raw, batch)
+        ll = _total(model.per_event_loglik(raw, batch))
     if not np.isfinite(ll):
         values = ", ".join(f"{name}={value:.6g}"
                            for name, value in zip(model.names, model.constrained(raw)))
         raise DivergenceError(f"non-finite log-likelihood on "
                               f"{model.nonfinite_event(raw, batch)}; parameters {values}")
-    loss = -ll / n
+    loss = -ll / batch.n
     if not want_grad:
         return loss, None
-    grad = -grad / n
+    grad = -grad / batch.n
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient over batch")
     return loss, grad

@@ -103,7 +103,7 @@ import numpy as np
 
 from . import mathutil
 from .data import Rect, Scanpath, check_design
-from .errors import DomainError, UsageError, ValidationError
+from .errors import DomainError, UsageError, ValidationError, check_names
 from .mathutil import (
     apply_link,
     exp_integral_0,
@@ -139,7 +139,7 @@ class SaccadeSpec:
     columns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "columns", check_names("columns", self.columns))
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.mean_fn not in MEAN_FNS:

@@ -187,7 +187,7 @@ def dumps_fit(model: Model, result: FitResult) -> str:
         value = result.selected[key]
         if key == "kernel_init":
             lines.append(f"selected {key} {_kernel_str(value)}")
-        elif isinstance(value, int):
+        elif key == "batch_size":
             lines.append(f"selected {key} {value}")
         else:
             lines.append(f"selected {key} {format_float(value)}")
@@ -333,7 +333,7 @@ def config_from_doc(doc: dict) -> tuple[TrainConfig, Optional[GridSpec]]:
             grid_doc = {k: tuple(tuple(x) if isinstance(x, list) else x for x in v)
                         for k, v in grid_doc.items()}
             grid = GridSpec(**grid_doc)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad config field: {exc}") from None
     return config, grid
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Rect, Scanpath, check_design
 from .duration import DurationParams, DurationSpec, event_mean
-from .errors import DomainError, check_number
+from .errors import DomainError, check_integer, check_number
 from .mathutil import norm_cdf, norm_ppf
 from .saccade import HistoryState, SaccadeParams, SaccadeSpec
 
@@ -58,8 +58,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_number("horizon", self.horizon, 0.0, finite=False)
-        check_number("max_events", self.max_events, 1, closed=True)
-        check_number("seed", self.seed, 0, closed=True)
+        check_integer("max_events", self.max_events, 1)
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -216,6 +217,23 @@ class TestFit:
         assert main(["fit", "--data", data, "--out", str(out), "--variant", "poisson",
                      "--screen", "nanx768"]) == 1
         assert "ERROR rectangle width must be finite and > 0, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train,message", [
+        ({"batch_size": 2.5}, "batch size must be an integer >= 1, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"split": "abc"}, "bad config field: could not convert string to float: 'a'"),
+    ], ids=["batch_size", "seed", "split"])
+    def test_malformed_config_value_fails_at_the_boundary(self, tmp_path, capsys, train,
+                                                          message):
+        data, _ = write_dataset(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"train": train}))
+        out = tmp_path / "p.fit"
+        capsys.readouterr()
+        assert main(["fit", "--data", data, "--out", str(out), "--variant", "poisson",
+                     "--screen", "640x480", "--config", str(cfg)]) == 1
+        assert f"ERROR {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_refit_is_byte_identical(self, tmp_path):

@@ -13,6 +13,7 @@ from scanpp.fit import (
     SaccadeModel,
     Split,
     TrainConfig,
+    _total,
     _whitener,
     grid_search,
     objective,
@@ -50,14 +51,19 @@ def duration_units(rng, p, count=4, events=8):
     return units
 
 
+def loglik(model, raw, unit):
+    """A batch's log-likelihood, as the trainer's objective forms it."""
+    return _total(model.per_event_loglik(raw, unit))
+
+
 def assert_fd_matches(model, units, raw, eps=1e-6, tol=1e-4):
     grad = np.zeros(model.dim)
     for u in units:
-        _, _, g = model.grad_unit(raw, u)
+        _, g = model.grad_unit(raw, u)
         grad += g
 
     def total(r):
-        return sum(model.loglik_unit(r, u)[0] for u in units)
+        return sum(loglik(model, r, u) for u in units)
 
     for j in range(model.dim):
         step = np.zeros(model.dim)
@@ -144,11 +150,11 @@ class TestAdapters:
         raw = rng.uniform(-0.5, 0.5, size=model.dim)
         params = model.unpack(raw)
         terms = sp.saccade.loglik_terms(batch, spec, params, PIXEL_OMEGA)
-        assert model.loglik_unit(raw, batch) == (terms.total, batch.n)
+        assert loglik(model, raw, batch) == terms.total
         assert np.array_equal(model.per_event_loglik(raw, batch), terms.per_event)
         terms, grads = sp.saccade.loglik_grad(batch, spec, params, PIXEL_OMEGA)
-        ll, n, grad = model.grad_unit(raw, batch)
-        assert (ll, n) == (terms.total, batch.n)
+        ll, grad = model.grad_unit(raw, batch)
+        assert ll == terms.total
         assert np.array_equal(grad, model.layout.chain(raw, grads))
 
     def test_rescaling_is_exact_reparameterization(self):
@@ -161,7 +167,7 @@ class TestAdapters:
         params = scaled.unpack(raw)
         # the packed vector is in screen units, and the model's likelihood is
         # the one in pixels
-        ll_s = sum(scaled.loglik_unit(raw, u)[0] for u in units)
+        ll_s = sum(loglik(scaled, raw, u) for u in units)
         ll_p = sum(sp.saccade.loglik_terms(u, spec, params, PIXEL_OMEGA).total for u in units)
         assert ll_s == ll_p
 
@@ -340,7 +346,14 @@ NUMERIC_SETTINGS = {
     "Rect.y0": (lambda v: sp.Rect(0.0, v, 1.0, 1.0), None, "rectangle y0"),
     "Rect.width": (lambda v: sp.Rect(0.0, 0.0, v, 1.0), 0.0, "rectangle width"),
     "Rect.height": (lambda v: sp.Rect(0.0, 0.0, 1.0, v), -1.0, "rectangle height"),
+    "DurationSpec.lags": (lambda v: sp.DurationSpec(mean_variant="markov", spillover=("a",),
+                                                    columns=("a",), lags=v), -1, "lags"),
 }
+
+# The settings that count or seed also reject a number that is not an integer.
+INTEGER_SETTINGS = ("TrainConfig.batch_size", "TrainConfig.max_epochs", "TrainConfig.patience",
+                    "TrainConfig.seed", "GridSpec.batch_sizes", "SimConfig.max_events",
+                    "SimConfig.seed", "DurationSpec.lags")
 
 
 class TestConfigs:
@@ -373,13 +386,34 @@ class TestConfigs:
 
     @pytest.mark.parametrize("setting,value", [
         (name, value) for name, (_, bad, _) in NUMERIC_SETTINGS.items()
-        for value in (math.nan, math.inf, -math.inf) + (() if bad is None else (bad,))
+        for value in ((math.nan, math.inf, -math.inf) + (() if bad is None else (bad,))
+                      + ((2.5,) if name in INTEGER_SETTINGS else ()))
         # an infinite horizon is allowed: the path runs to the event cap
         if not (name == "SimConfig.horizon" and value == math.inf)])
     def test_numeric_setting_rejected(self, setting, value):
         build, _, stem = NUMERIC_SETTINGS[setting]
         with pytest.raises(sp.ValidationError, match=f"^{re.escape(stem)} must "):
             build(value)
+
+    def test_integer_setting_takes_integers_only(self):
+        # a whole float and a bool are not integers; a numpy integer is
+        for value in (64.0, True):
+            with pytest.raises(sp.ValidationError,
+                               match=f"^batch size must be an integer >= 1, got {value!r}$"):
+                TrainConfig(batch_size=value)
+        assert TrainConfig(batch_size=np.int64(64)).batch_size == 64
+        assert GridSpec(batch_sizes=(np.int64(4),)).batch_sizes == (4,)
+
+    @pytest.mark.parametrize("field,build", [
+        ("columns", lambda v: sp.SaccadeSpec(columns=v)),
+        ("columns", lambda v: sp.DurationSpec(columns=v)),
+        ("spillover", lambda v: sp.DurationSpec(mean_variant="convolution", spillover=v,
+                                                columns=("a", "b"))),
+    ], ids=["SaccadeSpec.columns", "DurationSpec.columns", "DurationSpec.spillover"])
+    def test_name_list_rejects_a_string(self, field, build):
+        with pytest.raises(sp.ValidationError,
+                           match=f"^{field} must be a sequence of names, not the string 'ab'$"):
+            build("ab")
 
     def test_grid_spec(self):
         grid = GridSpec(batch_sizes=(2, 4, 8), learning_rates=(0.1, 0.01, 0.001),
@@ -551,9 +585,9 @@ class TestTraining:
                       test=tuple(units[7:]))
         config = TrainConfig(max_epochs=3, patience=3, seed=0)
         result = train(model, parts, config)
-        want_ll, want_n = model.loglik_unit(result.raw, units[7])
-        assert result.test_events == want_n
-        assert result.test_loglik == pytest.approx(want_ll, rel=1e-12)
+        assert result.test_events == units[7].n
+        assert result.test_loglik == pytest.approx(loglik(model, result.raw, units[7]),
+                                                   rel=1e-12)
 
     def test_empty_training_split_rejected(self):
         model = self.intercept_model()
@@ -633,12 +667,13 @@ class TestBatchObjective:
             units = duration_units(rng, 2, count=5, events=7)
         raw = model.default_init(units) + rng.normal(0.0, 0.05, model.dim)
         batch = sp.PathData.concat(units)
-        ll, n, grad = model.grad_unit(raw, batch)
+        ll, grad = model.grad_unit(raw, batch)
+        n = batch.n
         parts = [model.grad_unit(raw, u) for u in units]
         assert n == 35 and ll == pytest.approx(sum(p[0] for p in parts), rel=1e-13)
-        want = np.sum([p[2] for p in parts], axis=0)
+        want = np.sum([p[1] for p in parts], axis=0)
         assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
-        assert model.loglik_unit(raw, batch) == (pytest.approx(ll, rel=1e-13), 35)
+        assert loglik(model, raw, batch) == pytest.approx(ll, rel=1e-13)
         assert np.allclose(model.per_event_loglik(raw, batch),
                            np.concatenate([model.per_event_loglik(raw, u) for u in units]),
                            rtol=1e-13, atol=0.0)
@@ -647,9 +682,9 @@ class TestBatchObjective:
         assert objective(model, batch, raw, want_grad=False)[0] == pytest.approx(loss, rel=1e-14)
         assert objective(model, [], raw) == (0.0, pytest.approx(np.zeros(model.dim)))
         empty = sp.PathData.concat([])
-        assert model.loglik_unit(raw, empty) == (0.0, 0)
-        ll, n, grad = model.grad_unit(raw, empty)
-        assert (ll, n, grad.tolist()) == (0.0, 0, np.zeros(model.dim).tolist())
+        assert (loglik(model, raw, empty), empty.n) == (0.0, 0)
+        ll, grad = model.grad_unit(raw, empty)
+        assert (ll, grad.tolist()) == (0.0, np.zeros(model.dim).tolist())
         assert model.per_event_loglik(raw, empty).shape == (0,)
 
 
@@ -752,8 +787,8 @@ class TestWarmStart:
                            columns=("intercept",)), PIXEL_OMEGA)
         init = warm_start(base.names, raw, target, units)
         # the full map adds only predictor offsets; defaults leave them at zero
-        ll_base = sum(base.loglik_unit(raw, u)[0] for u in units)
-        ll_full = sum(target.loglik_unit(init, u)[0] for u in units)
+        ll_base = sum(loglik(base, raw, u) for u in units)
+        ll_full = sum(loglik(target, init, u) for u in units)
         assert ll_full == pytest.approx(ll_base, rel=1e-12)
 
 
@@ -783,7 +818,8 @@ class TestFitSerialization:
         rng = np.random.default_rng(47)
         model = DurationModel(sp.DurationSpec(columns=("intercept",)))
         units = duration_units(rng, 1, count=5, events=5)
-        grid = GridSpec(batch_sizes=(2,), learning_rates=(0.1, 0.01),
+        # a numpy integer batch size is an integer, and is written as one
+        grid = GridSpec(batch_sizes=(np.int64(2),), learning_rates=(0.1, 0.01),
                         weight_decays=(0.0,))
         config = TrainConfig(max_epochs=2, patience=2, seed=3, split=(0.6, 0.4, 0.0))
         result = grid_search(model, units, grid, config)

@@ -5,12 +5,14 @@ so every change to the public surface shows as a deliberate diff here.
 Submodules are left out: which of them are bound depends on what else the
 process has imported. The model modules ``scanpp.saccade`` and
 ``scanpp.duration`` are pinned too, by the public names each defines, so a
-name re-added there and not exported still shows.
+name re-added there and not exported still shows. So are the public methods
+of the two fitting adapters, the surface the trainer and the benchmark read.
 """
 import types
 
 import scanpp
 from scanpp import duration, saccade
+from scanpp.fit import DurationModel, SaccadeModel
 
 PUBLIC = [
     "AggregatedRecord", "AnnotatedFixation", "AnnotatedScanpath", "Bootstrap",
@@ -63,3 +65,25 @@ def defined_names(module):
 def test_model_module_names_are_pinned():
     assert defined_names(saccade) == SACCADE
     assert defined_names(duration) == DURATION
+
+
+SACCADE_MODEL = [
+    "constrained", "default_init", "fitting_basis", "grad_unit", "nonfinite_event", "pack",
+    "per_event_loglik", "prepare_unit", "unpack",
+]
+
+DURATION_MODEL = [
+    "constrained", "default_init", "fitting_basis", "grad_unit", "nonfinite_event", "pack",
+    "per_event_loglik", "unpack",
+]
+
+
+def public_methods(cls):
+    """Public callables of a class, inherited ones included."""
+    return sorted(name for name in dir(cls)
+                  if not name.startswith("_") and callable(getattr(cls, name)))
+
+
+def test_adapter_methods_are_pinned():
+    assert public_methods(SaccadeModel) == SACCADE_MODEL
+    assert public_methods(DurationModel) == DURATION_MODEL

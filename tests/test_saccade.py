@@ -966,13 +966,14 @@ class TestBatchAgainstPerPath:
         units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5])
         model = sp.SaccadeModel(spec, omega)
         raw = model.pack(params)
-        ll, n, grad = model.grad_unit(raw, sp.PathData.concat(units))
+        batch = sp.PathData.concat(units)
+        ll, grad = model.grad_unit(raw, batch)
         parts = [model.grad_unit(raw, u) for u in units]
-        assert n == sum(u.n for u in units)
+        assert batch.n == sum(u.n for u in units)
         assert ll == pytest.approx(sum(p[0] for p in parts), rel=1e-13)
-        want = np.sum([p[2] for p in parts], axis=0)
+        want = np.sum([p[1] for p in parts], axis=0)
         assert np.linalg.norm(grad - want) <= 1e-10 * np.linalg.norm(want)
-        per_event = model.per_event_loglik(raw, sp.PathData.concat(units))
+        per_event = model.per_event_loglik(raw, batch)
         assert np.allclose(per_event,
                            np.concatenate([model.per_event_loglik(raw, u) for u in units]),
                            rtol=1e-12, atol=0.0)
