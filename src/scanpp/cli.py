@@ -274,17 +274,15 @@ def cmd_eval(args) -> int:
     idx_split = split(list(range(len(scanpaths))), config.split, config.seed)
     base_vals = _test_per_event(base, scanpaths, idx_split.test, effects)
     blocks = _block_labels(scanpaths, idx_split.test) if args.block_bootstrap else None
-    reports = []
-    for loaded in others:
-        vals = _test_per_event(loaded, scanpaths, idx_split.test, effects)
-        report = _compare(_model_label(loaded.model), _model_label(base.model), vals,
-                          base_vals, args.replicates, args.bootstrap_seed, blocks,
-                          args.variant_tag)
+    reports = _compare([(_model_label(loaded.model),
+                         _test_per_event(loaded, scanpaths, idx_split.test, effects))
+                        for loaded in others], _model_label(base.model), base_vals,
+                       args.replicates, args.bootstrap_seed, blocks, args.variant_tag)
+    for report in reports:
         log.info("%s vs %s: mean %s, CI [%s, %s] over %d fixations",
                  report.model, report.baseline, fileio.format_float(report.mean),
                  fileio.format_float(report.summary.low),
                  fileio.format_float(report.summary.high), report.test_events)
-        reports.append(report)
     serialize.write_text(args.out_report, serialize.dumps_reports(reports))
     serialize.write_text(args.out_csv, serialize.reports_csv(reports))
     log.info("wrote %s and %s", args.out_report, args.out_csv)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, check_number
+from .errors import UsageError, ValidationError, check_number, is_real
 
 MEASURES = ("first_fixation", "gaze", "total", "scanpath")
 
@@ -41,6 +41,8 @@ class Rect:
     def __post_init__(self):
         for name in ("x0", "y0"):
             value = getattr(self, name)
+            if not is_real(value):
+                raise ValidationError(f"rectangle {name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValidationError(f"rectangle {name} must be finite, got {value}")
         check_number("rectangle width", self.width, 0.0)

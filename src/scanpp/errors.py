@@ -30,14 +30,24 @@ class DomainError(ScanppError):
     """Numerical input outside the mathematical domain of an operation."""
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a ``numbers.Real`` and not a ``bool``, the type a
+    float setting takes; a numeric string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_number(name: str, value: float, low: float, *, closed: bool = False,
                  finite: bool = True) -> None:
-    """Raise a ValidationError unless ``value`` lies above ``low``, or at it if
-    ``closed``, and is finite, or may be infinite if ``finite`` is false.
+    """Raise a ValidationError unless ``value`` is a real number (``is_real``)
+    above ``low``, or at it if ``closed``, and finite, or may be infinite if
+    ``finite`` is false.
 
-    NaN always fails. The message reads "<name> must be [finite and] > <low>,
-    got <value>", with >= for a closed bound.
+    NaN always fails. The message reads "<name> must be a real number, got
+    <value!r>" for a value that is not one, and else "<name> must be
+    [finite and] > <low>, got <value>", with >= for a closed bound.
     """
+    if not is_real(value):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     above = value >= low if closed else value > low
     if not (above and (not finite or math.isfinite(value))):
         raise ValidationError(f"{name} must be {'finite and ' if finite else ''}"

@@ -61,38 +61,52 @@ class Bootstrap:
 
 
 def bootstrap(values: np.ndarray, replicates: int = 1000, seed: int = 0,
-              blocks: Optional[np.ndarray] = None) -> Bootstrap:
+              blocks: Optional[np.ndarray] = None) -> Bootstrap | list[Bootstrap]:
     """Resample means; the interval is the 2.5/97.5 percentile of the means.
 
     With ``blocks``, whole groups sharing a label are resampled together,
-    respecting within-scanpath dependence.
+    respecting within-scanpath dependence. A 2-D ``values`` holds one sample
+    per row, all of one length, and gives a list of summaries, one per row:
+    one draw of indices, or of groups per replicate, resamples every row in
+    turn, so each summary is the one its row gets alone, bit for bit. The
+    draw is not kept past the call.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
+    values = np.asarray(values, dtype=float)
+    rows = values if values.ndim == 2 else values.reshape(1, -1)
     if values.size == 0:
         raise ValidationError("cannot bootstrap an empty sample")
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
+        k, i = bad[0]
+        where = f"index {i} of row {k}" if values.ndim == 2 else f"index {i}"
         raise ValidationError(
-            f"cannot bootstrap non-finite values: the value at index {bad[0]} is {values[bad[0]]}")
+            f"cannot bootstrap non-finite values: the value at {where} is {rows[k, i]}")
     if replicates < 1:
         raise ValidationError(f"need at least one replicate, got {replicates}")
     rng = np.random.default_rng(seed)
+    means = np.empty((rows.shape[0], replicates))
     if blocks is None:
-        idx = rng.integers(0, values.size, size=(replicates, values.size))
-        means = values[idx].mean(axis=1)
+        idx = rng.integers(0, rows.shape[1], size=(replicates, rows.shape[1]))
+        for row, out in zip(rows, means):
+            out[:] = row[idx].mean(axis=1)
     else:
         blocks = np.asarray(blocks).reshape(-1)
-        if blocks.shape != values.shape:
+        if blocks.shape != rows.shape[1:]:
             raise ValidationError("block labels must align with values")
-        groups = [values[blocks == u] for u in np.unique(blocks)]
-        means = np.empty(replicates)
+        labels = np.unique(blocks)
+        groups = [[row[blocks == u] for u in labels] for row in rows]
         for r in range(replicates):
-            chosen = rng.integers(0, len(groups), size=len(groups))
-            means[r] = float(np.mean(np.concatenate([groups[c] for c in chosen])))
-    low, high = np.percentile(means, [2.5, 97.5])
-    center = float(np.mean(means))
-    return Bootstrap(mean=center, low=min(float(low), center),
-                     high=max(float(high), center), replicates=replicates, seed=seed)
+            chosen = rng.integers(0, len(labels), size=len(labels))
+            for row_groups, out in zip(groups, means):
+                out[r] = float(np.mean(np.concatenate([row_groups[c] for c in chosen])))
+    summaries = []
+    for row_means in means:
+        low, high = np.percentile(row_means, [2.5, 97.5])
+        center = float(np.mean(row_means))
+        summaries.append(Bootstrap(mean=center, low=min(float(low), center),
+                                   high=max(float(high), center), replicates=replicates,
+                                   seed=seed))
+    return summaries if values.ndim == 2 else summaries[0]
 
 
 def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
@@ -175,17 +189,22 @@ class ComparisonReport:
         return self.summary.low > 0.0 or self.summary.high < 0.0
 
 
-def _compare(model: str, baseline: str, model_values: np.ndarray,
+def _compare(models: Sequence[tuple[str, np.ndarray]], baseline: str,
              baseline_values: np.ndarray, replicates: int, seed: int,
-             blocks: Optional[np.ndarray], dataset_variant: str) -> ComparisonReport:
-    """The report of a model against a baseline from their per-event test values.
+             blocks: Optional[np.ndarray], dataset_variant: str) -> list[ComparisonReport]:
+    """The report of each model against a baseline, from per-event test values.
 
-    ``compare_suite`` and ``scanpp eval`` both build their reports here.
+    ``models`` pairs each model's name with its values. One ``bootstrap``
+    call resamples every model's gains with one draw. ``compare_suite`` and
+    ``scanpp eval`` both build their reports here.
     """
-    values = delta_loglik(model_values, baseline_values)
-    summary = bootstrap(values, replicates=replicates, seed=seed, blocks=blocks)
-    return ComparisonReport(model=model, baseline=baseline, values=values, summary=summary,
-                            dataset_variant=dataset_variant, test_events=int(values.size))
+    if not models:
+        return []
+    values = [delta_loglik(model_values, baseline_values) for _, model_values in models]
+    summaries = bootstrap(np.stack(values), replicates=replicates, seed=seed, blocks=blocks)
+    return [ComparisonReport(model=name, baseline=baseline, values=gains, summary=summary,
+                             dataset_variant=dataset_variant, test_events=int(gains.size))
+            for (name, _), gains, summary in zip(models, values, summaries)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +263,6 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
     blocks = _block_labels(scanpaths, idx_split.test) if block_bootstrap else None
 
     members = [baseline]
-    reports: list[ComparisonReport] = []
     prev = baseline.result
     for spec in specs:
         try:
@@ -254,7 +272,7 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
             continue
         members.append(member)
         prev = member.result
-        reports.append(_compare(member.name, baseline.name, member.result.test_per_event,
-                                baseline.result.test_per_event, replicates, bootstrap_seed,
-                                blocks, dataset_variant))
+    reports = _compare([(m.name, m.result.test_per_event) for m in members[1:]], baseline.name,
+                       baseline.result.test_per_event, replicates, bootstrap_seed, blocks,
+                       dataset_variant)
     return reports, members

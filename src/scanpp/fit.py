@@ -17,7 +17,10 @@ and inverse) and a weight-decay rule. The entry names, ``pack``/``unpack``,
 the constrained values, the chain rule that takes ``grad_unit``'s gradient
 into the packed vector and the weight-decay mask are all generated from
 that table, so a field is declared in one place. The table's order is the
-order of the ``raw`` vector in fit documents.
+order of the ``raw`` vector in fit documents. ``grad_unit`` returns the
+batch's log-likelihood total, and its gradient in the packed vector or None:
+the objective's loss and gradient passes both call it, and only scoring and
+the divergence report read per-event terms, through ``per_event_loglik``.
 
 SGD does not step in the packed vector itself but in fitting coordinates z
 with ``raw = basis @ z``, where ``basis`` is an invertible matrix each model
@@ -51,7 +54,7 @@ from .duration import (
     check_kernel,
     duration_loglik_grad,
 )
-from .errors import ScanppError, ValidationError, check_integer, check_number
+from .errors import ScanppError, ValidationError, check_integer, check_number, is_real
 from .mathutil import LOG2, sigmoid, softplus, softplus_inv
 from .saccade import (
     PathData,
@@ -83,10 +86,11 @@ class TrainConfig:
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
+        _check_split(self.split)
         object.__setattr__(self, "split", tuple(float(f) for f in self.split))
         check_number("learning rate", self.learning_rate, 0.0)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
+            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         check_number("weight decay", self.weight_decay, 0.0, closed=True)
         check_integer("batch size", self.batch_size, 1)
         check_integer("max_epochs", self.max_epochs, 1)
@@ -95,7 +99,6 @@ class TrainConfig:
             raise ValidationError(
                 f"patience must lie in [0, max_epochs], got {self.patience}")
         check_integer("seed", self.seed, 0)
-        _check_split(self.split)
 
     def replace(self, **changes) -> "TrainConfig":
         return dataclasses.replace(self, **changes)
@@ -145,8 +148,8 @@ class Split:
 
 
 def _check_split(fractions: Sequence[float]) -> None:
-    # written so that a NaN fraction fails
-    if (len(fractions) != 3 or not all(f >= 0 for f in fractions)
+    # written so that a NaN fraction, a bool and a string fail
+    if (len(fractions) != 3 or not all(is_real(f) and f >= 0 for f in fractions)
             or not abs(sum(fractions) - 1.0) <= 1e-9):
         raise ValidationError(
             f"split must be three fractions >= 0 that sum to 1, got {tuple(fractions)}")
@@ -305,9 +308,10 @@ class Model:
     ``fitting_basis``, and ``nonfinite_event``, the divergence report. A
     family sets ``kind``, passes its spec and layout to this constructor,
     and supplies ``per_event_loglik`` (the log-density of every event of a
-    batch, in path order), ``grad_unit`` (the batch's log-likelihood and its
-    gradient in the packed vector, from one pass), ``default_init`` and
-    ``_event_detail`` (what the report says of event k, given the terms).
+    batch, in path order), ``grad_unit`` (the batch's log-likelihood total,
+    -inf if it is not finite, and, with ``want_grad``, its gradient in the
+    packed vector, from one pass), ``default_init`` and ``_event_detail``
+    (what the report says of event k, given the terms).
     """
 
     def __init__(self, spec, layout: ParamLayout):
@@ -418,10 +422,11 @@ class SaccadeModel(Model):
         return (f"has intensity {lam[k]:.6g} per s per px^2 and compensator increment "
                 f"{comp[k]:.6g}{overlap}")
 
-    def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, np.ndarray]:
+    def grad_unit(self, raw: np.ndarray, unit: PathData,
+                  want_grad: bool = True) -> tuple[float, Optional[np.ndarray]]:
         raw = np.asarray(raw, dtype=float)
-        terms, grads = loglik_grad(unit, self.spec, self.unpack(raw), self.omega)
-        return _total(terms.per_event), self.layout.chain(raw, grads)
+        ll, grads = loglik_grad(unit, self.spec, self.unpack(raw), self.omega, grad=want_grad)
+        return ll, (self.layout.chain(raw, grads) if want_grad else None)
 
     def fitting_basis(self, units: Sequence[PathData], raw: np.ndarray) -> np.ndarray:
         """The identity unless the model has a center map; of ``raw``, the start
@@ -496,7 +501,10 @@ class DurationModel(Model):
                       k: int) -> str:
         return f"has log-density {per_event[k]:.6g} at duration {unit.durations[k]:.6g} s"
 
-    def grad_unit(self, raw: np.ndarray, unit: PathData) -> tuple[float, np.ndarray]:
+    def grad_unit(self, raw: np.ndarray, unit: PathData,
+                  want_grad: bool = True) -> tuple[float, Optional[np.ndarray]]:
+        if not want_grad:
+            return _total(self.per_event_loglik(raw, unit)), None
         raw = np.asarray(raw, dtype=float)
         per_event, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
         return _total(per_event), self.layout.chain(raw, grads)
@@ -525,15 +533,14 @@ def objective(model: Model, units: PathData | Sequence[PathData], raw: np.ndarra
     """Mean negative log-likelihood per fixation over the batch, with gradient.
 
     ``units`` is one batch, or a sequence of units to concatenate into one.
-    The model evaluates the batch in one call.
+    The model evaluates the batch's total, and its gradient if wanted, in
+    one ``grad_unit`` call; only a non-finite total goes on to the per-event
+    terms, to report where it diverged.
     """
     batch = units if isinstance(units, PathData) else PathData.concat(units)
     if batch.n == 0:
         return 0.0, (np.zeros(model.dim) if want_grad else None)
-    if want_grad:
-        ll, grad = model.grad_unit(raw, batch)
-    else:
-        ll = _total(model.per_event_loglik(raw, batch))
+    ll, grad = model.grad_unit(raw, batch, want_grad)
     if not np.isfinite(ll):
         values = ", ".join(f"{name}={value:.6g}"
                            for name, value in zip(model.names, model.constrained(raw)))

@@ -16,12 +16,14 @@ held as the segments of one concatenation. The kernel clock and the exposure
 windows restart at each segment, no source excites an event of another
 segment, and the per-event terms come back in path order, so a batch costs
 one pass; one scanpath is a batch of one segment. That pass, ``_evaluate``,
-serves all four entry points: ``event_intensities``, ``loglik_terms`` and
-``compensator_increments`` run it without the gradient and ``loglik_grad``
-with it. It checks its inputs and forms the gap terms once, adds the
-last-fixation or the self-exciting excitation, which returns that variant's
-gradient when asked, and takes the base-rate gradient last, once every
-intensity is complete. ``_screen_mass`` is the one definition of a center's
+serves all four entry points. Scoring reads per-event terms:
+``event_intensities``, ``loglik_terms`` and ``compensator_increments`` run it
+per event, without the gradient. Training reads the batch total:
+``loglik_grad`` runs it for the total, with the gradient or without it. The
+pass checks its inputs and forms the gap terms once, adds the last-fixation
+or the self-exciting excitation, which returns that variant's gradient when
+asked, and takes the base-rate gradient last, once every intensity is
+complete. ``_screen_mass`` is the one definition of a center's
 Gaussian mass inside the screen and, for the gradient, of its sigma2 and
 center derivatives; the history state and both variants read it.
 ``_sources`` is the one formula for each source row's excitation center,
@@ -44,17 +46,30 @@ The per-scanpath layer evaluates the self-exciting variant on the pair band
 a_j·exp(-b_j·age) decays exponentially in its age on the kernel clock c, so
 the band runs on c with cutoff w. Each row's intensity is complete within
 its block. What weights a pair by its row stays per pair, as scatter-adds
-over the block's pairs: lam, the compensator increments, and the gradient's
-sums weighted by P_i = 1/lambda_i. The gradient's compensator sums per
-source, of I0_ij = ∫ exp(-b_j·age) and I1_ij = ∫ age·exp(-b_j·age) over row
-i's window, need no pair. Source j's kept rows are j+1..hi_j, as each row's
+over the block's pairs: lam, the per-event compensator increments when
+scoring asks for them, and the gradient's sums weighted by
+P_i = 1/lambda_i. The compensator's sums per source, of
+I0_ij = ∫ exp(-b_j·age) and I1_ij = ∫ age·exp(-b_j·age) over row i's
+window, need no pair. Source j's kept rows are j+1..hi_j, as each row's
 first kept source (``mathutil._first_kept``) never falls, and their windows
 tile (c_j, c_hi_j] on the kernel clock. So each sum is one integral over
-ages [0, c_hi_j - c_j], in closed form for any b_j. It integrates over the
-kept rows only, so the tail bound below holds for it as for the per-pair
-sums. Where the clock steps back by less than the gap tolerance, the
-windows overlap by that step, and the two sums differ by at most its
-integral.
+ages [0, c_hi_j - c_j], in closed form for any b_j (Ozaki 1979). It
+integrates over the kept rows only, so the tail bound below holds for it as
+for the per-pair sums. The gradient reads both sums, and the training
+total reads the first: it is
+
+    sum_i log lambda_i - nu·|Omega|·sum_i gap_i - sum_j a_j·m_j·I0_j,
+
+with m_j the screen mass of source j's center, under the self-exciting
+variant; under the other two it is the sum of the per-event terms, bit for
+bit. So the total equals the sum of ``loglik_terms``'s per-event terms up
+to rounding, as it adds the same integrals in another order: the tests
+allow 1e-13 of the sum of the terms' magnitudes, each taken at least 1,
+and the golden cases differ by at most 2.4e-16 of it. Where the clock
+steps back by less than the gap tolerance, the windows overlap by that
+step, and the two sums, for the total as for the gradient, can differ
+also by the integral over the overlap: at most sum_j a_j·m_j times the
+step, per step.
 
 The cutoff w is derived on each call from (a, b, nu, sigma2, n), one for the
 whole batch: n is the length of its longest segment, and A and b_min below
@@ -652,18 +667,24 @@ def _last_fixation_terms(pd: PathData, params: SaccadeParams, omega: Rect, gaps:
 
 
 def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-                  gaps: np.ndarray, lam: np.ndarray, comp: np.ndarray, grad: bool) -> dict:
-    """Add the excitation to lam and comp in place, one block of the band at a time.
+                  gaps: np.ndarray, lam: np.ndarray, comp: Optional[np.ndarray],
+                  grad: bool) -> tuple[float, dict]:
+    """Add the excitation to lam in place, one block of the band at a time.
 
     One cutoff serves every segment of ``pd``, from the batch's largest a,
-    its smallest b and its longest segment. Each row's lam is complete
-    within its block, so with ``grad`` the P-weighted per-source sums of the
-    gradient take the same pass; the compensator's per-source sums come in
-    closed form after it. With no sources they are zeros of the right shapes.
+    its smallest b and its longest segment. Given ``comp``, each event's
+    compensator increment takes its pairs' integrals in place, and the
+    excited total that comes back is 0.0. With comp None, no pair forms an
+    integral: the excited compensator total comes back, from each source's
+    integral in closed form after the pass. ``grad`` takes comp None. Each
+    row's lam is complete within its block, so the P-weighted per-source
+    sums of the gradient take the same pass, and the compensator's
+    per-source sums come in closed form after it. With no sources they are
+    zeros of the right shapes.
     """
     fields = _sources(pd.locations, pd.design, spec, params)
     a, b, mu = fields["a"], fields["b"], fields["mu"]
-    clock, clock_prev = pd.clock, pd.clock_prev
+    clock = pd.clock
     # gathers from contiguous columns
     sx, sy = np.ascontiguousarray(pd.locations.T)
     mx, my = np.ascontiguousarray(mu.T)
@@ -689,10 +710,11 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         r2 = dx * dx + dy * dy
         EP = E * (np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2))
         W = a[cols] * EP
-        I0 = exp_integral_0(bj, clock_prev[rows] - clock[cols], gaps[rows])
         local = rows - r0
         lam[r0:r1] += np.bincount(local, W, minlength=r1 - r0)
-        comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
+        if comp is not None:
+            I0 = exp_integral_0(bj, pd.clock_prev[rows] - clock[cols], gaps[rows])
+            comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
         if not grad:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -710,13 +732,16 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         if spec.mean_fn != "baseline":
             add(sum_mu[:, 0], PW * dx)
             add(sum_mu[:, 1], PW * dy)
-    if not grad:
-        return {}
+    if comp is not None:
+        return 0.0, {}
     # Source j's kept rows are j+1..hi_j, whose exposure windows tile
     # (c_j, c_hi_j] on the kernel clock, so its sums of the pair integrals
-    # are the two integrals over that span.
+    # are the integrals over that span.
     hi = np.searchsorted(lo, np.arange(pd.n), side="right") - 1
-    sum_I0, sum_I1 = exp_integrals(b, 0.0, clock[hi] - clock)
+    span = clock[hi] - clock
+    if not grad:
+        return float(np.sum(am * exp_integral_0(b, 0.0, span))), {}
+    sum_I0, sum_I1 = exp_integrals(b, 0.0, span)
     X = pd.design
     d_a = sum_a - mass * sum_I0
     grads = {"alpha": X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))}
@@ -730,14 +755,19 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         grads["b"] = np.sum(grad_mu, axis=0)
         if spec.mean_fn == "full":
             grads["C"] = grad_mu.T @ X
-    return grads
+    return float(np.sum(am * sum_I0)), grads
 
 
 def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-              grad: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[dict]]:
-    """Each event's intensity, compensator increment and invalid-gap flag.
+              total: bool, grad: bool = False
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, Optional[dict]]:
+    """Each event's intensity, compensator increment and invalid-gap flag,
+    and the excited compensator total.
 
-    With ``grad`` also the gradient that ``loglik_grad`` documents.
+    With ``total`` the self-exciting excitation's compensator is not split
+    by event: the increments leave it out, and its batch total comes back,
+    else 0.0. With ``grad``, which takes ``total``, also the gradient that
+    ``loglik_grad`` documents, else None.
     """
     check_compatible(spec, params)
     X = check_design(pd.design, spec.p, pd.n)
@@ -748,22 +778,23 @@ def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rec
     gaps = np.maximum(pd.gaps, 0.0)
     lam = np.full(pd.n, float(params.nu))
     comp = params.nu * area * gaps
-    grads = {}
+    excited, grads = 0.0, {}
     if spec.variant == "last_fixation":
         grads = _last_fixation_terms(pd, params, omega, gaps, lam, comp, grad)
     elif spec.variant == "hawkes":
-        grads = _hawkes_terms(pd, spec, params, omega, gaps, lam, comp, grad)
+        excited, grads = _hawkes_terms(pd, spec, params, omega, gaps, lam,
+                                       None if total else comp, grad)
     if not grad:
-        return lam, comp, invalid, None
+        return lam, comp, invalid, excited, None
     with np.errstate(divide="ignore"):
         d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
-    return lam, comp, invalid, {"nu": d_nu, **grads}
+    return lam, comp, invalid, excited, {"nu": d_nu, **grads}
 
 
 def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
                       omega: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intensity at each event, compensator increments, and the invalid-gap mask."""
-    return _evaluate(pd, spec, params, omega, grad=False)[:3]
+    return _evaluate(pd, spec, params, omega, total=False)[:3]
 
 
 def loglik_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
@@ -782,15 +813,21 @@ def compensator_increments(pd: PathData, spec: SaccadeSpec, params: SaccadeParam
     return event_intensities(pd, spec, params, omega)[1]
 
 
-def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
-                omega: Rect) -> tuple[ScanpathLoglik, dict[str, np.ndarray | float]]:
-    """Log-likelihood terms plus its gradient in constrained parameter space.
+def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
+                grad: bool = True) -> tuple[float, Optional[dict[str, np.ndarray | float]]]:
+    """The batch's log-likelihood total and, with ``grad``, its gradient in
+    constrained parameter space; without ``grad`` the gradient is None.
 
-    Gradient keys depend on the variant: nu always; sigma2 for the
+    The total is -inf where an event's gap is invalid or its intensity is
+    not > 0, as ``loglik_terms`` has it, and wherever the sum is not finite.
+    Else it equals the sum of ``loglik_terms``'s terms within the bound the
+    module docstring states, and it is the same, bit for bit, with the
+    gradient or without it. Gradient keys depend on the variant: nu always; sigma2 for the
     last-fixation and self-exciting variants; alpha and beta for the
     self-exciting variant; A and b under the affine center map; C under the
-    full map. Values are only meaningful when every term is finite.
+    full map. Values are only meaningful when the total is finite.
     """
-    lam, comp, invalid, grads = _evaluate(pd, spec, params, omega, grad=True)
-    return _finish(lam, comp, invalid), grads
-
+    lam, comp, invalid, excited, grads = _evaluate(pd, spec, params, omega, total=True,
+                                                   grad=grad)
+    total = _finish(lam, comp, invalid).total - excited
+    return (total if math.isfinite(total) else -math.inf), grads

@@ -39,6 +39,23 @@ def assert_shrunk(blocks, at_least):
     assert all(size <= 20 or rows == 1 for rows, size in blocks)
 
 
+# The training total adds the self-exciting compensator source by source,
+# and the per-event terms add it event by event. The two sums agree within
+# this many times the sum of the terms' magnitudes, each taken at least 1,
+# plus the overlap integral where the kernel clock steps back.
+TOTAL_RTOL = 1e-13
+
+
+def assert_total_matches(total, per_event, rtol=TOTAL_RTOL, atol=0.0):
+    """``total`` is -inf where a term is not finite, else the terms' sum within
+    rtol times the sum of max(1, |term|), plus atol."""
+    if not np.all(np.isfinite(per_event)):
+        assert total == -np.inf
+        return
+    bound = rtol * np.sum(np.maximum(1.0, np.abs(per_event))) + atol
+    assert abs(total - np.sum(per_event)) <= bound
+
+
 def make_fixations(times_durs, locs):
     return tuple(sp.Fixation(t, x, y, d) for (t, d), (x, y) in zip(times_durs, locs))
 

@@ -222,8 +222,10 @@ class TestFit:
     @pytest.mark.parametrize("train,message", [
         ({"batch_size": 2.5}, "batch size must be an integer >= 1, got 2.5"),
         ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
-        ({"split": "abc"}, "bad config field: could not convert string to float: 'a'"),
-    ], ids=["batch_size", "seed", "split"])
+        ({"split": "abc"},
+         "split must be three fractions >= 0 that sum to 1, got ('a', 'b', 'c')"),
+        ({"learning_rate": True}, "learning rate must be a real number, got True"),
+    ], ids=["batch_size", "seed", "split", "learning_rate"])
     def test_malformed_config_value_fails_at_the_boundary(self, tmp_path, capsys, train,
                                                           message):
         data, _ = write_dataset(tmp_path)

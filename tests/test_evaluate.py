@@ -99,6 +99,20 @@ class TestBootstrap:
                            match=rf"non-finite values: the value at index 1 is {bad}$"):
             bootstrap(values, replicates=50, seed=0, blocks=blocks)
 
+    @pytest.mark.parametrize("blocks", [None, np.repeat(np.arange(8), 5)], ids=["plain", "blocks"])
+    def test_rows_share_one_draw(self, blocks):
+        # each row's summary is the one it gets alone, bit for bit
+        rows = np.random.default_rng(5).normal(size=(3, 40))
+        together = bootstrap(rows, replicates=300, seed=2, blocks=blocks)
+        assert len(together) == 3
+        for row, summary in zip(rows, together):
+            alone = bootstrap(row, replicates=300, seed=2, blocks=blocks)
+            assert (summary.mean, summary.low, summary.high) == (alone.mean, alone.low,
+                                                                 alone.high)
+        rows[2, 7] = np.nan
+        with pytest.raises(sp.ValidationError, match="the value at index 7 of row 2 is nan$"):
+            bootstrap(rows, replicates=10, blocks=blocks)
+
     def test_summary_ordering_enforced(self):
         with pytest.raises(sp.ValidationError):
             Bootstrap(mean=1.0, low=2.0, high=3.0, replicates=10, seed=0)
@@ -247,6 +261,27 @@ class TestCompareSuite:
             assert report.test_events == n_test
             assert report.values.shape == (n_test,)
             assert report.summary.replicates == 50
+
+    def test_one_bootstrap_call_per_suite(self, monkeypatch):
+        paths = self.scanpaths()
+        specs = [sp.SaccadeSpec(variant="last_fixation"),
+                 sp.SaccadeSpec(variant="hawkes", columns=("intercept",))]
+        args = (paths, self.OMEGA, specs, sp.SaccadeSpec(variant="poisson"), self.config())
+        want = [(r.mean, r.ci) for r in compare_suite(*args, replicates=50)[0]]
+        shapes = []
+        boot = scanpp.evaluate.bootstrap
+
+        def counted(values, *a, **k):
+            shapes.append(np.shape(values))
+            return boot(values, *a, **k)
+
+        monkeypatch.setattr(scanpp.evaluate, "bootstrap", counted)
+        reports, _ = compare_suite(*args, replicates=50)
+        assert shapes == [(2, 16)]
+        assert [(r.mean, r.ci) for r in reports] == want
+        for report in reports:
+            alone = boot(report.values, replicates=50, seed=0)
+            assert (report.mean, report.ci) == (alone.mean, (alone.low, alone.high))
 
     @pytest.mark.parametrize("grid", [None, sp.GridSpec(batch_sizes=(4,),
                                                         learning_rates=(0.02, 0.01),

@@ -52,7 +52,7 @@ def duration_units(rng, p, count=4, events=8):
 
 
 def loglik(model, raw, unit):
-    """A batch's log-likelihood, as the trainer's objective forms it."""
+    """A batch's log-likelihood, as the sum of its per-event terms."""
     return _total(model.per_event_loglik(raw, unit))
 
 
@@ -140,8 +140,10 @@ class TestAdapters:
         ("poisson", "baseline"), ("last_fixation", "baseline"), ("hawkes", "baseline"),
         ("hawkes", "affine"), ("hawkes", "full")])
     def test_pixel_batch_gives_pixel_likelihood(self, variant, mean_fn):
-        # a batch in pixels, as read from file, gives the likelihood and the
-        # chained gradient of the saccade model in pixels, bit for bit
+        # a batch in pixels, as read from file, gives the per-event terms and
+        # the chained gradient of the saccade model in pixels, bit for bit;
+        # the training total sums the compensator by source, not by event, so
+        # it is their sum within 1e-13 relative
         rng = np.random.default_rng(15)
         cols = ("intercept", "x1") if variant == "hawkes" else ()
         spec = sp.SaccadeSpec(variant=variant, mean_fn=mean_fn, columns=cols)
@@ -152,9 +154,11 @@ class TestAdapters:
         terms = sp.saccade.loglik_terms(batch, spec, params, PIXEL_OMEGA)
         assert loglik(model, raw, batch) == terms.total
         assert np.array_equal(model.per_event_loglik(raw, batch), terms.per_event)
-        terms, grads = sp.saccade.loglik_grad(batch, spec, params, PIXEL_OMEGA)
+        total, grads = sp.saccade.loglik_grad(batch, spec, params, PIXEL_OMEGA)
         ll, grad = model.grad_unit(raw, batch)
-        assert ll == terms.total
+        assert total == pytest.approx(terms.total, rel=1e-13)
+        assert ll == pytest.approx(terms.total, rel=1e-13)
+        assert model.grad_unit(raw, batch, want_grad=False) == (ll, None)
         assert np.array_equal(grad, model.layout.chain(raw, grads))
 
     def test_rescaling_is_exact_reparameterization(self):
@@ -350,10 +354,12 @@ NUMERIC_SETTINGS = {
                                                     columns=("a",), lags=v), -1, "lags"),
 }
 
-# The settings that count or seed also reject a number that is not an integer.
+# The settings that count or seed also reject a number that is not an integer;
+# the others, the float settings, reject a bool and a numeric string.
 INTEGER_SETTINGS = ("TrainConfig.batch_size", "TrainConfig.max_epochs", "TrainConfig.patience",
                     "TrainConfig.seed", "GridSpec.batch_sizes", "SimConfig.max_events",
                     "SimConfig.seed", "DurationSpec.lags")
+NOT_REAL = (True, False, "0.5")
 
 
 class TestConfigs:
@@ -387,7 +393,7 @@ class TestConfigs:
     @pytest.mark.parametrize("setting,value", [
         (name, value) for name, (_, bad, _) in NUMERIC_SETTINGS.items()
         for value in ((math.nan, math.inf, -math.inf) + (() if bad is None else (bad,))
-                      + ((2.5,) if name in INTEGER_SETTINGS else ()))
+                      + ((2.5,) if name in INTEGER_SETTINGS else NOT_REAL))
         # an infinite horizon is allowed: the path runs to the event cap
         if not (name == "SimConfig.horizon" and value == math.inf)])
     def test_numeric_setting_rejected(self, setting, value):

@@ -2,8 +2,9 @@
 
 Training steps along ``saccade.loglik_grad`` and ``duration_loglik_grad``, so
 a fit document's digits follow from their bits. The golden file
-``data/loglik_golden.txt`` holds ``repr`` of every per-event term,
-compensator increment and gradient entry over the saccade variant grid, on
+``data/loglik_golden.txt`` holds ``repr`` of the training total and of
+every per-event term, compensator increment and gradient entry over the
+saccade variant grid, on
 one batch of segments of lengths 0, 1, 2 and 90, and of the duration terms
 and gradient for each mean x distribution pair. The values must not depend
 on the BLAS thread count. Each section starts with a ``--- name`` line.
@@ -23,6 +24,8 @@ import scanpp as sp
 from scanpp import saccade
 from scanpp.cli import _blas_threads
 from scanpp.duration import _log_density, _means, duration_loglik_grad
+
+from conftest import assert_total_matches
 
 GOLDEN = Path(__file__).parent / "data" / "loglik_golden.txt"
 OMEGA = sp.Rect(0.0, 0.0, 3.0, 2.0)
@@ -102,8 +105,8 @@ def sections():
     out = {}
     for name, spec, params in saccade_cases():
         batch = saccade_batch(spec.p)
-        terms, grads = saccade.loglik_grad(batch, spec, params, OMEGA)
-        text = [line("terms", terms.per_event), f"invalid {terms.invalid_count}\n",
+        total, grads = saccade.loglik_grad(batch, spec, params, OMEGA)
+        text = [line("total", [total]),
                 line("loglik_terms", saccade.loglik_terms(batch, spec, params, OMEGA).per_event),
                 line("comp", saccade.compensator_increments(batch, spec, params, OMEGA))]
         text += [line(f"grad {key}", value) for key, value in grads.items()]
@@ -182,6 +185,16 @@ def test_change_report_names_each_moved_line():
     moved = text.replace(repr(float(value)), repr(float(value) * (1.0 + 2**-40)), 1)
     assert golden_changes(text, moved) == [f"{name}: {first} {2**-40:.2g}"]
     assert golden_changes(text, text + "--- extra\nterms 1.0\n") == ["extra: section added"]
+
+
+@pytest.mark.parametrize("name,spec,params", list(saccade_cases()),
+                         ids=[case[0] for case in saccade_cases()])
+def test_total_is_the_sum_of_the_terms(name, spec, params):
+    # the loss pass's total is the gradient pass's, bit for bit
+    batch = saccade_batch(spec.p)
+    total, _ = saccade.loglik_grad(batch, spec, params, OMEGA)
+    assert saccade.loglik_grad(batch, spec, params, OMEGA, grad=False) == (total, None)
+    assert_total_matches(total, saccade.loglik_terms(batch, spec, params, OMEGA).per_event)
 
 
 @pytest.fixture(params=[1, 2], ids=lambda n: f"blas{n}")

@@ -9,6 +9,7 @@ from scipy import integrate
 import dense_saccade as dense
 import scanpp as sp
 from scanpp import mathutil, saccade
+from scanpp.fit import objective
 from scanpp.plotting import split_at_time
 from scanpp.saccade import (
     compensator_increments,
@@ -16,7 +17,14 @@ from scanpp.saccade import (
     loglik_terms,
 )
 
-from conftest import assert_shrunk, make_fixations, shrink_blocks, small_instance
+from conftest import (
+    TOTAL_RTOL,
+    assert_shrunk,
+    assert_total_matches,
+    make_fixations,
+    shrink_blocks,
+    small_instance,
+)
 from test_golden import OMEGA as RSE_OMEGA, rse_model
 
 
@@ -594,12 +602,16 @@ def assert_terms_match(got, want):
 
 
 def assert_matches_dense(pd, spec, params, omega):
-    """Terms, increments and, where every term is finite, each gradient key."""
-    terms, grads = saccade.loglik_grad(pd, spec, params, omega)
+    """Terms, increments, the training total and, where every term is finite,
+    each gradient key. Returns the terms and the gradient."""
+    total, grads = saccade.loglik_grad(pd, spec, params, omega)
     with np.errstate(invalid="ignore"):  # 0 * inf where a term is -inf
         want, want_grads = dense.loglik_grad(pd, spec, params, omega)
+    terms = loglik_terms(pd, spec, params, omega)
     assert_terms_match(terms, want)
-    assert_terms_match(loglik_terms(pd, spec, params, omega), want)
+    # the band's terms are each within 1e-12 of the dense ones
+    assert_total_matches(total, want.per_event, rtol=1e-12)
+    assert_total_matches(total, terms.per_event)
     comp = sp.compensator_increments(pd, spec, params, omega)
     want_comp = dense.lam_comp(pd, spec, params, omega)[1]
     assert np.all(np.abs(comp - want_comp) <= 1e-12 * np.maximum(1.0, np.abs(want_comp)))
@@ -745,11 +757,11 @@ class TestBandAgainstDense:
         spec, params = rse_model()
         tracemalloc.start()
         try:
-            terms, grads = saccade.loglik_grad(rse_long, spec, params, RSE_OMEGA)
+            total, grads = saccade.loglik_grad(rse_long, spec, params, RSE_OMEGA)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert terms.invalid_count == 0 and np.all(np.isfinite(grads["C"]))
+        assert math.isfinite(total) and np.all(np.isfinite(grads["C"]))
         # dense n x n arrays at n = 4000 take 128 MB each
         assert peak < 64 * 2**20
 
@@ -780,20 +792,28 @@ def assert_batch_matches(units, spec, params, omega):
     """A batch against per-path calls and the dense oracle, term by term.
 
     Per-event terms and increments within 1e-12, each gradient key within
-    1e-10 of the per-path sum, relative.
+    1e-10 of the per-path sum, relative; the training total as
+    ``assert_total_matches`` states, against the terms and the per-path totals.
+    Returns the batch and its per-event terms.
     """
     batch = sp.PathData.concat(units)
-    terms, grads = saccade.loglik_grad(batch, spec, params, omega)
+    total, grads = saccade.loglik_grad(batch, spec, params, omega)
+    terms = loglik_terms(batch, spec, params, omega)
     per_path = [saccade.loglik_grad(u, spec, params, omega) for u in units]
     with np.errstate(invalid="ignore"):
         dense_path = [dense.loglik_grad(u, spec, params, omega) for u in units]
+    for parts in ([loglik_terms(u, spec, params, omega) for u in units],
+                  [t for t, _ in dense_path]):
+        assert_terms_match(terms, saccade.ScanpathLoglik(
+            np.concatenate([t.per_event for t in parts]), sum(t.invalid_count for t in parts)))
+    assert_total_matches(total, terms.per_event)
+    assert_total_matches(total, np.concatenate([t.per_event for t, _ in dense_path]),
+                         rtol=1e-12)
+    if not terms.invalid_count:
+        assert total == pytest.approx(sum(t for t, _ in per_path), rel=TOTAL_RTOL)
     for results in (per_path, dense_path):
-        want = saccade.ScanpathLoglik(np.concatenate([t.per_event for t, _ in results]),
-                                      sum(t.invalid_count for t, _ in results))
-        assert_terms_match(terms, want)
-        assert_terms_match(loglik_terms(batch, spec, params, omega), want)
         assert grads.keys() == results[0][1].keys()
-        if want.invalid_count:
+        if terms.invalid_count:
             continue
         for key in grads:
             value = sum(np.asarray(g[key], dtype=float) for _, g in results)
@@ -863,8 +883,8 @@ class TestPathDataBatch:
         path, X, spec, params, omega = history_case(variant, mean_fn, link, columns, 5)
         _, want = loglik_grad(sp.PathData.from_scanpath(path, X), spec, params, omega)
         empty = sp.PathData.concat([])
-        terms, grads = loglik_grad(empty, spec, params, omega)
-        assert terms.per_event.shape == (0,) and terms.total == 0.0
+        total, grads = loglik_grad(empty, spec, params, omega)
+        assert total == 0.0 and loglik_grad(empty, spec, params, omega, grad=False) == (0.0, None)
         assert list(grads) == list(want)
         for key, value in grads.items():
             assert np.shape(value) == np.shape(want[key]) and not np.any(value)
@@ -990,17 +1010,20 @@ def band_mask(batch, w):
 
 
 class TestClosedFormCompensatorSums:
-    """The gradient pass integrates each source's compensator over the span its
-    kept rows tile. The dense oracle, restricted to the same kept pairs, sums
-    the per-pair integrals one by one; each gradient entry agrees within
-    1e-13, and the per-event terms are the loss pass's bit for bit."""
+    """The training passes integrate each source's compensator over the span
+    its kept rows tile. The dense oracle, restricted to the same kept pairs,
+    sums the per-pair integrals one by one; each gradient entry agrees within
+    1e-13, and the total, with the gradient or without it, agrees with the
+    oracle's terms and the scoring pass's within ``TOTAL_RTOL``."""
 
-    @pytest.mark.parametrize("link,alpha,beta,lengths", [
+    CASES = pytest.mark.parametrize("link,alpha,beta,lengths", [
         ("softplus", [0.5, 0.2], [2.5, 0.5], (0, 1, 2, 90)),
         ("softplus", [0.5, 0.2], [2.5, 0.5], LENGTHS),
         ("relu", [1.0, 0.3], [0.0, 1.5], LENGTHS),
         ("softplus", [0.5, 0.2], [2.5, 0.5], ()),
     ], ids=["lengths-0-1-2-90", "cutoff-drops-sources", "relu-zero-decay", "empty"])
+
+    @CASES
     def test_gradient_matches_per_pair_sums(self, monkeypatch, link, alpha, beta, lengths):
         units, spec, params, omega = long_segments(link, alpha, beta, lengths)
         batch = sp.PathData.concat(units)
@@ -1015,20 +1038,83 @@ class TestClosedFormCompensatorSums:
         assert math.isfinite(w) == finite
         assert (int(keep.sum()) < within_pairs(batch)) == finite
         blocks = shrink_blocks(monkeypatch)
-        terms, grads = saccade.loglik_grad(batch, spec, params, omega)
+        total, grads = saccade.loglik_grad(batch, spec, params, omega)
         assert_shrunk(blocks, 10 if batch.n else 0)
-        assert np.array_equal(terms.per_event,
-                              loglik_terms(batch, spec, params, omega).per_event)
+        assert saccade.loglik_grad(batch, spec, params, omega, grad=False) == (total, None)
+        terms = loglik_terms(batch, spec, params, omega)
         assert terms.invalid_count == 0
+        assert_total_matches(total, terms.per_event)
         want = {}
+        want_terms = []
         offsets = np.cumsum([0] + [u.n for u in units])
         for u, lo in zip(units or [batch], offsets):
-            _, g = dense.loglik_grad(u, spec, params, omega,
+            t, g = dense.loglik_grad(u, spec, params, omega,
                                      keep=keep[lo:lo + u.n, lo:lo + u.n])
+            want_terms.append(t.per_event)
             for key, value in g.items():
                 want[key] = want.get(key, 0.0) + np.asarray(value, dtype=float)
+        assert_total_matches(total, np.concatenate(want_terms))
         assert grads.keys() == want.keys()
         for key, value in want.items():
             got = np.asarray(grads[key], dtype=float)
             assert got.shape == value.shape, key
             assert np.all(np.abs(got - value) <= 1e-13 * np.abs(value)), key
+
+    def total_case(self, k, step):
+        """long_segments' batch of lengths (90, 300, 90) with event k of the
+        300-event segment starting ``step`` seconds before the end of the
+        fixation before it, so the kernel clock steps back by ``step``."""
+        units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5],
+                                                   (90, 300, 90))
+        bad = units[1]
+        onsets = bad.onsets.copy()
+        onsets[k:] -= onsets[k] - (onsets[k - 1] + bad.durations[k - 1] - step)
+        units[1] = sp.PathData(onsets, bad.durations, bad.locations, bad.design,
+                               labels=bad.labels)
+        return sp.PathData.concat(units), spec, params, omega
+
+    def test_total_over_a_clock_step_back_within_tolerance(self, monkeypatch):
+        step = 0.5 * saccade._GAP_TOL
+        batch, spec, params, omega = self.total_case(60, step)
+        assert np.min(np.diff(batch.clock[90:390])) == pytest.approx(-step, rel=1e-3)
+        shrink_blocks(monkeypatch)
+        total, _ = saccade.loglik_grad(batch, spec, params, omega)
+        assert saccade.loglik_grad(batch, spec, params, omega, grad=False)[0] == total
+        terms = loglik_terms(batch, spec, params, omega)
+        assert terms.invalid_count == 0
+        # the windows of events 60 and 61 overlap by the step, which the terms
+        # integrate twice and the total once: at most sum_j a_j m_j per second
+        src = saccade._sources(batch.locations, batch.design, spec, params, omega)
+        overlap = 2.0 * step * float(np.sum(src["a"] * src["mass"]))
+        assert_total_matches(total, terms.per_event, atol=overlap)
+
+    def test_invalid_gap_gives_minus_infinity(self):
+        batch, spec, params, omega = self.total_case(60, 2.0 * saccade._GAP_TOL)
+        terms = loglik_terms(batch, spec, params, omega)
+        assert np.flatnonzero(~np.isfinite(terms.per_event)).tolist() == [150]
+        for grad in (True, False):
+            assert saccade.loglik_grad(batch, spec, params, omega, grad=grad)[0] == -np.inf
+
+    @CASES
+    def test_training_passes_form_no_pair_integral(self, monkeypatch, link, alpha, beta,
+                                                   lengths):
+        """The objective's loss and gradient passes integrate the compensator
+        once per source: each integral's arguments have one value per event of
+        the batch, or one in all, never one per kept pair."""
+        units, spec, params, omega = long_segments(link, alpha, beta, lengths)
+        model = sp.SaccadeModel(spec, omega)
+        raw = model.pack(params)
+        calls = []
+        for name in ("exp_integral_0", "exp_integrals"):
+            def recorded(*args, _fn=getattr(saccade, name), _name=name):
+                calls.append((_name, tuple(np.size(x) for x in args)))
+                return _fn(*args)
+            monkeypatch.setattr(saccade, name, recorded)
+        batch = sp.PathData.concat(units)
+        n = batch.n
+        for want_grad, name in ((False, "exp_integral_0"), (True, "exp_integrals")):
+            calls.clear()
+            objective(model, units, raw, want_grad=want_grad)
+            assert calls == ([(name, (n, 1, n))] if n else []), want_grad
+        # so no argument has the length of the pair list
+        assert not n or batch_kept_pairs(batch, spec, params)[0] > n
