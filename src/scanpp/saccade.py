@@ -17,8 +17,11 @@ windows restart at each segment, no source excites an event of another
 segment, and the per-event terms come back in path order, so a batch costs
 one pass; one scanpath is a batch of one segment. That pass, ``_evaluate``,
 serves all four entry points. Scoring reads per-event terms:
-``event_intensities``, ``loglik_terms`` and ``compensator_increments`` run it
-per event, without the gradient. Training reads the batch total:
+``event_intensities`` and ``loglik_terms`` run it per event, without the
+gradient. ``compensator_increments`` runs it per event without intensities
+as well: its band pass forms each kept pair's compensator integral and no
+kernel, Gaussian or intensity, on the same cutoff, so its increments are
+``event_intensities``'s, bit for bit. Training reads the batch total:
 ``loglik_grad`` runs it for the total, with the gradient or without it. The
 pass checks its inputs and forms the gap terms once, adds the last-fixation
 or the self-exciting excitation, which returns that variant's gradient when
@@ -28,12 +31,16 @@ Gaussian mass inside the screen and, for the gradient, of its sigma2 and
 center derivatives; the history state and both variants read it.
 ``_sources`` is the one formula for each source row's excitation center,
 link outputs and screen mass, over any number of rows; the history state
-and the self-exciting variant read it.
+and the self-exciting variant read it. It has two parts: ``_row_terms``,
+what the design row alone gives (the link outputs a and b, and the center
+offset C·x), and ``_centers``, the center at the row's location and its
+screen mass.
 
 The pointwise layer builds a ``HistoryState`` once per history: the kernel
 clock, the link outputs, the excitation centers and their screen mass.
 ``build`` forms them for the whole history and ``append`` for one new row,
-both through ``_sources``. ``HistoryState.intensity_at`` evaluates the
+both through ``_sources``; ``append`` reuses a row's ``_row_terms`` while
+the row's value is the one appended last. ``HistoryState.intensity_at`` evaluates the
 intensity at many points in blocks of bounded size, and one point evaluated
 alone gets the same value, bit for bit, as the same point in a block. The
 plotting grid reads it, and the sampler grows a state by
@@ -361,16 +368,18 @@ def _screen_mass(mu: np.ndarray, sigma2: float, omega: Rect, grad: bool):
     weights u to u·dmass/dmu, (n, 2), multiplying u in first; else None, None.
     """
     sigma = np.sqrt(sigma2)
-    zx0 = (omega.x0 - mu[:, 0]) / sigma
-    zx1 = (omega.x1 - mu[:, 0]) / sigma
-    zy0 = (omega.y0 - mu[:, 1]) / sigma
-    zy1 = (omega.y1 - mu[:, 1]) / sigma
-    gx = norm_cdf(zx1) - norm_cdf(zx0)
-    gy = norm_cdf(zy1) - norm_cdf(zy0)
+    # the z of the four screen edges (x0, x1, y0, y1) as one array, so that
+    # norm_cdf and norm_pdf take one call each
+    z = np.array([[omega.x0], [omega.x1], [omega.y0], [omega.y1]]) - mu.T[[0, 0, 1, 1]]
+    z /= sigma
+    zx0, zx1, zy0, zy1 = z
+    cdf = norm_cdf(z)
+    gx = cdf[1] - cdf[0]
+    gy = cdf[3] - cdf[2]
     mass = gx * gy
     if not grad:
         return mass, None, None
-    px0, px1, py0, py1 = norm_pdf(zx0), norm_pdf(zx1), norm_pdf(zy0), norm_pdf(zy1)
+    px0, px1, py0, py1 = norm_pdf(z)
     dgx_dsig = (zx0 * px0 - zx1 * px1) / sigma
     dgy_dsig = (zy0 * py0 - zy1 * py1) / sigma
     dmass_ds2 = (dgx_dsig * gy + gx * dgy_dsig) / (2.0 * sigma)
@@ -381,28 +390,57 @@ def _screen_mass(mu: np.ndarray, sigma2: float, omega: Rect, grad: bool):
     return mass, dmass_ds2, dmass_dmu
 
 
-def _sources(locations: np.ndarray, X: np.ndarray, spec: SaccadeSpec, params: SaccadeParams,
-             omega: Optional[Rect] = None) -> dict[str, np.ndarray]:
-    """Per-source fields of the source rows at ``locations`` (m, 2) with design rows ``X``.
+def _row_terms(X: np.ndarray, spec: SaccadeSpec, params: SaccadeParams) -> dict[str, np.ndarray]:
+    """The location-free fields of the source rows with design rows ``X`` (m, p).
 
-    ``mu``, each excitation center; under the self-exciting variant ``a``
-    and ``b``, the link outputs; given a screen ``omega``, ``mass``, each
-    center's screen mass. The products are matrix products over all m rows,
-    so a row formed alone, as ``HistoryState.append`` forms it, may differ
-    in its last bits from the same row formed among many.
+    Under the self-exciting variant ``a`` and ``b``, the link outputs; under
+    the full center map ``shift``, each row's center offset C·x.
     """
+    terms = {}
+    if spec.variant == "hawkes":
+        # one link call for both: on a one-row append it costs more than the products
+        terms["a"], terms["b"] = apply_link(spec.link, np.array([X @ params.alpha,
+                                                                 X @ params.beta]))
+    if spec.mean_fn == "full":
+        terms["shift"] = X @ params.C.T
+    return terms
+
+
+def _centers(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeSpec,
+             params: SaccadeParams, omega: Optional[Rect]) -> dict[str, np.ndarray]:
+    """``mu``, the excitation center of each source row at ``locations`` (m, 2),
+    from its ``_row_terms``; given a screen ``omega``, also ``mass``, each
+    center's screen mass."""
     mu = locations
     if spec.mean_fn != "baseline":
         mu = locations @ params.A.T + params.b
         if spec.mean_fn == "full":
-            mu = mu + X @ params.C.T
+            mu = mu + terms["shift"]
     fields = {"mu": mu}
-    if spec.variant == "hawkes":
-        # one link call for both: on a one-row append it costs more than the products
-        fields["a"], fields["b"] = apply_link(spec.link, np.array([X @ params.alpha,
-                                                                   X @ params.beta]))
     if omega is not None:
         fields["mass"] = _screen_mass(mu, params.sigma2, omega, grad=False)[0]
+    return fields
+
+
+def _sources(locations: np.ndarray, X: Optional[np.ndarray], spec: SaccadeSpec,
+             params: SaccadeParams, omega: Optional[Rect] = None,
+             terms: Optional[dict[str, np.ndarray]] = None) -> dict[str, np.ndarray]:
+    """Per-source fields of the source rows at ``locations`` (m, 2) with design rows ``X``.
+
+    ``mu``, each excitation center; under the self-exciting variant ``a``
+    and ``b``, the link outputs; given a screen ``omega``, ``mass``, each
+    center's screen mass: the ``_row_terms`` of ``X``, then the
+    ``_centers`` at ``locations``. The products are matrix products over
+    all m rows, so a row formed alone, as ``HistoryState.append`` forms it,
+    may differ in its last bits from the same row formed among many.
+    ``terms`` may pass the ``_row_terms`` of ``X`` when the caller has them
+    already.
+    """
+    if terms is None:
+        terms = _row_terms(X, spec, params)
+    fields = _centers(locations, terms, spec, params, omega)
+    if spec.variant == "hawkes":
+        fields["a"], fields["b"] = terms["a"], terms["b"]
     return fields
 
 
@@ -469,6 +507,8 @@ class HistoryState:
         self.omega = omega
         self.a = self.b = np.empty(0)
         self.mass = None
+        # the bytes of the design row last appended, and its _row_terms
+        self._row = (None, None)
         self.last_end = last_end
         self.total_duration = total_duration
         self._adopt(n, buffers)
@@ -513,10 +553,18 @@ class HistoryState:
 
     def append(self, onset: float, duration: float, location,
                x: Optional[np.ndarray] = None) -> None:
-        """Add an event after the history; ``x`` is its design row, under ``data.check_design``."""
+        """Add an event after the history; ``x`` is its design row, under ``data.check_design``.
+
+        The row's location-free terms are reused while its value stays that
+        of the row appended last, as it does over a sampled path; only the
+        center and its screen mass are formed per event.
+        """
         x = check_design(x, self.spec.p)
+        key = x.tobytes()
+        if key != self._row[0]:
+            self._row = (key, _row_terms(x[None], self.spec, self.params))
         location = np.asarray(location, dtype=float).reshape(1, 2)
-        fields = _sources(location, x[None], self.spec, self.params, self.omega)
+        fields = _sources(location, None, self.spec, self.params, self.omega, self._row[1])
         row = dict(onsets=onset, durations=duration, locations=location[0],
                    clock=onset - self.total_duration,
                    **{name: value[0] for name, value in fields.items()})
@@ -547,7 +595,13 @@ class HistoryState:
 
     def kernels(self, t: float) -> np.ndarray:
         """Temporal kernel a_j·exp(-b_j·age_j) of each source at time t."""
-        return self.a * np.exp(-self.b * self.ages(t))
+        # b·(c - (t - T)) is -b·age bit for bit, as IEEE subtraction is exact
+        # under a change of sign
+        k = np.subtract(self.clock, t - self.total_duration)
+        k *= self.b
+        np.exp(k, out=k)
+        k *= self.a
+        return k
 
     def intensity_upper_bound(self, t: float, kernels: Optional[np.ndarray] = None) -> float:
         """Dominating rate of the screen-integrated intensity on [t, infinity).
@@ -565,7 +619,7 @@ class HistoryState:
             return float(base)
         if self.spec.variant == "last_fixation":
             return float(base + self.mass[-1])
-        return float(base + np.sum(self.kernels(t) if kernels is None else kernels))
+        return float(base + (self.kernels(t) if kernels is None else kernels).sum())
 
     def intensity_at(self, t: float, points) -> np.ndarray:
         """Conditional intensity at time t at each row of an (m, 2) array of points.
@@ -645,19 +699,22 @@ def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> f
 
 
 def _last_fixation_terms(pd: PathData, params: SaccadeParams, omega: Rect, gaps: np.ndarray,
-                         lam: np.ndarray, comp: np.ndarray, grad: bool) -> dict:
+                         lam: Optional[np.ndarray], comp: np.ndarray, grad: bool) -> dict:
     """Add the excitation of each event ``pd.after_first`` by the fixation before it.
 
-    lam and comp change in place; with ``grad`` the sigma2 gradient comes back.
+    lam, unless None, and comp change in place; with ``grad`` the sigma2
+    gradient comes back.
     """
     s2 = params.sigma2
     k = pd.after_first
     prev = pd.locations[k - 1]
+    mass, dmass_ds2, _ = _screen_mass(prev, s2, omega, grad)
+    comp[k] += mass * gaps[k]
+    if lam is None:
+        return {}
     r2 = np.sum((pd.locations[k] - prev) ** 2, axis=1)
     psi = np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
-    mass, dmass_ds2, _ = _screen_mass(prev, s2, omega, grad)
     lam[k] += psi
-    comp[k] += mass * gaps[k]
     if not grad:
         return {}
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -667,16 +724,18 @@ def _last_fixation_terms(pd: PathData, params: SaccadeParams, omega: Rect, gaps:
 
 
 def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-                  gaps: np.ndarray, lam: np.ndarray, comp: Optional[np.ndarray],
+                  gaps: np.ndarray, lam: Optional[np.ndarray], comp: Optional[np.ndarray],
                   grad: bool) -> tuple[float, dict]:
     """Add the excitation to lam in place, one block of the band at a time.
 
     One cutoff serves every segment of ``pd``, from the batch's largest a,
     its smallest b and its longest segment. Given ``comp``, each event's
     compensator increment takes its pairs' integrals in place, and the
-    excited total that comes back is 0.0. With comp None, no pair forms an
-    integral: the excited compensator total comes back, from each source's
-    integral in closed form after the pass. ``grad`` takes comp None. Each
+    excited total that comes back is 0.0; with lam None as well, a pair forms
+    only its integral, and no kernel, Gaussian or intensity. With comp None,
+    no pair forms an integral: the excited compensator total comes back,
+    from each source's integral in closed form after the pass. ``grad``
+    takes lam and comp None. Each
     row's lam is complete within its block, so the P-weighted per-source
     sums of the gradient take the same pass, and the compensator's
     per-source sums come in closed form after it. With no sources they are
@@ -703,6 +762,12 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         if not cols.size:
             continue
         bj = b[cols]
+        local = rows - r0
+        if comp is not None:
+            I0 = exp_integral_0(bj, pd.clock_prev[rows] - clock[cols], gaps[rows])
+            comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
+        if lam is None:
+            continue
         dhi = clock[rows] - clock[cols]
         E = np.exp(-bj * dhi)
         dx = sx[rows] - mx[cols]
@@ -710,11 +775,7 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         r2 = dx * dx + dy * dy
         EP = E * (np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2))
         W = a[cols] * EP
-        local = rows - r0
         lam[r0:r1] += np.bincount(local, W, minlength=r1 - r0)
-        if comp is not None:
-            I0 = exp_integral_0(bj, pd.clock_prev[rows] - clock[cols], gaps[rows])
-            comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
         if not grad:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -759,15 +820,17 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
 
 
 def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-              total: bool, grad: bool = False
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, Optional[dict]]:
+              total: bool, grad: bool = False, intensities: bool = True
+              ) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, float, Optional[dict]]:
     """Each event's intensity, compensator increment and invalid-gap flag,
     and the excited compensator total.
 
     With ``total`` the self-exciting excitation's compensator is not split
     by event: the increments leave it out, and its batch total comes back,
     else 0.0. With ``grad``, which takes ``total``, also the gradient that
-    ``loglik_grad`` documents, else None.
+    ``loglik_grad`` documents, else None. Without ``intensities``, which
+    takes neither, no intensity is formed and None comes in its place: the
+    increments, flags and cutoff are the same, bit for bit.
     """
     check_compatible(spec, params)
     X = check_design(pd.design, spec.p, pd.n)
@@ -776,7 +839,7 @@ def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rec
     area = omega.area
     invalid = pd.gaps < -_GAP_TOL
     gaps = np.maximum(pd.gaps, 0.0)
-    lam = np.full(pd.n, float(params.nu))
+    lam = np.full(pd.n, float(params.nu)) if intensities else None
     comp = params.nu * area * gaps
     excited, grads = 0.0, {}
     if spec.variant == "last_fixation":
@@ -808,9 +871,10 @@ def compensator_increments(pd: PathData, spec: SaccadeSpec, params: SaccadeParam
     """Integrated intensity over each inter-event window, one value per event.
 
     Under the generating model these increments are unit-exponential by the
-    time-rescaling property.
+    time-rescaling property. They are ``event_intensities``'s, bit for bit,
+    from a pass that forms no intensity.
     """
-    return event_intensities(pd, spec, params, omega)[1]
+    return _evaluate(pd, spec, params, omega, total=False, intensities=False)[1]
 
 
 def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,

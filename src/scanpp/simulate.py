@@ -14,6 +14,11 @@ and per-source Gaussians, restricted to the screen. Durations come from the
 duration model given the realized history, and the clock advances past each
 fixation before the next saccade is sampled.
 
+A path has one saccade design row, so each appended event's link outputs
+and center offset C·x are the same: ``HistoryState.append`` forms them on
+the path's first event, and each later event forms only its center and
+that center's screen mass.
+
 ``SimResult`` reports how thinning went: candidates tested, candidates
 accepted, and Gaussian location draws that fell back from rejection to the
 exact truncated normal.
@@ -135,7 +140,7 @@ def _draw_location(rng: np.random.Generator, state: HistoryState,
     else:
         weights = np.concatenate(([base], weighted))
         centers = state.mu
-    total = float(np.sum(weights))
+    total = float(weights.sum())
     if total <= 0:
         return _uniform_location(rng, omega)
     pick = rng.uniform(0.0, total)
@@ -173,7 +178,7 @@ def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
         if excites:
             kern = state.kernels(t)
             weighted = kern * state.mass
-            lam = base + float(np.sum(weighted))
+            lam = base + float(weighted.sum())
         if rng.uniform() * bound <= lam:
             counts.accepted += 1
             return t, _draw_location(rng, state, weighted, counts)

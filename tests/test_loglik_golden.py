@@ -197,6 +197,15 @@ def test_total_is_the_sum_of_the_terms(name, spec, params):
     assert_total_matches(total, saccade.loglik_terms(batch, spec, params, OMEGA).per_event)
 
 
+@pytest.mark.parametrize("name,spec,params", list(saccade_cases()),
+                         ids=[case[0] for case in saccade_cases()])
+def test_increments_are_the_scoring_pass_increments(name, spec, params):
+    # compensator_increments runs a pass of its own that forms no intensity
+    batch = saccade_batch(spec.p)
+    assert np.array_equal(saccade.compensator_increments(batch, spec, params, OMEGA),
+                          saccade.event_intensities(batch, spec, params, OMEGA)[1])
+
+
 @pytest.fixture(params=[1, 2], ids=lambda n: f"blas{n}")
 def blas_threads(request):
     """The BLAS thread count set to 1, then 2, and restored afterwards."""

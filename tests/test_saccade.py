@@ -1009,6 +1009,20 @@ def band_mask(batch, w):
     return keep
 
 
+def step_back_case(k, step):
+    """long_segments' batch of lengths (90, 300, 90) with event k of the
+    300-event segment starting ``step`` seconds before the end of the
+    fixation before it, so the kernel clock steps back by ``step``."""
+    units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5],
+                                               (90, 300, 90))
+    bad = units[1]
+    onsets = bad.onsets.copy()
+    onsets[k:] -= onsets[k] - (onsets[k - 1] + bad.durations[k - 1] - step)
+    units[1] = sp.PathData(onsets, bad.durations, bad.locations, bad.design,
+                           labels=bad.labels)
+    return sp.PathData.concat(units), spec, params, omega
+
+
 class TestClosedFormCompensatorSums:
     """The training passes integrate each source's compensator over the span
     its kept rows tile. The dense oracle, restricted to the same kept pairs,
@@ -1060,22 +1074,9 @@ class TestClosedFormCompensatorSums:
             assert got.shape == value.shape, key
             assert np.all(np.abs(got - value) <= 1e-13 * np.abs(value)), key
 
-    def total_case(self, k, step):
-        """long_segments' batch of lengths (90, 300, 90) with event k of the
-        300-event segment starting ``step`` seconds before the end of the
-        fixation before it, so the kernel clock steps back by ``step``."""
-        units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5],
-                                                   (90, 300, 90))
-        bad = units[1]
-        onsets = bad.onsets.copy()
-        onsets[k:] -= onsets[k] - (onsets[k - 1] + bad.durations[k - 1] - step)
-        units[1] = sp.PathData(onsets, bad.durations, bad.locations, bad.design,
-                               labels=bad.labels)
-        return sp.PathData.concat(units), spec, params, omega
-
     def test_total_over_a_clock_step_back_within_tolerance(self, monkeypatch):
         step = 0.5 * saccade._GAP_TOL
-        batch, spec, params, omega = self.total_case(60, step)
+        batch, spec, params, omega = step_back_case(60, step)
         assert np.min(np.diff(batch.clock[90:390])) == pytest.approx(-step, rel=1e-3)
         shrink_blocks(monkeypatch)
         total, _ = saccade.loglik_grad(batch, spec, params, omega)
@@ -1089,7 +1090,7 @@ class TestClosedFormCompensatorSums:
         assert_total_matches(total, terms.per_event, atol=overlap)
 
     def test_invalid_gap_gives_minus_infinity(self):
-        batch, spec, params, omega = self.total_case(60, 2.0 * saccade._GAP_TOL)
+        batch, spec, params, omega = step_back_case(60, 2.0 * saccade._GAP_TOL)
         terms = loglik_terms(batch, spec, params, omega)
         assert np.flatnonzero(~np.isfinite(terms.per_event)).tolist() == [150]
         for grad in (True, False):
@@ -1118,3 +1119,149 @@ class TestClosedFormCompensatorSums:
             assert calls == ([(name, (n, 1, n))] if n else []), want_grad
         # so no argument has the length of the pair list
         assert not n or batch_kept_pairs(batch, spec, params)[0] > n
+
+
+# --- Scoring's increments pass --------------------------------------------------
+
+def record_exp(monkeypatch):
+    """Record the size of every array ``saccade`` passes to ``np.exp``."""
+    sizes = []
+
+    class Recorded:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(saccade, "np", Recorded())
+    return sizes
+
+
+class TestIncrementsPass:
+    """``compensator_increments`` runs a band pass of its own, which forms
+    each kept pair's integral and nothing else of the pair; its increments
+    are ``event_intensities``'s, bit for bit."""
+
+    CASES = TestClosedFormCompensatorSums.CASES
+
+    def assert_scoring_increments(self, batch, spec, params, omega):
+        got = compensator_increments(batch, spec, params, omega)
+        assert np.array_equal(got, saccade.event_intensities(batch, spec, params, omega)[1])
+        return got
+
+    @CASES
+    def test_band_cases(self, monkeypatch, link, alpha, beta, lengths):
+        units, spec, params, omega = long_segments(link, alpha, beta, lengths)
+        batch = sp.PathData.concat(units)
+        if link == "softplus" and batch.n:
+            # the cutoff drops sources
+            assert batch_kept_pairs(batch, spec, params)[0] < within_pairs(batch)
+        blocks = shrink_blocks(monkeypatch)
+        got = self.assert_scoring_increments(batch, spec, params, omega)
+        assert got.shape == (batch.n,)
+        assert_shrunk(blocks, 20 if batch.n else 0)
+
+    @pytest.mark.parametrize("variant", ["poisson", "last_fixation"])
+    def test_reference_variants(self, variant):
+        rng = np.random.default_rng(59)
+        omega = sp.Rect(0.0, 0.0, 3.0, 2.0)
+        batch = sp.PathData.concat([random_segment(rng, m, omega, 0, f"r{k}/t{k}")
+                                    for k, m in enumerate(LENGTHS)])
+        spec = sp.SaccadeSpec(variant=variant)
+        self.assert_scoring_increments(batch, spec, sp.SaccadeParams.initial(
+            spec, nu=0.5, sigma2=0.2), omega)
+
+    def test_clock_step_back_within_tolerance(self, monkeypatch):
+        batch, spec, params, omega = step_back_case(60, 0.5 * saccade._GAP_TOL)
+        assert np.min(np.diff(batch.clock[90:390])) < 0.0
+        shrink_blocks(monkeypatch)
+        got = self.assert_scoring_increments(batch, spec, params, omega)
+        assert np.all(np.isfinite(got))
+
+    def test_invalid_gap(self):
+        batch, spec, params, omega = step_back_case(60, 2.0 * saccade._GAP_TOL)
+        assert saccade.event_intensities(batch, spec, params, omega)[2].sum() == 1
+        self.assert_scoring_increments(batch, spec, params, omega)
+
+    @CASES
+    def test_forms_no_pair_kernel(self, monkeypatch, link, alpha, beta, lengths):
+        """No array ``saccade`` exponentiates while scoring the increments has
+        a block's pair count, where the scoring pass exponentiates each
+        block's kernels and Gaussians."""
+        units, spec, params, omega = long_segments(link, alpha, beta, lengths)
+        batch = sp.PathData.concat(units)
+        blocks = shrink_blocks(monkeypatch)
+        sizes = record_exp(monkeypatch)
+        saccade.event_intensities(batch, spec, params, omega)
+        pairs = {size for _, size in blocks if size}
+        assert pairs <= set(sizes)
+        blocks.clear()
+        sizes.clear()
+        compensator_increments(batch, spec, params, omega)
+        assert {size for _, size in blocks if size} == pairs
+        assert not pairs & set(sizes)
+
+
+# --- The sampler's per-path row terms --------------------------------------------
+
+class TestAppendRowTerms:
+    """``HistoryState.append`` reuses a row's location-free terms while the
+    row's value is unchanged, and gives each row the fields ``_sources``
+    gives it alone."""
+
+    CASES = pytest.mark.parametrize("mean_fn,link", [
+        (mean_fn, link) for mean_fn in ("baseline", "affine", "full")
+        for link in ("softplus", "relu")])
+
+    def assert_rows(self, state, path, rows, spec, params, omega):
+        for i, (fix, x) in enumerate(zip(path.fixations, rows)):
+            want = saccade._sources(np.array([[fix.x, fix.y]]), np.array(x)[None], spec, params,
+                                    omega)
+            for name in ("a", "b", "mu", "mass"):
+                assert np.array_equal(getattr(state, name)[i], want[name][0]), (i, name)
+
+    @CASES
+    def test_alternating_rows(self, mean_fn, link):
+        path, X, spec, params, omega = history_case("hawkes", mean_fn, link, True, 12)
+        pattern = [0, 0, 1, 0, 1, 1, 1, 0, 2, 2, 0, 1]
+        state = sp.HistoryState.empty(spec, params, omega)
+        for fix, k in zip(path.fixations, pattern):
+            state.append(fix.onset, fix.duration, (fix.x, fix.y), X[k])
+        self.assert_rows(state, path, [X[k] for k in pattern], spec, params, omega)
+
+    @CASES
+    def test_row_mutated_in_place(self, mean_fn, link):
+        path, X, spec, params, omega = history_case("hawkes", mean_fn, link, True, 12)
+        x = X[0].copy()
+        rows = []
+        state = sp.HistoryState.empty(spec, params, omega)
+        for i, fix in enumerate(path.fixations):
+            if i % 3 == 1:
+                x[1] = X[i, 1]  # the same array, a new value
+            rows.append(x.copy())
+            state.append(fix.onset, fix.duration, (fix.x, fix.y), x)
+        self.assert_rows(state, path, rows, spec, params, omega)
+
+    def test_sampled_path_forms_its_row_terms_once(self, monkeypatch):
+        spec, params = rse_model()
+        calls = []
+        row_terms = saccade._row_terms
+
+        def recorded(X, *args):
+            calls.append(X.shape[0])
+            return row_terms(X, *args)
+
+        monkeypatch.setattr(saccade, "_row_terms", recorded)
+        dur_spec = sp.DurationSpec()
+        dur_params = sp.DurationParams.initial(dur_spec, sigma2=0.05).replace(w=np.zeros(0))
+        x = np.zeros(spec.p)
+        x[0] = 1.0
+        result = sp.sample_scanpath(spec, params, dur_spec, dur_params,
+                                    sp.SimConfig(horizon=np.inf, omega=RSE_OMEGA, max_events=50),
+                                    x_row=x)
+        assert len(result.scanpath) == 50
+        # one for the empty history, one for the path's row
+        assert calls == [0, 1]
