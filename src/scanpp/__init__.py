@@ -27,10 +27,8 @@ from .duration import (
     DurationParams,
     DurationSpec,
     event_mean,
-    fit_linear_aggregated,
     fit_linear_log,
     gamma_kernel,
-    gamma_kernel_mass,
 )
 from .errors import (
     DomainError,
@@ -47,7 +45,6 @@ from .evaluate import (
     delta_loglik,
     ks_exponential,
     model_name,
-    time_rescaling_gaps,
 )
 from .fileio import (
     EffectsTable,

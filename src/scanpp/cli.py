@@ -22,7 +22,6 @@ from . import fileio, serialize
 from .data import (
     MEASURES,
     Rect,
-    Scanpath,
     aggregate,
     annotate,
     design_columns,

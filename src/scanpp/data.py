@@ -102,10 +102,6 @@ class Fixation:
     def end(self) -> float:
         return self.onset + self.duration
 
-    @property
-    def location(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 def _check_ids(owner: str, what: str, *ids: str) -> None:
     """Reject ids, names or glyphs holding a line break, which would split their rows in a file."""

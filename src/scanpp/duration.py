@@ -4,9 +4,7 @@ The mean of log-duration is a linear predictor plus optional spillover from
 earlier fixations, either as a convolution of past predictor values with a
 shifted-gamma kernel over elapsed time, or as a fixed-lag sum with one weight
 per (lag, predictor). A gamma output distribution is available as an
-alternative to the log-normal. Aggregated word-level reading times use the
-same spillover construction as lagged regressors in a closed-form
-least-squares fit.
+alternative to the log-normal.
 
 The likelihood and its gradient share two helpers. ``_means`` checks its
 inputs and returns the means with the spillover features they used and,
@@ -34,10 +32,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaincc, gammaln
+from scipy.special import digamma, gammaln
 
 from . import mathutil
-from .data import AggregatedRecord, check_design
+from .data import check_design
 from .errors import UsageError, ValidationError, check_integer, check_names, check_number
 from .saccade import PathData
 
@@ -184,11 +182,6 @@ def gamma_kernel(tau, alpha: float, beta: float, theta: float):
     return out if out.ndim else float(out)
 
 
-def gamma_kernel_mass(alpha: float, beta: float, theta: float) -> float:
-    """Integral of the kernel over all elapsed times; 1 exactly when theta = 0."""
-    return float(gammaincc(alpha, beta * theta))
-
-
 def lognormal_logpdf(d, xi, sigma2: float):
     """Log-density of a log-normal duration with log-scale mean xi."""
     if sigma2 <= 0:
@@ -303,7 +296,10 @@ def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpe
     means are that very computation, and the convolution forms row n through
     the same ``_pair_sums`` as the band does.
     """
-    onsets = np.asarray(onsets, dtype=float)[: n + 1]
+    onsets = np.asarray(onsets, dtype=float)
+    if not 0 <= n < onsets.shape[0]:
+        raise ValidationError(f"event index must be in [0, {onsets.shape[0]}), got {n}")
+    onsets = onsets[: n + 1]
     design = np.asarray(design, dtype=float)[: n + 1]
     if spec.mean_variant != "convolution" or not spec.n_spill:
         return float(_means(onsets, design, (0,), spec, params)[1][n])
@@ -364,11 +360,10 @@ def duration_loglik_grad(pd: PathData, spec: DurationSpec, params: DurationParam
 
 @dataclass(frozen=True, eq=False)
 class LinearDurationFit:
-    """Least-squares fit of log durations on an extended design.
+    """Least-squares fit of log durations on a design.
 
-    ``columns`` lists base columns, then lagged spillover columns
-    ``{name}@lag{j}``, then lag-presence indicators ``has:lag{j}``.
-    Dropped (collinear) columns keep a zero weight.
+    ``per_record`` is each record's log-density under the fit. Dropped
+    (collinear) columns keep a zero weight.
     """
 
     columns: tuple[str, ...]
@@ -376,18 +371,6 @@ class LinearDurationFit:
     sigma2: float
     per_record: np.ndarray
     dropped: tuple[str, ...]
-
-    @property
-    def loglik(self) -> float:
-        return float(np.sum(self.per_record))
-
-
-def lag_column(name: str, lag: int) -> str:
-    return f"{name}@lag{lag}"
-
-
-def lag_presence_column(lag: int) -> str:
-    return f"has:lag{lag}"
 
 
 def _independent_columns(X: np.ndarray, names: Sequence[str], tol: float = 1e-10):
@@ -406,38 +389,6 @@ def _independent_columns(X: np.ndarray, names: Sequence[str], tol: float = 1e-10
         kept.append(j)
         basis = np.concatenate([basis, (resid / np.linalg.norm(resid))[:, None]], axis=1)
     return kept, dropped
-
-
-def extend_with_lags(design: np.ndarray, groups: Sequence[int], columns: Sequence[str],
-                     spillover: Sequence[str], lags: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Append lagged spillover columns and lag-presence indicators.
-
-    ``groups`` labels each row's sequence; lags never cross a group boundary.
-    """
-    design = np.asarray(design, dtype=float)
-    groups = np.asarray(groups)
-    names = list(columns)
-    missing = [k for k in spillover if k not in names]
-    if missing:
-        raise ValidationError(f"spillover columns {missing} not in the design")
-    blocks = [design]
-    out_names = list(names)
-    for j in range(1, lags + 1):
-        for name in spillover:
-            src = design[:, names.index(name)]
-            lagged = np.zeros_like(src)
-            lagged[j:] = src[:-j]
-            same = np.zeros(len(src), dtype=bool)
-            same[j:] = groups[j:] == groups[:-j]
-            lagged[~same] = 0.0
-            blocks.append(lagged[:, None])
-            out_names.append(lag_column(name, j))
-    for j in range(1, lags + 1):
-        present = np.zeros(design.shape[0])
-        present[j:] = (groups[j:] == groups[:-j]).astype(float)
-        blocks.append(present[:, None])
-        out_names.append(lag_presence_column(j))
-    return np.concatenate(blocks, axis=1), tuple(out_names)
 
 
 def fit_linear_log(values: np.ndarray, design: np.ndarray,
@@ -461,29 +412,3 @@ def fit_linear_log(values: np.ndarray, design: np.ndarray,
     sigma2 = max(rss / n, 1e-12)
     per = lognormal_logpdf(values, fitted, sigma2)
     return LinearDurationFit(tuple(columns), coef, sigma2, np.atleast_1d(per), tuple(dropped))
-
-
-def fit_linear_aggregated(records: Sequence[AggregatedRecord], design: np.ndarray,
-                          columns: Sequence[str], lags: int = 0,
-                          spillover: Sequence[str] = ()) -> LinearDurationFit:
-    """Fit log reading times on predictors plus fixed-lag spillover columns.
-
-    ``design`` has one row per record in the given order; lagged columns are
-    built within each (reader, text) record sequence.
-    """
-    if not records:
-        raise ValidationError("cannot fit on zero records")
-    design = np.asarray(design, dtype=float)
-    if design.shape[0] != len(records):
-        raise ValidationError("design rows must match the record count")
-    key_ids: dict[tuple[str, str], int] = {}
-    groups = np.empty(len(records), dtype=int)
-    for i, rec in enumerate(records):
-        key = (rec.reader_id, rec.text_id)
-        groups[i] = key_ids.setdefault(key, len(key_ids))
-    if lags > 0 and spillover:
-        full, names = extend_with_lags(design, groups, columns, spillover, lags)
-    else:
-        full, names = design, tuple(columns)
-    values = np.array([rec.value for rec in records], dtype=float)
-    return fit_linear_log(values, full, names)

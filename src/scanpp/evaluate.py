@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expm1, kolmogorov
 
 from .data import Rect, Scanpath, design_for_columns
-from .errors import ScanppError, ValidationError
+from .errors import ScanppError, ValidationError, check_integer
 from .fit import (
     DivergenceError,
     FitResult,
@@ -31,7 +31,7 @@ from .fit import (
     train,
     warm_start,
 )
-from .saccade import PathData, SaccadeParams, SaccadeSpec, compensator_increments
+from .saccade import PathData, SaccadeSpec
 
 
 def delta_loglik(model_values: np.ndarray, baseline_values: np.ndarray) -> np.ndarray:
@@ -71,6 +71,8 @@ def bootstrap(values: np.ndarray, replicates: int = 1000, seed: int = 0,
     turn, so each summary is the one its row gets alone, bit for bit. The
     draw is not kept past the call.
     """
+    check_integer("replicates", replicates, 1)
+    check_integer("bootstrap seed", seed, 0)
     values = np.asarray(values, dtype=float)
     rows = values if values.ndim == 2 else values.reshape(1, -1)
     if values.size == 0:
@@ -81,8 +83,6 @@ def bootstrap(values: np.ndarray, replicates: int = 1000, seed: int = 0,
         where = f"index {i} of row {k}" if values.ndim == 2 else f"index {i}"
         raise ValidationError(
             f"cannot bootstrap non-finite values: the value at {where} is {rows[k, i]}")
-    if replicates < 1:
-        raise ValidationError(f"need at least one replicate, got {replicates}")
     rng = np.random.default_rng(seed)
     means = np.empty((rows.shape[0], replicates))
     if blocks is None:
@@ -114,8 +114,10 @@ def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
     gaps = np.asarray(gaps, dtype=float).reshape(-1)
     if gaps.size == 0:
         raise ValidationError("cannot test an empty sample")
-    if not np.all(gaps > 0):
-        raise ValidationError("rescaled gaps must be > 0")
+    bad = np.flatnonzero(~(np.isfinite(gaps) & (gaps > 0)))
+    if bad.size:
+        raise ValidationError(f"rescaled gaps must be finite and > 0: the gap at index "
+                              f"{bad[0]} is {gaps[bad[0]]}")
     # The asymptotic two-sided test, as scipy.stats.kstest(..., mode="asymp")
     # computes it, without importing scipy.stats.
     n = gaps.size
@@ -124,12 +126,6 @@ def ks_exponential(gaps: np.ndarray) -> tuple[float, float]:
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     d = d_plus if d_plus > d_minus else d_minus
     return float(d), float(np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0))
-
-
-def time_rescaling_gaps(paths: Sequence[PathData], spec: SaccadeSpec,
-                        params: SaccadeParams, omega: Rect) -> np.ndarray:
-    """Compensator increments of every event, in path order, from one batched pass."""
-    return compensator_increments(PathData.concat(paths), spec, params, omega)
 
 
 def _units(scanpaths: Sequence[Scanpath], columns: Sequence[str],
@@ -235,6 +231,9 @@ def compare_suite(scanpaths: Sequence[Scanpath], omega: Rect,
     for specs whose columns reference effect values. ``block_bootstrap``
     resamples whole test scanpaths instead of single fixations.
     """
+    # checked here too, so a bad setting fails before any rung is fitted
+    check_integer("replicates", replicates, 1)
+    check_integer("bootstrap seed", bootstrap_seed, 0)
     idx_split = split(list(range(len(scanpaths))), config.split, config.seed)
 
     def fit_one(spec: SaccadeSpec, prev: Optional[FitResult]):

@@ -555,15 +555,27 @@ class HistoryState:
                x: Optional[np.ndarray] = None) -> None:
         """Add an event after the history; ``x`` is its design row, under ``data.check_design``.
 
-        The row's location-free terms are reused while its value stays that
-        of the row appended last, as it does over a sampled path; only the
-        center and its screen mass are formed per event.
+        The event obeys the rule a built history's fixations obey: a finite
+        onset >= 0, duration > 0 and location (else a ``ValidationError``),
+        and an onset not before the end of the last fixation (else a
+        ``DomainError``). The row's location-free terms are reused while its
+        value stays that of the row appended last, as it does over a sampled
+        path; only the center and its screen mass are formed per event.
         """
+        location = np.asarray(location, dtype=float).reshape(1, 2)
+        # scalar checks, as the sampler appends once per event
+        sx, sy = location[0].tolist()
+        if not (math.isfinite(onset) and onset >= 0):
+            raise ValidationError(f"appended fixation onset must be >= 0, got {onset}")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValidationError(f"appended fixation duration must be > 0, got {duration}")
+        if not (math.isfinite(sx) and math.isfinite(sy)):
+            raise ValidationError(f"appended fixation location must be finite, got ({sx}, {sy})")
+        self._require_after_history(onset)
         x = check_design(x, self.spec.p)
         key = x.tobytes()
         if key != self._row[0]:
             self._row = (key, _row_terms(x[None], self.spec, self.params))
-        location = np.asarray(location, dtype=float).reshape(1, 2)
         fields = _sources(location, None, self.spec, self.params, self.omega, self._row[1])
         row = dict(onsets=onset, durations=duration, locations=location[0],
                    clock=onset - self.total_duration,
@@ -588,10 +600,6 @@ class HistoryState:
         if t < self.last_end - _GAP_TOL:
             raise DomainError(f"time {t} falls before the end of the previous "
                               f"fixation at {self.last_end}")
-
-    def ages(self, t: float) -> np.ndarray:
-        """Kernel age of each source at time t, on the kernel clock."""
-        return (t - self.total_duration) - self.clock
 
     def kernels(self, t: float) -> np.ndarray:
         """Temporal kernel a_j·exp(-b_j·age_j) of each source at time t."""
@@ -659,9 +667,6 @@ class ScanpathLoglik:
     @property
     def total(self) -> float:
         return float(np.sum(self.per_event))
-
-    def __float__(self) -> float:
-        return self.total
 
 
 def _finish(lam: np.ndarray, comp: np.ndarray, invalid: np.ndarray) -> ScanpathLoglik:

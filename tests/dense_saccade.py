@@ -53,7 +53,7 @@ def compensator(state, t: float) -> float:
         return float(base + state.mass[-1] * gap)
     # The window start mapped onto the kernel clock coincides with the last
     # event's clock value, so each source's age runs from there.
-    lo = state.ages(state.last_end)
+    lo = (state.last_end - state.total_duration) - state.clock
     return float(base + np.sum(state.mass * state.a * exp_integral_0(state.b, lo, gap)))
 
 

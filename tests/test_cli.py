@@ -375,6 +375,22 @@ class TestEval:
             outs.append((report_path.read_bytes(), csv_path.read_bytes()))
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag,value,rule", [
+        ("--bootstrap-seed", "-1", "bootstrap seed must be an integer >= 0, got -1"),
+        ("--replicates", "0", "replicates must be an integer >= 1, got 0"),
+    ], ids=["bootstrap-seed", "replicates"])
+    def test_bad_bootstrap_setting_is_one_error_line(self, tmp_path, capsys, flag, value, rule):
+        data, _, cfg, _, base, other = self.fit_pair(tmp_path)
+        capsys.readouterr()
+        code = main(["eval", "--data", data, "--baseline", base, "--fit", other,
+                     "--config", cfg, flag, value, "--out-report", str(tmp_path / "r.txt"),
+                     "--out-csv", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if not line.startswith("INFO ")] == [
+            f"ERROR {rule}"]
+        assert not (tmp_path / "r.txt").exists()
+
     def test_kind_mismatch(self, tmp_path):
         data, _, cfg, _, base, _ = self.fit_pair(tmp_path)
         dur = tmp_path / "dur.fit"

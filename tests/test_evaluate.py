@@ -17,7 +17,6 @@ from scanpp.evaluate import (
     delta_loglik,
     ks_exponential,
     model_name,
-    time_rescaling_gaps,
 )
 from scanpp.fit import DivergenceError, TrainConfig, train
 
@@ -91,6 +90,14 @@ class TestBootstrap:
         with pytest.raises(sp.ValidationError):
             bootstrap(np.ones(5), blocks=np.zeros(4))
 
+    @pytest.mark.parametrize("setting,value", [("replicates", 0), ("replicates", True),
+                                               ("replicates", 2.5), ("seed", -1), ("seed", 1.0)])
+    def test_replicates_and_seed_are_counts(self, setting, value):
+        rule = {"replicates": "replicates must be an integer >= 1",
+                "seed": "bootstrap seed must be an integer >= 0"}[setting]
+        with pytest.raises(sp.ValidationError, match=f"^{rule}, got {value!r}$"):
+            bootstrap(np.ones(5), **{setting: value})
+
     @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
     @pytest.mark.parametrize("blocks", [None, np.array([0, 0, 1, 1, 2])])
     def test_non_finite_value_is_named(self, bad, blocks):
@@ -141,6 +148,12 @@ class TestKs:
             with pytest.raises(sp.ValidationError):
                 ks_exponential(np.array(gaps))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_bad_gap_is_named(self, bad):
+        with pytest.raises(sp.ValidationError,
+                           match=rf"finite and > 0: the gap at index 2 is {bad}$"):
+            ks_exponential(np.array([1.0, 0.4, bad, 0.7, bad]))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 50, 4400])
     def test_equals_scipy_asymptotic_kstest(self, n):
         samples = [np.random.default_rng(n).exponential(1.3, size=n)]
@@ -170,7 +183,7 @@ class TestTimeRescaling:
             path, design, spec, params, omega = small_instance(rng, n=5)
             paths.append(path)
             pds.append(sp.PathData.from_scanpath(path, design))
-        pooled = time_rescaling_gaps(pds, spec, params, omega)
+        pooled = sp.compensator_increments(sp.PathData.concat(pds), spec, params, omega)
         manual = np.concatenate(
             [sp.compensator_increments(pd, spec, params, omega) for pd in pds])
         assert np.array_equal(pooled, manual)
@@ -179,7 +192,8 @@ class TestTimeRescaling:
     def test_empty_input(self):
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=1.0)
-        out = time_rescaling_gaps([], spec, params, sp.Rect(0, 0, 1, 1))
+        out = sp.compensator_increments(sp.PathData.concat([]), spec, params,
+                                        sp.Rect(0, 0, 1, 1))
         assert out.size == 0
 
 
@@ -313,6 +327,17 @@ class TestCompareSuite:
             assert np.array_equal(member.result.test_per_event, want)
             assert member.result.test_loglik == float(np.sum(want))
             assert member.result.test_events == want.size
+
+    @pytest.mark.parametrize("setting,value", [("replicates", 0), ("replicates", True),
+                                               ("bootstrap_seed", -1), ("bootstrap_seed", 2.5)])
+    def test_bootstrap_settings_checked_before_any_fit(self, monkeypatch, setting, value):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a rung was fitted")
+
+        monkeypatch.setattr(scanpp.evaluate, "train", unexpected)
+        with pytest.raises(sp.ValidationError, match="must be an integer"):
+            compare_suite(self.scanpaths(), self.OMEGA, [sp.SaccadeSpec(variant="last_fixation")],
+                          sp.SaccadeSpec(variant="poisson"), self.config(), **{setting: value})
 
     def test_deterministic(self):
         paths = self.scanpaths()

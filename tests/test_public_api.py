@@ -16,20 +16,18 @@ from scanpp.fit import DurationModel, SaccadeModel
 
 PUBLIC = [
     "AggregatedRecord", "AnnotatedFixation", "AnnotatedScanpath", "Bootstrap",
-    "ComparisonReport", "DivergenceError", "DomainError", "DurationModel",
-    "DurationParams", "DurationSpec", "EffectsTable", "FitResult", "Fixation",
-    "GridSpec", "HistoryState", "MEASURES", "ParseError", "PathData", "PlotPage",
-    "Rect", "SaccadeModel", "SaccadeParams", "SaccadeSpec", "Scanpath", "ScanppError",
-    "SimConfig", "SimResult", "Split", "TextLayout", "TrainConfig", "UsageError",
-    "ValidationError", "aggregate", "annotate", "assign_fixations", "bootstrap",
-    "compare_suite", "compensator_increments", "delta_loglik", "design_columns",
-    "design_for_columns", "dumps_fit", "dumps_params", "dumps_reports", "event_mean",
-    "filter_scanpath", "fit_linear_aggregated", "fit_linear_log", "gamma_kernel",
-    "gamma_kernel_mass", "grid_search", "intensity_grid", "ks_exponential",
-    "load_effects", "load_layouts", "load_scanpaths", "loads_fit", "loads_params",
-    "model_name", "plot_intensity", "poisson_mle_nu", "pool_across_readers",
-    "reports_csv", "sample_scanpath", "spawn_rngs", "split", "time_rescaling_gaps",
-    "train", "warm_start", "write_effects", "write_layouts", "write_scanpaths",
+    "ComparisonReport", "DivergenceError", "DomainError", "DurationModel", "DurationParams",
+    "DurationSpec", "EffectsTable", "FitResult", "Fixation", "GridSpec", "HistoryState",
+    "MEASURES", "ParseError", "PathData", "PlotPage", "Rect", "SaccadeModel",
+    "SaccadeParams", "SaccadeSpec", "Scanpath", "ScanppError", "SimConfig", "SimResult",
+    "Split", "TextLayout", "TrainConfig", "UsageError", "ValidationError", "aggregate",
+    "annotate", "assign_fixations", "bootstrap", "compare_suite", "compensator_increments",
+    "delta_loglik", "design_columns", "design_for_columns", "dumps_fit", "dumps_params",
+    "dumps_reports", "event_mean", "filter_scanpath", "fit_linear_log", "gamma_kernel",
+    "grid_search", "intensity_grid", "ks_exponential", "load_effects", "load_layouts",
+    "load_scanpaths", "loads_fit", "loads_params", "model_name", "plot_intensity",
+    "poisson_mle_nu", "pool_across_readers", "reports_csv", "sample_scanpath", "spawn_rngs",
+    "split", "train", "warm_start", "write_effects", "write_layouts", "write_scanpaths",
 ]
 
 
@@ -48,9 +46,7 @@ SACCADE = [
 DURATION = [
     "DISTRIBUTIONS", "DurationParams", "DurationSpec", "LinearDurationFit", "MEAN_VARIANTS",
     "check_compatible", "check_kernel", "duration_loglik_grad", "event_mean",
-    "extend_with_lags", "fit_linear_aggregated", "fit_linear_log", "gamma_kernel",
-    "gamma_kernel_mass", "gamma_logpdf", "lag_column", "lag_presence_column",
-    "lognormal_logpdf",
+    "fit_linear_log", "gamma_kernel", "gamma_logpdf", "lognormal_logpdf",
 ]
 
 

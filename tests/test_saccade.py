@@ -402,6 +402,39 @@ class TestHistoryState:
         assert dense.compensator(grown, t) == pytest.approx(dense.compensator(built, t),
                                                             rel=1e-13)
 
+    @pytest.mark.parametrize("onset,duration,location,rule", [
+        (math.inf, 0.2, (1.0, 1.0), "onset must be >= 0, got inf"),
+        (-0.1, 0.2, (1.0, 1.0), "onset must be >= 0, got -0.1"),
+        (math.nan, 0.2, (1.0, 1.0), "onset must be >= 0, got nan"),
+        (2.0, -0.2, (1.0, 1.0), "duration must be > 0, got -0.2"),
+        (2.0, 0.0, (1.0, 1.0), "duration must be > 0, got 0.0"),
+        (2.0, math.inf, (1.0, 1.0), "duration must be > 0, got inf"),
+        (2.0, 0.2, (math.nan, 1.0), r"location must be finite, got \(nan, 1.0\)"),
+        (2.0, 0.2, (1.0, -math.inf), r"location must be finite, got \(1.0, -inf\)"),
+    ], ids=["onset-inf", "onset-negative", "onset-nan", "duration-negative", "duration-zero",
+            "duration-inf", "location-nan", "location-inf"])
+    def test_append_rejects_what_build_rejects(self, onset, duration, location, rule):
+        path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 3)
+        with pytest.raises(sp.ValidationError, match=rule):
+            sp.Scanpath.from_arrays("r", "t", [onset], [duration], [location])
+        state = sp.HistoryState.build(path, X, spec, params, omega)
+        with pytest.raises(sp.ValidationError, match=f"appended fixation {rule}$"):
+            state.append(onset, duration, location, X[0])
+        assert state.n == 3 and state.last_end == path.fixations[-1].end
+
+    def test_append_rejects_an_onset_before_the_last_end(self):
+        fixes = make_fixations([(0.1, 0.4), (0.7, 0.5)], [(1.0, 1.0), (2.0, 2.0)])
+        spec = sp.SaccadeSpec(variant="hawkes")
+        params = sp.SaccadeParams.initial(spec, nu=0.5)
+        state = sp.HistoryState.build(sp.Scanpath("r", "t", fixes), None, spec, params)
+        with pytest.raises(sp.DomainError, match="time 0.5 falls before the end of the "
+                                                 "previous fixation at 1.2"):
+            state.append(0.5, 0.1, (1.0, 1.0))
+        assert state.n == 2
+        # an onset within the gap tolerance of the last end is no overlap
+        state.append(1.2 - 1e-10, 0.1, (1.0, 1.0))
+        assert state.n == 3
+
     def test_screen_operations_need_a_screen(self):
         path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 3)
         state = sp.HistoryState.build(path, X, spec, params)
@@ -524,13 +557,13 @@ class TestLoglik:
                 fix = path.fixations[i]
                 total += dense.log_density(fix.onset, (fix.x, fix.y), prefix, spec,
                                            params, omega, X=design[:i])
-            assert float(result) == pytest.approx(total, rel=1e-9, abs=1e-9)
+            assert result.total == pytest.approx(total, rel=1e-9, abs=1e-9)
 
     def test_per_event_sums_to_total(self):
         rng = np.random.default_rng(2)
         path, design, spec, params, omega = small_instance(rng, n=7)
         result = loglik_terms(sp.PathData.from_scanpath(path, design), spec, params, omega)
-        assert float(result) == pytest.approx(float(np.sum(result.per_event)), rel=1e-12)
+        assert result.total == pytest.approx(float(np.sum(result.per_event)), rel=1e-12)
 
     def test_affine_identity_equals_baseline(self):
         rng = np.random.default_rng(8)
