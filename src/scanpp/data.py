@@ -28,6 +28,11 @@ MEASURES = ("first_fixation", "gaze", "total", "scanpath")
 
 POOLED_READER = "pooled"
 
+# Most a fixation's onset may fall before the previous fixation's end, in
+# seconds, and still count as touching it rather than overlapping it. A
+# built scanpath and a grown ``saccade.HistoryState`` read this one rule.
+_OVERLAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -151,7 +156,7 @@ class Scanpath:
         if fault is not None:
             raise ValidationError(f"{name}: fixation {fault[0]} {fault[1]}")
         ends = t[:-1] + d[:-1]
-        late = (t[1:] <= t[:-1]) | (t[1:] < ends - 1e-12)
+        late = (t[1:] <= t[:-1]) | (t[1:] < ends - _OVERLAP_TOL)
         if late.any():
             k = int(np.argmax(late)) + 1
             if t[k] <= t[k - 1]:

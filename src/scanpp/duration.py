@@ -297,7 +297,8 @@ def event_mean(n: int, onsets: np.ndarray, design: np.ndarray, spec: DurationSpe
     the same ``_pair_sums`` as the band does.
     """
     onsets = np.asarray(onsets, dtype=float)
-    if not 0 <= n < onsets.shape[0]:
+    check_integer("event index", n, 0)
+    if not n < onsets.shape[0]:
         raise ValidationError(f"event index must be in [0, {onsets.shape[0]}), got {n}")
     onsets = onsets[: n + 1]
     design = np.asarray(design, dtype=float)[: n + 1]

@@ -617,8 +617,7 @@ def _prepare(parts: Split) -> _Prepared:
 
 
 def train(model: Model, data, config: TrainConfig,
-          init: Optional[np.ndarray] = None,
-          kernel_init: Optional[tuple[float, float, float]] = None) -> FitResult:
+          init: Optional[np.ndarray] = None) -> FitResult:
     """SGD with Nesterov momentum, early-stopped on validation loss.
 
     ``data`` is a sequence of PathData (split internally per config) or a
@@ -629,7 +628,7 @@ def train(model: Model, data, config: TrainConfig,
     """
     t0 = time.perf_counter()
     prep = _prepare(_as_split(data, config))
-    return _scored(model, prep, _train(model, prep, config, init, kernel_init), t0)
+    return _scored(model, prep, _train(model, prep, config, init), t0)
 
 
 def _scored(model: Model, prep: _Prepared, result: FitResult, t0: float) -> FitResult:
@@ -642,7 +641,7 @@ def _scored(model: Model, prep: _Prepared, result: FitResult, t0: float) -> FitR
 
 def _train(model: Model, prep: _Prepared, config: TrainConfig,
            init: Optional[np.ndarray],
-           kernel_init: Optional[tuple[float, float, float]]) -> FitResult:
+           kernel_init: Optional[tuple[float, float, float]] = None) -> FitResult:
     """One SGD run on the prepared split; its test split is left unscored."""
     train_units = prep.units
     raw = np.array(model.default_init(train_units, kernel=kernel_init)
@@ -757,8 +756,7 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
 
 
 def warm_start(source_names: Sequence[str], source_raw: np.ndarray, target_model: Model,
-               units: Sequence[PathData] = (),
-               kernel_init: Optional[tuple[float, float, float]] = None) -> np.ndarray:
+               units: Sequence[PathData] = ()) -> np.ndarray:
     """Initial vector for a larger model: copy shared entries, default the rest.
 
     Every source entry must exist in the target by name; parameters absent
@@ -769,7 +767,7 @@ def warm_start(source_names: Sequence[str], source_raw: np.ndarray, target_model
     if missing:
         raise ValidationError(
             f"source parameters {missing} do not exist in the target model")
-    raw = np.array(target_model.default_init(units, kernel=kernel_init), dtype=float)
+    raw = np.array(target_model.default_init(units), dtype=float)
     source_raw = np.asarray(source_raw, dtype=float)
     for name, value in zip(source_names, source_raw):
         raw[target_names.index(name)] = value

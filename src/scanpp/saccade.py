@@ -124,8 +124,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mathutil
-from .data import Rect, Scanpath, check_design
-from .errors import DomainError, UsageError, ValidationError, check_names
+from .data import _OVERLAP_TOL, Rect, Scanpath, check_design
+from .errors import DomainError, ValidationError, check_names
 from .mathutil import (
     apply_link,
     exp_integral_0,
@@ -139,8 +139,12 @@ VARIANTS = ("poisson", "last_fixation", "hawkes")
 MEAN_FNS = ("baseline", "affine", "full")
 LINK_NAMES = ("softplus", "relu")
 
-# Gap more negative than this means the event starts inside the previous
-# fixation; the log-density there is -inf by the support indicator.
+# Gap on the kernel clock more negative than this means the event starts
+# inside the previous fixation; the log-density there is -inf by the support
+# indicator. It is wider than data._OVERLAP_TOL, which compares an onset with
+# the previous end directly: the clock subtracts a running sum of durations
+# from each onset, so its gaps carry the rounding of the onsets' magnitude.
+# Touching fixations with onsets near 1e4 s read gaps down to -1.8e-12 s.
 _GAP_TOL = 1e-9
 
 
@@ -482,6 +486,10 @@ class HistoryState:
     ``n`` rows of a buffer whose capacity doubles when full, so n appends
     cost O(n) array work in all, and a view taken before an append does not
     see the new row.
+
+    ``kernels`` and ``intensity_at`` evaluate the state at a time t; the
+    sampler's thinning rule, ``simulate._excitation``, reads ``kernels``,
+    ``mass`` and ``mu``.
     """
 
     spec: SaccadeSpec
@@ -540,17 +548,6 @@ class HistoryState:
         last_end = float(pd.onsets[-1] + pd.durations[-1]) if pd.n else 0.0
         return cls(spec, params, omega, pd.n, buffers, last_end, float(np.sum(pd.durations)))
 
-    def _reserve(self) -> None:
-        """Make room for row n, doubling the capacity when the buffers are full."""
-        n = self.n
-        if n < self._buffers["onsets"].shape[0]:
-            return
-        grown = {}
-        for name, buf in self._buffers.items():
-            grown[name] = np.empty((max(2 * n, 16),) + buf.shape[1:])
-            grown[name][:n] = buf[:n]
-        self._buffers = grown
-
     def append(self, onset: float, duration: float, location,
                x: Optional[np.ndarray] = None) -> None:
         """Add an event after the history; ``x`` is its design row, under ``data.check_design``.
@@ -580,24 +577,22 @@ class HistoryState:
         row = dict(onsets=onset, durations=duration, locations=location[0],
                    clock=onset - self.total_duration,
                    **{name: value[0] for name, value in fields.items()})
-        self._reserve()
+        n = self.n
+        if n == self._buffers["onsets"].shape[0]:
+            # full: double the capacity
+            for name, buf in self._buffers.items():
+                self._buffers[name] = np.empty((max(2 * n, 16),) + buf.shape[1:])
+                self._buffers[name][:n] = buf[:n]
         for name, value in row.items():
-            self._buffers[name][self.n] = value
+            self._buffers[name][n] = value
         # A running sum, so the clock of each appended event is exact
         # against the durations before it.
         self.total_duration += duration
         self.last_end = onset + duration
-        self._adopt(self.n + 1, self._buffers)
-
-    def onsets_with(self, t: float) -> np.ndarray:
-        """The onsets followed by an upcoming one at t; a view valid until the next append."""
-        self._reserve()
-        buf = self._buffers["onsets"]
-        buf[self.n] = t
-        return buf[:self.n + 1]
+        self._adopt(n + 1, self._buffers)
 
     def _require_after_history(self, t: float) -> None:
-        if t < self.last_end - _GAP_TOL:
+        if t < self.last_end - _OVERLAP_TOL:
             raise DomainError(f"time {t} falls before the end of the previous "
                               f"fixation at {self.last_end}")
 
@@ -610,24 +605,6 @@ class HistoryState:
         np.exp(k, out=k)
         k *= self.a
         return k
-
-    def intensity_upper_bound(self, t: float, kernels: Optional[np.ndarray] = None) -> float:
-        """Dominating rate of the screen-integrated intensity on [t, infinity).
-
-        Each spatial component carries at most unit mass inside the screen,
-        and kernels only decay, so the base rate plus the kernels at t bounds
-        the intensity from t on. ``kernels`` may pass ``self.kernels(t)``
-        when the caller has it already.
-        """
-        self._require_after_history(t)
-        if self.omega is None:
-            raise UsageError("this history state was built without a screen region")
-        base = self.params.nu * self.omega.area
-        if self.spec.variant == "poisson" or self.n == 0:
-            return float(base)
-        if self.spec.variant == "last_fixation":
-            return float(base + self.mass[-1])
-        return float(base + (self.kernels(t) if kernels is None else kernels).sum())
 
     def intensity_at(self, t: float, points) -> np.ndarray:
         """Conditional intensity at time t at each row of an (m, 2) array of points.

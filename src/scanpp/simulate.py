@@ -3,21 +3,14 @@
 Onsets and locations come from the saccade model by Ogata (1981) thinning.
 The sampler keeps the realized history in one ``saccade.HistoryState`` and
 appends each event to it, so a candidate costs O(n) array work over the n
-events so far and nothing is rebuilt per candidate. The dominating rate is
-``HistoryState.intensity_upper_bound``: the base rate plus the kernels at
-the current time, valid because kernels only decay and each spatial
-component carries at most unit mass inside the screen. It proposes candidate
-times, each accepted with probability equal to the true ratio; the kernels
-evaluated for that ratio also give the bound for the next candidate. At an
-accepted time the location is drawn from the exact mixture over base rate
-and per-source Gaussians, restricted to the screen. Durations come from the
-duration model given the realized history, and the clock advances past each
-fixation before the next saccade is sampled.
-
-A path has one saccade design row, so each appended event's link outputs
-and center offset C·x are the same: ``HistoryState.append`` forms them on
-the path's first event, and each later event forms only its center and
-that center's screen mass.
+events so far and nothing is rebuilt per candidate. ``_excitation`` is the
+one rule, per variant, for what a candidate reads: each source's term of
+the bound, its rate and its center. Each candidate reads it once, so it
+evaluates the kernels once, and an accepted one draws its location from
+the exact mixture of the base rate and those rates, restricted to the
+screen. Durations come from the duration model given the realized history,
+and the clock advances past each fixation before the next saccade is
+sampled.
 
 ``SimResult`` reports how thinning went: candidates tested, candidates
 accepted, and Gaussian location draws that fell back from rejection to the
@@ -42,7 +35,7 @@ import numpy as np
 
 from .data import Rect, Scanpath, check_design
 from .duration import DurationParams, DurationSpec, event_mean
-from .errors import DomainError, check_integer, check_number
+from .errors import DomainError, ValidationError, check_integer, check_number
 from .mathutil import norm_cdf, norm_ppf
 from .saccade import HistoryState, SaccadeParams, SaccadeSpec
 
@@ -62,6 +55,8 @@ class SimConfig:
     max_events: int = 100_000
 
     def __post_init__(self):
+        if not isinstance(self.omega, Rect):
+            raise ValidationError(f"omega must be a Rect, got {self.omega!r}")
         check_number("horizon", self.horizon, 0.0, finite=False)
         check_integer("max_events", self.max_events, 1)
         check_integer("seed", self.seed, 0)
@@ -123,23 +118,17 @@ def _uniform_location(rng: np.random.Generator, omega: Rect) -> np.ndarray:
     return np.array([rng.uniform(omega.x0, omega.x1), rng.uniform(omega.y0, omega.y1)])
 
 
-def _draw_location(rng: np.random.Generator, state: HistoryState,
-                   weighted: Optional[np.ndarray], counts: _Counts) -> np.ndarray:
+def _draw_location(rng: np.random.Generator, state: HistoryState, rates: np.ndarray,
+                   centers: np.ndarray, counts: _Counts) -> np.ndarray:
     """Location at an accepted event time, from the exact spatial mixture.
 
-    ``weighted`` holds each source's kernel times its screen mass at that
-    time; it is None unless the model is self-exciting with a history.
+    The base rate spreads uniformly over the screen, and each source's rate,
+    as ``_excitation`` gives it, on the Gaussian around its center.
     """
     omega = state.omega
-    base = state.params.nu * omega.area
-    if state.spec.variant == "poisson" or state.n == 0:
+    if rates.size == 0:
         return _uniform_location(rng, omega)
-    if weighted is None:
-        weights = np.array([base, state.mass[-1]])
-        centers = state.mu[-1:]
-    else:
-        weights = np.concatenate(([base], weighted))
-        centers = state.mu
+    weights = np.concatenate(([state.params.nu * omega.area], rates))
     total = float(weights.sum())
     if total <= 0:
         return _uniform_location(rng, omega)
@@ -154,17 +143,45 @@ def _draw_location(rng: np.random.Generator, state: HistoryState,
     return loc
 
 
+_NO_RATES = np.empty(0)
+_NO_CENTERS = np.empty((0, 2))
+
+
+def _excitation(state: HistoryState, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a thinning candidate at time t reads from each source: (caps, rates, centers).
+
+    The intensity at t is the base rate plus the sum of ``rates``, each
+    source's screen-integrated rate. The bound, the base rate plus the sum
+    of ``caps``, dominates the intensity from t on.
+
+    - Poisson, or an empty history: no sources; the bound is the base rate.
+    - last_fixation: the last center at its screen mass, a constant rate,
+      so the bound is the intensity and the first candidate is accepted.
+    - hawkes: every source at its kernel times its screen mass. Its cap is
+      its kernel, as kernels only decay and a component has at most unit
+      mass on the screen (the cap with the mass would be tighter, and would
+      change the random stream).
+    """
+    if state.spec.variant == "poisson" or state.n == 0:
+        return _NO_RATES, _NO_RATES, _NO_CENTERS
+    if state.spec.variant == "last_fixation":
+        rates = state.mass[-1:]
+        return rates, rates, state.mu[-1:]
+    kern = state.kernels(t)
+    return kern, kern * state.mass, state.mu
+
+
 def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
                  counts: _Counts) -> Optional[tuple[float, np.ndarray]]:
     """One thinning pass: next (onset, location), or None past the horizon.
 
-    Each candidate evaluates the kernels once: they give the intensity at
-    the candidate and, on rejection, the bound for the next one.
+    Each candidate reads ``_excitation`` once: its rates decide the
+    candidate and give the location on acceptance, and its caps give the
+    bound for the next candidate on rejection.
     """
     base = state.params.nu * state.omega.area
-    excites = state.spec.variant == "hawkes" and state.n > 0
     t = state.last_end
-    bound = state.intensity_upper_bound(t)
+    bound = base + float(_excitation(state, t)[0].sum())
     for _ in range(_MAX_CANDIDATES):
         if bound <= 0.0:
             return None
@@ -172,17 +189,11 @@ def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
         if t > horizon:
             return None
         counts.candidates += 1
-        # Without excitation the intensity is constant between events, so
-        # the bound is the intensity itself.
-        lam, kern, weighted = bound, None, None
-        if excites:
-            kern = state.kernels(t)
-            weighted = kern * state.mass
-            lam = base + float(weighted.sum())
-        if rng.uniform() * bound <= lam:
+        caps, rates, centers = _excitation(state, t)
+        if rng.uniform() * bound <= base + float(rates.sum()):
             counts.accepted += 1
-            return t, _draw_location(rng, state, weighted, counts)
-        bound = state.intensity_upper_bound(t, kern)
+            return t, _draw_location(rng, state, rates, centers, counts)
+        bound = base + float(caps.sum())
     raise DomainError("thinning failed to accept a candidate within the safety cap")
 
 
@@ -223,7 +234,8 @@ def sample_scanpath(spec: SaccadeSpec, params: SaccadeParams, dur_spec: Duration
         t, loc = nxt
         if dur_design.shape[0] <= n:
             dur_design = np.tile(dur_row, (2 * n + 16, 1))
-        d = sample_duration(state.onsets_with(t), dur_design[:n + 1], dur_spec, dur_params, rng)
+        d = sample_duration(np.concatenate((state.onsets, [t])), dur_design[:n + 1], dur_spec,
+                            dur_params, rng)
         state.append(t, max(d, 1e-9), loc, x_row)
     path = Scanpath.from_arrays(reader_id, text_id, state.onsets, state.durations,
                                 state.locations)

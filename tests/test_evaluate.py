@@ -395,10 +395,10 @@ class TestCompareSuite:
     def test_failed_member_skipped_with_warning(self, monkeypatch):
         paths = self.scanpaths()
 
-        def flaky(model, data, config, init=None, kernel_init=None):
+        def flaky(model, data, config, init=None):
             if model.spec.variant == "last_fixation":
                 raise DivergenceError("forced failure")
-            return train(model, data, config, init=init, kernel_init=kernel_init)
+            return train(model, data, config, init=init)
 
         monkeypatch.setattr(scanpp.evaluate, "train", flaky)
         specs = [sp.SaccadeSpec(variant="last_fixation"),

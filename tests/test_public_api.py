@@ -6,12 +6,14 @@ Submodules are left out: which of them are bound depends on what else the
 process has imported. The model modules ``scanpp.saccade`` and
 ``scanpp.duration`` are pinned too, by the public names each defines, so a
 name re-added there and not exported still shows. So are the public methods
-of the two fitting adapters, the surface the trainer and the benchmark read.
+of the two fitting adapters, the surface the trainer and the benchmark read,
+and of ``HistoryState``, the surface the sampler and the plotting grid read.
 """
 import types
 
 import scanpp
 from scanpp import duration, saccade
+from scanpp.saccade import HistoryState
 from scanpp.fit import DurationModel, SaccadeModel
 
 PUBLIC = [
@@ -74,6 +76,9 @@ DURATION_MODEL = [
 ]
 
 
+HISTORY_STATE = ["append", "build", "empty", "intensity_at", "kernels"]
+
+
 def public_methods(cls):
     """Public callables of a class, inherited ones included."""
     return sorted(name for name in dir(cls)
@@ -83,3 +88,7 @@ def public_methods(cls):
 def test_adapter_methods_are_pinned():
     assert public_methods(SaccadeModel) == SACCADE_MODEL
     assert public_methods(DurationModel) == DURATION_MODEL
+
+
+def test_history_state_methods_are_pinned():
+    assert public_methods(HistoryState) == HISTORY_STATE

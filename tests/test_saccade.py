@@ -271,6 +271,7 @@ class TestHistoryState:
                              np.linspace(omega.y0, omega.y1, 3))
         points = np.stack([gx.ravel(), gy.ravel()], axis=1)[:37]
         state = sp.HistoryState.build(path, X, spec, params)
+        assert state.mass is None  # built without a screen
         alone = np.array([state.intensity_at(t, [s])[0] for s in points])
         reference = np.array([reference_intensity(t, s, path, X, spec, params)
                               for s in points])
@@ -426,21 +427,25 @@ class TestHistoryState:
         fixes = make_fixations([(0.1, 0.4), (0.7, 0.5)], [(1.0, 1.0), (2.0, 2.0)])
         spec = sp.SaccadeSpec(variant="hawkes")
         params = sp.SaccadeParams.initial(spec, nu=0.5)
-        state = sp.HistoryState.build(sp.Scanpath("r", "t", fixes), None, spec, params)
-        with pytest.raises(sp.DomainError, match="time 0.5 falls before the end of the "
-                                                 "previous fixation at 1.2"):
-            state.append(0.5, 0.1, (1.0, 1.0))
-        assert state.n == 2
-        # an onset within the gap tolerance of the last end is no overlap
-        state.append(1.2 - 1e-10, 0.1, (1.0, 1.0))
-        assert state.n == 3
-
-    def test_screen_operations_need_a_screen(self):
-        path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 3)
-        state = sp.HistoryState.build(path, X, spec, params)
-        assert state.mass is None
-        with pytest.raises(sp.UsageError, match="screen"):
-            state.intensity_upper_bound(path.fixations[-1].end + 0.1)
+        path = sp.Scanpath("r", "t", fixes)
+        # Scanpath's overlap rule, which a grown history obeys too: an onset
+        # 5e-13 s before the last end touches it, and 1e-10 s overlaps it.
+        for onset, overlaps in ((0.5, True), (1.2 - 1e-10, True), (1.2 - 5e-13, False)):
+            grown = (path.onsets.tolist() + [onset], path.durations.tolist() + [0.1],
+                     path.locations.tolist() + [(1.0, 1.0)])
+            state = sp.HistoryState.build(path, None, spec, params)
+            if overlaps:
+                with pytest.raises(sp.ValidationError,
+                                   match="overlaps previous one|not strictly increasing"):
+                    sp.Scanpath.from_arrays("r", "t", *grown)
+                with pytest.raises(sp.DomainError, match=f"time {onset} falls before the end "
+                                                         "of the previous fixation at 1.2"):
+                    state.append(onset, 0.1, (1.0, 1.0))
+                assert state.n == 2
+            else:
+                sp.Scanpath.from_arrays("r", "t", *grown)
+                state.append(onset, 0.1, (1.0, 1.0))
+                assert state.n == 3
 
 
 class TestCompensatorOracle:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scanpp.simulate import (
     SimConfig,
     _Counts,
     _draw_gaussian_location,
+    _excitation,
     _sample_next,
     sample_duration,
     sample_scanpath,
@@ -42,6 +44,11 @@ def next_fixation(history, spec, params, horizon, rng, X=None):
     return _sample_next(rng, state, horizon, _Counts())
 
 
+def bound_at(state, t):
+    """The thinning bound a candidate at time t reads."""
+    return state.params.nu * state.omega.area + float(_excitation(state, t)[0].sum())
+
+
 def truncated_normal_cdf(mu, sigma, lo, hi):
     a = stats.norm.cdf(lo, mu, sigma)
     b = stats.norm.cdf(hi, mu, sigma)
@@ -65,13 +72,15 @@ class TestUpperBound:
             mass = _screen_mass(mu, params.sigma2, omega, grad=False)[0]
             t0 = path.fixations[-1].end + float(rng.uniform(0.0, 0.5))
             state = sp.HistoryState.build(path, design, spec, params, omega)
-            bound = state.intensity_upper_bound(t0)
+            bound = bound_at(state, t0)
             total_dur = float(np.sum(path.durations))
             clock = sp.PathData.from_scanpath(path).clock
             for u in t0 + np.linspace(0.0, 4.0, 25):
                 age = (u - total_dur) - clock
                 marg = params.nu * omega.area + float(np.sum(a * np.exp(-b * age) * mass))
                 assert marg <= bound + 1e-12
+                rates = _excitation(state, u)[1]
+                assert params.nu * omega.area + rates.sum() == pytest.approx(marg, rel=1e-13)
                 checked += 1
         assert checked >= 1000 / 5
 
@@ -95,30 +104,30 @@ class TestUpperBound:
             else:
                 marginal = [base + oracle.mass[-1]] * times.size
             for k, u in enumerate(times):
-                bound = state.intensity_upper_bound(u)
-                assert bound == pytest.approx(oracle.intensity_upper_bound(u), rel=1e-13)
+                bound = bound_at(state, u)
+                assert bound == pytest.approx(bound_at(oracle, u), rel=1e-13)
                 assert max(marginal[k:]) <= bound * (1.0 + 1e-12)
 
     def test_poisson_bound_is_base_rate(self):
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=2.0)
-        bound = sp.HistoryState.empty(spec, params, UNIT).intensity_upper_bound(0.0)
+        bound = bound_at(sp.HistoryState.empty(spec, params, UNIT), 0.0)
         assert bound == pytest.approx(2.0 * UNIT.area)
 
-    def test_refuses_time_inside_history(self):
-        fixes = make_fixations([(0.5, 0.4)], [(0.5, 0.5)])
-        path = sp.Scanpath("r", "t", fixes)
-        spec, params = hawkes_setup()
-        with pytest.raises(sp.DomainError):
-            sp.HistoryState.build(path, np.ones((1, 1)), spec, params,
-                                  UNIT).intensity_upper_bound(0.6)
-
+    def test_last_fixation_bound_is_the_intensity(self):
+        rng = np.random.default_rng(72)
+        path, design, spec, params, omega = small_instance(rng, variant="last_fixation", n=5)
+        state = sp.HistoryState.build(path, design, spec, params, omega)
+        for t in path.fixations[-1].end + np.array([0.0, 0.3, 7.0]):
+            caps, rates, centers = _excitation(state, t)
+            assert caps.tolist() == rates.tolist() == [state.mass[-1]]
+            assert np.array_equal(centers, state.mu[-1:])
 
     def test_columns_require_history_design(self):
         path = sp.Scanpath("r", "t", make_fixations([(0.5, 0.4)], [(0.5, 0.5)]))
         spec, params = hawkes_setup()
         state = sp.HistoryState.build(path, np.ones((1, 1)), spec, params, UNIT)
-        assert state.intensity_upper_bound(1.0) > 0
+        assert bound_at(state, 1.0) > 0
         with pytest.raises(sp.UsageError, match="design rows"):
             sp.HistoryState.build(path, None, spec, params, UNIT)
 
@@ -356,6 +365,12 @@ class TestRngs:
             SimConfig(horizon=0.0, omega=UNIT)
         with pytest.raises(sp.ValidationError):
             SimConfig(horizon=1.0, omega=UNIT, max_events=0)
+
+    @pytest.mark.parametrize("omega", [None, (0.0, 0.0, 1.0, 1.0)])
+    def test_omega_must_be_a_rect(self, omega):
+        with pytest.raises(sp.ValidationError, match=rf"^omega must be a Rect, got "
+                                                     rf"{re.escape(repr(omega))}$"):
+            SimConfig(horizon=1.0, omega=omega)
 
     @pytest.mark.parametrize("horizon", [math.nan, -math.inf])
     def test_horizon_must_be_a_number_above_zero(self, horizon):
