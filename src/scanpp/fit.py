@@ -628,7 +628,8 @@ def train(model: Model, data, config: TrainConfig,
     """
     t0 = time.perf_counter()
     prep = _prepare(_as_split(data, config))
-    return _scored(model, prep, _train(model, prep, config, init), t0)
+    start = model.default_init(prep.units) if init is None else init
+    return _scored(model, prep, _train(model, prep, config, start), t0)
 
 
 def _scored(model: Model, prep: _Prepared, result: FitResult, t0: float) -> FitResult:
@@ -639,13 +640,10 @@ def _scored(model: Model, prep: _Prepared, result: FitResult, t0: float) -> FitR
         test_events=prep.test.n, test_per_event=per_event, wall_clock=time.perf_counter() - t0)
 
 
-def _train(model: Model, prep: _Prepared, config: TrainConfig,
-           init: Optional[np.ndarray],
-           kernel_init: Optional[tuple[float, float, float]] = None) -> FitResult:
-    """One SGD run on the prepared split; its test split is left unscored."""
+def _train(model: Model, prep: _Prepared, config: TrainConfig, start: np.ndarray) -> FitResult:
+    """One SGD run from the packed vector ``start``; its test split is left unscored."""
     train_units = prep.units
-    raw = np.array(model.default_init(train_units, kernel=kernel_init)
-                   if init is None else init, dtype=float)
+    raw = np.array(start, dtype=float)
     if raw.shape != (model.dim,):
         raise ValidationError(f"init vector must have {model.dim} entries, got {raw.shape}")
     basis = model.fitting_basis(train_units, raw)
@@ -669,21 +667,18 @@ def _train(model: Model, prep: _Prepared, config: TrainConfig,
             batches = [prep.train]
         else:
             order = rng.permutation(len(train_units))
-            batches = ([train_units[i] for i in order[start:start + config.batch_size]]
-                       for start in range(0, len(order), config.batch_size))
-        for batch in batches:
-            try:
+            batches = ([train_units[i] for i in order[lo:lo + config.batch_size]]
+                       for lo in range(0, len(order), config.batch_size))
+        try:
+            for batch in batches:
                 if ahead is None:
                     _, grad = objective(model, batch, raw)
                 else:
                     grad, ahead = ahead, None
-            except DivergenceError as exc:
-                raise DivergenceError(str(exc), trace=train_trace) from None
-            grad = basis.T @ (grad + config.weight_decay * mask * raw)
-            velocity = config.momentum * velocity + grad
-            z = z - config.learning_rate * (grad + config.momentum * velocity)
-            raw = basis @ z
-        try:
+                grad = basis.T @ (grad + config.weight_decay * mask * raw)
+                velocity = config.momentum * velocity + grad
+                z = z - config.learning_rate * (grad + config.momentum * velocity)
+                raw = basis @ z
             epoch_train, ahead = objective(model, prep.train, raw,
                                            want_grad=full_batch and epoch < config.max_epochs)
             if prep.val.labels:
@@ -692,8 +687,6 @@ def _train(model: Model, prep: _Prepared, config: TrainConfig,
                 epoch_val = epoch_train
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trace=train_trace) from None
-        if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}", trace=train_trace)
         train_trace.append(epoch_train)
         val_trace.append(epoch_val)
         if epoch_val < best_val:
@@ -739,7 +732,8 @@ def grid_search(model: Model, data, grid: GridSpec, config: TrainConfig,
               "kernel_init": tuple(kern)}
         cfg = config.replace(batch_size=bs, learning_rate=lr, weight_decay=wd)
         try:
-            result = _train(model, prep, cfg, init, tuple(kern))
+            start = model.default_init(prep.units, kernel=tuple(kern)) if init is None else init
+            result = _train(model, prep, cfg, start)
             loss = result.best_val_loss
         except DivergenceError:
             result = None

@@ -31,10 +31,10 @@ Gaussian mass inside the screen and, for the gradient, of its sigma2 and
 center derivatives; the history state and both variants read it.
 ``_sources`` is the one formula for each source row's excitation center,
 link outputs and screen mass, over any number of rows; the history state
-and the self-exciting variant read it. It has two parts: ``_row_terms``,
+and the self-exciting variant read it. It takes the rows' ``_row_terms``,
 what the design row alone gives (the link outputs a and b, and the center
-offset C·x), and ``_centers``, the center at the row's location and its
-screen mass.
+offset C·x), and adds ``_centers``, the center at the row's location and
+its screen mass.
 
 The pointwise layer builds a ``HistoryState`` once per history: the kernel
 clock, the link outputs, the excitation centers and their screen mass.
@@ -248,7 +248,7 @@ class PathData:
     windows restart at every segment start, so no event of one scanpath
     excites an event of another. One scanpath is a batch of one segment,
     ``starts=(0,)`` with its one label, checked like any batch; ``concat``
-    builds a batch of several.
+    builds a batch of several. ``design`` holds one row per event, (n, p).
     """
 
     onsets: np.ndarray
@@ -264,8 +264,8 @@ class PathData:
         n = t.shape[0]
         s = np.asarray(self.locations, dtype=float).reshape(n, 2)
         x = np.asarray(self.design, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(n, -1) if n else x.reshape(0, 0)
+        if x.ndim != 2:
+            raise ValidationError(f"design must be a 2-D (n, p) array, got shape {x.shape}")
         if d.shape[0] != n or x.shape[0] != n:
             raise ValidationError("onsets, durations, locations, design must agree in length")
         starts = np.asarray(self.starts, dtype=np.intp).reshape(-1)
@@ -426,22 +426,18 @@ def _centers(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeS
     return fields
 
 
-def _sources(locations: np.ndarray, X: Optional[np.ndarray], spec: SaccadeSpec,
-             params: SaccadeParams, omega: Optional[Rect] = None,
-             terms: Optional[dict[str, np.ndarray]] = None) -> dict[str, np.ndarray]:
-    """Per-source fields of the source rows at ``locations`` (m, 2) with design rows ``X``.
+def _sources(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeSpec,
+             params: SaccadeParams, omega: Optional[Rect] = None) -> dict[str, np.ndarray]:
+    """Per-source fields of the source rows at ``locations`` (m, 2) with row terms ``terms``.
 
-    ``mu``, each excitation center; under the self-exciting variant ``a``
-    and ``b``, the link outputs; given a screen ``omega``, ``mass``, each
-    center's screen mass: the ``_row_terms`` of ``X``, then the
-    ``_centers`` at ``locations``. The products are matrix products over
-    all m rows, so a row formed alone, as ``HistoryState.append`` forms it,
-    may differ in its last bits from the same row formed among many.
-    ``terms`` may pass the ``_row_terms`` of ``X`` when the caller has them
-    already.
+    ``terms`` are the ``_row_terms`` of the rows' design. ``mu``, each
+    excitation center; under the self-exciting variant ``a`` and ``b``, the
+    link outputs; given a screen ``omega``, ``mass``, each center's screen
+    mass: the ``_centers`` at ``locations``, then the terms' link outputs.
+    The products are matrix products over all m rows, so a row formed
+    alone, as ``HistoryState.append`` forms it, may differ in its last bits
+    from the same row formed among many.
     """
-    if terms is None:
-        terms = _row_terms(X, spec, params)
     fields = _centers(locations, terms, spec, params, omega)
     if spec.variant == "hawkes":
         fields["a"], fields["b"] = terms["a"], terms["b"]
@@ -543,8 +539,9 @@ class HistoryState:
         """
         check_compatible(spec, params)
         pd = PathData.from_scanpath(history, check_design(X, spec.p, len(history)))
+        fields = _sources(pd.locations, _row_terms(pd.design, spec, params), spec, params, omega)
         buffers = dict(onsets=pd.onsets, durations=pd.durations, locations=pd.locations,
-                       clock=pd.clock, **_sources(pd.locations, pd.design, spec, params, omega))
+                       clock=pd.clock, **fields)
         last_end = float(pd.onsets[-1] + pd.durations[-1]) if pd.n else 0.0
         return cls(spec, params, omega, pd.n, buffers, last_end, float(np.sum(pd.durations)))
 
@@ -573,7 +570,7 @@ class HistoryState:
         key = x.tobytes()
         if key != self._row[0]:
             self._row = (key, _row_terms(x[None], self.spec, self.params))
-        fields = _sources(location, None, self.spec, self.params, self.omega, self._row[1])
+        fields = _sources(location, self._row[1], self.spec, self.params, self.omega)
         row = dict(onsets=onset, durations=duration, locations=location[0],
                    clock=onset - self.total_duration,
                    **{name: value[0] for name, value in fields.items()})
@@ -723,7 +720,7 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
     per-source sums come in closed form after it. With no sources they are
     zeros of the right shapes.
     """
-    fields = _sources(pd.locations, pd.design, spec, params)
+    fields = _sources(pd.locations, _row_terms(pd.design, spec, params), spec, params)
     a, b, mu = fields["a"], fields["b"], fields["mu"]
     clock = pd.clock
     # gathers from contiguous columns

@@ -4,13 +4,14 @@ Onsets and locations come from the saccade model by Ogata (1981) thinning.
 The sampler keeps the realized history in one ``saccade.HistoryState`` and
 appends each event to it, so a candidate costs O(n) array work over the n
 events so far and nothing is rebuilt per candidate. ``_excitation`` is the
-one rule, per variant, for what a candidate reads: each source's term of
-the bound, its rate and its center. Each candidate reads it once, so it
-evaluates the kernels once, and an accepted one draws its location from
-the exact mixture of the base rate and those rates, restricted to the
-screen. Durations come from the duration model given the realized history,
-and the clock advances past each fixation before the next saccade is
-sampled.
+one rule, per variant, for what a candidate reads: each source's cap, its
+weight in [0, 1] and its center. A source's rate is cap × weight, so the
+bound, the base rate plus the caps, dominates the intensity. Each
+candidate forms its rates and intensity once, and an accepted one draws
+its location from the exact mixture of the base rate and those rates,
+restricted to the screen. Durations come from the duration model given
+the realized history, and the clock advances past each fixation before
+the next saccade is sampled.
 
 ``SimResult`` reports how thinning went: candidates tested, candidates
 accepted, and Gaussian location draws that fell back from rejection to the
@@ -118,66 +119,65 @@ def _uniform_location(rng: np.random.Generator, omega: Rect) -> np.ndarray:
     return np.array([rng.uniform(omega.x0, omega.x1), rng.uniform(omega.y0, omega.y1)])
 
 
-def _draw_location(rng: np.random.Generator, state: HistoryState, rates: np.ndarray,
-                   centers: np.ndarray, counts: _Counts) -> np.ndarray:
+def _draw_location(rng: np.random.Generator, state: HistoryState, base: float,
+                   intensity: float, rates: np.ndarray, centers: np.ndarray,
+                   counts: _Counts) -> np.ndarray:
     """Location at an accepted event time, from the exact spatial mixture.
 
-    The base rate spreads uniformly over the screen, and each source's rate,
-    as ``_excitation`` gives it, on the Gaussian around its center.
+    ``intensity`` is ``base`` plus the sum of ``rates``. A pick uniform on
+    [0, intensity) less ``base`` falls below 0 for the uniform component,
+    and in [C_{k-1}, C_k) of the rates' running sums C for the Gaussian
+    around source k's center.
     """
     omega = state.omega
-    if rates.size == 0:
+    if rates.size == 0 or intensity <= 0:
         return _uniform_location(rng, omega)
-    weights = np.concatenate(([state.params.nu * omega.area], rates))
-    total = float(weights.sum())
-    if total <= 0:
+    pick = rng.uniform(0.0, intensity) - base
+    if pick < 0:
         return _uniform_location(rng, omega)
-    pick = rng.uniform(0.0, total)
-    if pick < weights[0]:
-        return _uniform_location(rng, omega)
-    idx = int(np.searchsorted(np.cumsum(weights), pick, side="right")) - 1
-    idx = min(max(idx, 0), len(centers) - 1)
+    # rounding can leave the pick at or past the last running sum
+    idx = min(int(np.searchsorted(np.cumsum(rates), pick, side="right")), rates.size - 1)
     loc, fell_back = _draw_gaussian_location(rng, centers[idx],
                                              math.sqrt(state.params.sigma2), omega)
     counts.location_fallbacks += fell_back
     return loc
 
 
-_NO_RATES = np.empty(0)
+_NO_SOURCES = np.empty(0)
 _NO_CENTERS = np.empty((0, 2))
+_UNIT_WEIGHT = np.ones(1)
 
 
 def _excitation(state: HistoryState, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What a thinning candidate at time t reads from each source: (caps, rates, centers).
+    """What a thinning candidate at time t reads from each source: (caps, weights, centers).
 
-    The intensity at t is the base rate plus the sum of ``rates``, each
-    source's screen-integrated rate. The bound, the base rate plus the sum
-    of ``caps``, dominates the intensity from t on.
+    A source's screen-integrated rate at t is its cap times its weight, and
+    every weight lies in [0, 1]; no cap grows with time. So the bound, the
+    base rate plus the caps, dominates the intensity, the base rate plus
+    the rates, from t on.
 
     - Poisson, or an empty history: no sources; the bound is the base rate.
-    - last_fixation: the last center at its screen mass, a constant rate,
-      so the bound is the intensity and the first candidate is accepted.
-    - hawkes: every source at its kernel times its screen mass. Its cap is
-      its kernel, as kernels only decay and a component has at most unit
-      mass on the screen (the cap with the mass would be tighter, and would
-      change the random stream).
+    - last_fixation: the last center, its screen mass as the cap and weight
+      1, a constant rate, so the bound is the intensity and the first
+      candidate is accepted.
+    - hawkes: every source, its kernel as the cap, as kernels only decay,
+      and its screen mass as the weight (the cap with the mass would be
+      tighter, and would change the random stream).
     """
     if state.spec.variant == "poisson" or state.n == 0:
-        return _NO_RATES, _NO_RATES, _NO_CENTERS
+        return _NO_SOURCES, _NO_SOURCES, _NO_CENTERS
     if state.spec.variant == "last_fixation":
-        rates = state.mass[-1:]
-        return rates, rates, state.mu[-1:]
-    kern = state.kernels(t)
-    return kern, kern * state.mass, state.mu
+        return state.mass[-1:], _UNIT_WEIGHT, state.mu[-1:]
+    return state.kernels(t), state.mass, state.mu
 
 
 def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
                  counts: _Counts) -> Optional[tuple[float, np.ndarray]]:
     """One thinning pass: next (onset, location), or None past the horizon.
 
-    Each candidate reads ``_excitation`` once: its rates decide the
-    candidate and give the location on acceptance, and its caps give the
-    bound for the next candidate on rejection.
+    Each candidate reads ``_excitation`` once and forms its rates and
+    intensity once: they decide it and give the location on acceptance, and
+    its caps give the bound for the next candidate on rejection.
     """
     base = state.params.nu * state.omega.area
     t = state.last_end
@@ -189,10 +189,12 @@ def _sample_next(rng: np.random.Generator, state: HistoryState, horizon: float,
         if t > horizon:
             return None
         counts.candidates += 1
-        caps, rates, centers = _excitation(state, t)
-        if rng.uniform() * bound <= base + float(rates.sum()):
+        caps, weights, centers = _excitation(state, t)
+        rates = caps * weights
+        intensity = base + float(rates.sum())
+        if rng.uniform() * bound <= intensity:
             counts.accepted += 1
-            return t, _draw_location(rng, state, rates, centers, counts)
+            return t, _draw_location(rng, state, base, intensity, rates, centers, counts)
         bound = base + float(caps.sum())
     raise DomainError("thinning failed to accept a candidate within the safety cap")
 

@@ -612,6 +612,40 @@ class TestTraining:
             train(model, Split(train=(pd,), val=(), test=()),
                   TrainConfig(max_epochs=2, patience=2))
 
+    def diverging_model(self, fail_at):
+        """The intercept model, whose total reads NaN at its fail_at-th batch
+        evaluation; also the event count of each batch it evaluated."""
+        model = self.intercept_model()
+        evaluate = model.grad_unit
+        batches = []
+
+        def grad_unit(raw, unit, want_grad=True):
+            batches.append(unit.n)
+            ll, grad = evaluate(raw, unit, want_grad)
+            return (math.nan if len(batches) == fail_at else ll), grad
+
+        model.grad_unit = grad_unit
+        return model, batches
+
+    # 4 training paths of 8 events in batches of 2, and no validation split:
+    # each epoch takes two steps over 16 events, then one loss pass over 32,
+    # so evaluations 5 and 8 are steps of epochs 2 and 3, and 6 and 9 their
+    # loss passes
+    @pytest.mark.parametrize("fail_at,epochs_done,events", [(5, 1, 16), (6, 1, 32),
+                                                             (8, 2, 16), (9, 2, 32)])
+    def test_divergence_carries_the_trace_of_completed_epochs(self, fail_at, epochs_done,
+                                                              events):
+        units = self.units(count=4)
+        config = TrainConfig(learning_rate=0.05, batch_size=2, max_epochs=3, patience=3,
+                             split=(1.0, 0.0, 0.0), seed=0)
+        clean = train(self.intercept_model(), units, config)
+        assert len(clean.train_trace) == 3
+        model, batches = self.diverging_model(fail_at)
+        with pytest.raises(sp.DivergenceError, match="non-finite log-likelihood") as info:
+            train(model, units, config)
+        assert len(batches) == fail_at and batches[-1] == events
+        assert info.value.trace == clean.train_trace[:epochs_done]
+
     def test_divergence_names_event_and_parameters(self):
         # event 3 starts 0.05 s before fixation 2 ends
         onsets = [0.1, 0.6, 1.1, 1.35, 1.9]

@@ -28,6 +28,11 @@ from conftest import (
 from test_golden import OMEGA as RSE_OMEGA, rse_model
 
 
+def sources(locations, X, spec, params, omega=None):
+    """The per-source fields of rows at ``locations`` with design rows ``X``."""
+    return saccade._sources(locations, saccade._row_terms(X, spec, params), spec, params, omega)
+
+
 def softplus_ref(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
@@ -118,7 +123,7 @@ class TestKernels:
         x = np.array([1.0, -1.0])
 
         def center(spec, params):
-            return saccade._sources(s[None], x[None], spec, params)["mu"][0]
+            return sources(s[None], x[None], spec, params)["mu"][0]
 
         base = sp.SaccadeSpec(variant="hawkes", mean_fn="baseline", columns=("a", "b"))
         params = sp.SaccadeParams.initial(base)
@@ -668,7 +673,7 @@ def band(clock, w, starts=(0,)):
 
 
 def kept_pairs(pd, spec, params):
-    src = saccade._sources(pd.locations, pd.design, spec, params)
+    src = sources(pd.locations, pd.design, spec, params)
     w = saccade._window(src["a"], src["b"], params.nu, params.sigma2, pd.n)
     return sum(cols.size for *_, cols in band(pd.clock, w)), w
 
@@ -742,7 +747,7 @@ class TestBandAgainstDense:
     def test_relu_zero_amplitude_sources(self):
         # a = relu(1 - 2z) is 0 where z = 1; the decay is 1.5 or 2.5 everywhere
         pd, spec, params, omega = long_case("relu", alpha=[-1.0, -2.0], beta=[2.0, 0.5])
-        a = saccade._sources(pd.locations, pd.design, spec, params)["a"]
+        a = sources(pd.locations, pd.design, spec, params)["a"]
         assert np.any(a == 0.0) and np.any(a > 0.0)
         kept, w = kept_pairs(pd, spec, params)
         assert kept < 0.8 * pd.n * (pd.n - 1) / 2
@@ -868,7 +873,7 @@ def assert_batch_matches(units, spec, params, omega):
 
 def batch_kept_pairs(batch, spec, params):
     """Kept pairs of the batch's band; every one lies within a segment."""
-    src = saccade._sources(batch.locations, batch.design, spec, params)
+    src = sources(batch.locations, batch.design, spec, params)
     w = saccade._window(src["a"], src["b"], params.nu, params.sigma2, int(batch.lengths.max()))
     seg = segment_ids(batch)
     kept = 0
@@ -941,6 +946,13 @@ class TestPathDataBatch:
         with pytest.raises(sp.ValidationError):
             sp.PathData(np.arange(5.0), np.full(5, 0.1), np.zeros((5, 2)), np.zeros((5, 0)),
                         starts=starts, labels=tuple(labels))
+
+    @pytest.mark.parametrize("design", [np.zeros(10), np.zeros(5), np.zeros((5, 2, 1)),
+                                        np.float64(1.0)])
+    def test_design_must_be_two_dimensional(self, design):
+        shape = re.escape(str(np.shape(design)))
+        with pytest.raises(sp.ValidationError, match=f"2-D .* got shape {shape}"):
+            sp.PathData(np.arange(5.0), np.full(5, 0.1), np.zeros((5, 2)), design)
 
     def test_concat_rejects_unequal_design_widths(self):
         rng = np.random.default_rng(5)
@@ -1080,8 +1092,7 @@ class TestClosedFormCompensatorSums:
         units, spec, params, omega = long_segments(link, alpha, beta, lengths)
         batch = sp.PathData.concat(units)
         # an empty batch has no columns; the pass gives it the spec's width
-        src = saccade._sources(batch.locations, batch.design.reshape(batch.n, spec.p), spec,
-                               params)
+        src = sources(batch.locations, batch.design.reshape(batch.n, spec.p), spec, params)
         w = saccade._window(src["a"], src["b"], params.nu, params.sigma2,
                             int(batch.lengths.max(initial=0)))
         keep = band_mask(batch, w)
@@ -1123,7 +1134,7 @@ class TestClosedFormCompensatorSums:
         assert terms.invalid_count == 0
         # the windows of events 60 and 61 overlap by the step, which the terms
         # integrate twice and the total once: at most sum_j a_j m_j per second
-        src = saccade._sources(batch.locations, batch.design, spec, params, omega)
+        src = sources(batch.locations, batch.design, spec, params, omega)
         overlap = 2.0 * step * float(np.sum(src["a"] * src["mass"]))
         assert_total_matches(total, terms.per_event, atol=overlap)
 
@@ -1256,8 +1267,7 @@ class TestAppendRowTerms:
 
     def assert_rows(self, state, path, rows, spec, params, omega):
         for i, (fix, x) in enumerate(zip(path.fixations, rows)):
-            want = saccade._sources(np.array([[fix.x, fix.y]]), np.array(x)[None], spec, params,
-                                    omega)
+            want = sources(np.array([[fix.x, fix.y]]), np.array(x)[None], spec, params, omega)
             for name in ("a", "b", "mu", "mass"):
                 assert np.array_equal(getattr(state, name)[i], want[name][0]), (i, name)
 

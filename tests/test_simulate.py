@@ -6,11 +6,13 @@ import pytest
 from scipy import stats
 
 import scanpp as sp
+from scanpp import simulate
 from scanpp.saccade import _screen_mass
 from scanpp.simulate import (
     SimConfig,
     _Counts,
     _draw_gaussian_location,
+    _draw_location,
     _excitation,
     _sample_next,
     sample_duration,
@@ -77,10 +79,12 @@ class TestUpperBound:
             clock = sp.PathData.from_scanpath(path).clock
             for u in t0 + np.linspace(0.0, 4.0, 25):
                 age = (u - total_dur) - clock
-                marg = params.nu * omega.area + float(np.sum(a * np.exp(-b * age) * mass))
+                marginal_rates = a * np.exp(-b * age) * mass
+                marg = params.nu * omega.area + float(np.sum(marginal_rates))
                 assert marg <= bound + 1e-12
-                rates = _excitation(state, u)[1]
-                assert params.nu * omega.area + rates.sum() == pytest.approx(marg, rel=1e-13)
+                caps, weights, _ = _excitation(state, u)
+                assert np.all((weights >= 0.0) & (weights <= 1.0))
+                np.testing.assert_allclose(caps * weights, marginal_rates, rtol=1e-13, atol=0)
                 checked += 1
         assert checked >= 1000 / 5
 
@@ -114,13 +118,32 @@ class TestUpperBound:
         bound = bound_at(sp.HistoryState.empty(spec, params, UNIT), 0.0)
         assert bound == pytest.approx(2.0 * UNIT.area)
 
+    @pytest.mark.parametrize("variant", ["last_fixation", "hawkes"])
+    def test_weights_lie_in_the_unit_interval(self, variant):
+        # centers on, near and far off the screen, and the screen's size from
+        # a fraction of sigma to many sigmas
+        rng = np.random.default_rng(73)
+        for _ in range(6):
+            path, design, spec, params, omega = small_instance(rng, variant=variant, n=30)
+            for sigma2 in (1e-4, float(params.sigma2), 50.0):
+                params = params.replace(sigma2=sigma2)
+                far = [sp.Fixation(f.onset, f.x + float(rng.normal(0.0, 2.0)),
+                                   f.y + float(rng.normal(0.0, 2.0)), f.duration)
+                       for f in path]
+                history = sp.Scanpath("r", "t", tuple(far))
+                state = sp.HistoryState.build(history, design, spec, params, omega)
+                caps, weights, _ = _excitation(state, far[-1].onset + far[-1].duration)
+                assert weights.shape == caps.shape
+                assert np.all((weights >= 0.0) & (weights <= 1.0))
+
     def test_last_fixation_bound_is_the_intensity(self):
         rng = np.random.default_rng(72)
         path, design, spec, params, omega = small_instance(rng, variant="last_fixation", n=5)
         state = sp.HistoryState.build(path, design, spec, params, omega)
         for t in path.fixations[-1].end + np.array([0.0, 0.3, 7.0]):
-            caps, rates, centers = _excitation(state, t)
-            assert caps.tolist() == rates.tolist() == [state.mass[-1]]
+            caps, weights, centers = _excitation(state, t)
+            assert caps.tolist() == [state.mass[-1]]
+            assert weights.tolist() == [1.0]
             assert np.array_equal(centers, state.mu[-1:])
 
     def test_columns_require_history_design(self):
@@ -205,7 +228,103 @@ class TestDurationSampling:
         assert d == pytest.approx(0.2 * math.exp(1.0), rel=1e-2)
 
 
+class StubRng:
+    """Returns the given values from ``uniform`` and zeros from
+    ``standard_normal``, so a Gaussian draw lands on its center; records
+    each ``uniform`` call's bounds."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.bounds = []
+
+    def uniform(self, lo=0.0, hi=1.0):
+        self.bounds.append((lo, hi))
+        return self.values.pop(0)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+class RecordingNumpy:
+    """numpy, recording the size of each array its functions return."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def call(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.sizes.append(out.size)
+            return out
+
+        return call
+
+
 class TestLocationSampling:
+    # running sums C = 0.5, 0.5, 1.75, 2.0: source 1 has no rate
+    RATES = np.array([0.5, 0.0, 1.25, 0.25])
+    CENTERS = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
+    BASE = 1.0
+
+    def draw(self, value):
+        """The location drawn when the uniform on [0, intensity) reads ``value``."""
+        spec, params = hawkes_setup()
+        state = sp.HistoryState.empty(spec, params, UNIT)
+        intensity = self.BASE + float(self.RATES.sum())
+        rng = StubRng(value, 0.25, 0.75)
+        loc = _draw_location(rng, state, self.BASE, intensity, self.RATES, self.CENTERS,
+                             _Counts())
+        assert rng.bounds[0] == (0.0, intensity)
+        return loc
+
+    # the pick is the value less the base rate, exact in these cases
+    @pytest.mark.parametrize("value,source", [
+        (1.0, 0), (np.nextafter(1.5, 0.0), 0), (1.5, 2), (2.0, 2),
+        (np.nextafter(2.75, 0.0), 2), (2.75, 3), (2.875, 3),
+        # rounding can put the pick at or past the last running sum
+        (3.0, 3), (3.5, 3)])
+    def test_pick_in_the_running_sums_picks_its_source(self, value, source):
+        pick = value - self.BASE
+        sums = np.cumsum(self.RATES)
+        assert (sums[source - 1] if source else 0.0) <= pick
+        assert pick < sums[source] or source == self.RATES.size - 1
+        assert self.draw(value).tolist() == self.CENTERS[source].tolist()
+
+    @pytest.mark.parametrize("value", [0.0, np.nextafter(1.0, 0.0)])
+    def test_pick_below_the_rates_is_uniform(self, value):
+        assert self.draw(value).tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("rates,base", [(np.empty(0), 1.0), (np.zeros(3), 0.0)])
+    def test_no_pick_without_sources_or_intensity(self, rates, base):
+        spec, params = hawkes_setup()
+        state = sp.HistoryState.empty(spec, params, UNIT)
+        rng = StubRng(0.25, 0.75)
+        loc = _draw_location(rng, state, base, base + float(rates.sum()), rates,
+                             np.zeros((rates.size, 2)), _Counts())
+        assert loc.tolist() == [0.25, 0.75]
+        assert rng.bounds == [(UNIT.x0, UNIT.x1), (UNIT.y0, UNIT.y1)]
+
+    def test_accepted_event_builds_no_array_past_the_sources(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        spec, params = hawkes_setup()
+        path = sp.Scanpath("r", "t", tuple(
+            sp.Fixation(0.3 * k, float(x), float(y), 0.2)
+            for k, (x, y) in enumerate(rng.uniform(0.0, 1.0, (300, 2)))))
+        state = sp.HistoryState.build(path, np.ones((300, 1)), spec, params, UNIT)
+        recording = RecordingNumpy()
+        monkeypatch.setattr(simulate, "np", recording)
+        counts = _Counts()
+        for seed in range(20):
+            assert _sample_next(np.random.default_rng(seed), state, 1e3, counts) is not None
+        assert counts.accepted == 20
+        # the running sums over the sources, and nothing longer
+        assert max(recording.sizes) == state.n
+
     def test_rejection_path_matches_truncated_normal(self):
         fixes = make_fixations([(0.1, 0.1)], [(0.7, 0.8)])
         path = sp.Scanpath("r", "t", fixes)
