@@ -476,8 +476,9 @@ def check_design(X: Optional[np.ndarray], p: int, n: Optional[int] = None) -> np
     row. It may be omitted only where there is nothing to leave out (no
     columns, or no events), and then reads as zeros; so do the empty rows
     of no events, of any width, such as an empty batch holds. Omitting rows
-    that have columns is a ``UsageError``, and rows of any other shape are
-    a ``ValidationError``.
+    that have columns is a ``UsageError``; rows of any other shape, and a
+    value that is not finite, named by its row and column, are a
+    ``ValidationError``.
     """
     shape = (p,) if n is None else (n, p)
     if X is None or (n == 0 and np.shape(X)[:1] == (0,)):
@@ -489,4 +490,8 @@ def check_design(X: Optional[np.ndarray], p: int, n: Optional[int] = None) -> np
     if X.shape != shape:
         raise ValidationError(f"design rows have shape {X.shape}, but the spec's {p} "
                               f"columns need {shape}")
+    if not np.isfinite(X).all():
+        *row, col = np.argwhere(~np.isfinite(X))[0].tolist()
+        which = f"design row {row[0]}" if row else "the design row"
+        raise ValidationError(f"column {col} of {which} must be finite, got {X[(*row, col)]}")
     return X

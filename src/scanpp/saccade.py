@@ -16,25 +16,22 @@ held as the segments of one concatenation. The kernel clock and the exposure
 windows restart at each segment, no source excites an event of another
 segment, and the per-event terms come back in path order, so a batch costs
 one pass; one scanpath is a batch of one segment. That pass, ``_evaluate``,
-serves all four entry points. Scoring reads per-event terms:
-``event_intensities`` and ``loglik_terms`` run it per event, without the
-gradient. ``compensator_increments`` runs it per event without intensities
-as well: its band pass forms each kept pair's compensator integral and no
-kernel, Gaussian or intensity, on the same cutoff, so its increments are
-``event_intensities``'s, bit for bit. Training reads the batch total:
-``loglik_grad`` runs it for the total, with the gradient or without it. The
-pass checks its inputs and forms the gap terms once, adds the last-fixation
-or the self-exciting excitation, which returns that variant's gradient when
-asked, and takes the base-rate gradient last, once every intensity is
-complete. ``_screen_mass`` is the one definition of a center's
-Gaussian mass inside the screen and, for the gradient, of its sigma2 and
-center derivatives; the history state and both variants read it.
+serves all four entry points, each with one request: "terms" for
+``event_intensities`` and ``loglik_terms``; "increments" for
+``compensator_increments``, the same increments, bit for bit, from a pass
+that forms each kept pair's compensator integral and no kernel, Gaussian or
+intensity; "total" or "grad" for ``loglik_grad``, the batch total without
+or with the gradient. The pass checks its inputs, forms the gap terms once,
+adds the excitation in the one band pass ``_band_terms``, and takes the
+base-rate gradient last, once every intensity is complete. The
+last-fixation variant is the band's one-source case: each row keeps only
+the fixation before it, with a = 1, b = 0 and the center at its location.
+``_screen_mass`` is the one definition of a center's Gaussian mass inside
+the screen and, for the gradient, of its sigma2 and center derivatives.
 ``_sources`` is the one formula for each source row's excitation center,
-link outputs and screen mass, over any number of rows; the history state
-and the self-exciting variant read it. It takes the rows' ``_row_terms``,
-what the design row alone gives (the link outputs a and b, and the center
-offset C·x), and adds ``_centers``, the center at the row's location and
-its screen mass.
+link outputs and screen mass, over any number of rows, from the rows'
+``_row_terms``: what the design row alone gives (the link outputs a and b,
+and the center offset C·x). The history state and the band pass read both.
 
 The pointwise layer builds a ``HistoryState`` once per history: the kernel
 clock, the link outputs, the excitation centers and their screen mass.
@@ -48,35 +45,35 @@ plotting grid reads it, and the sampler grows a state by
 seconds, locations are pixels, and the screen region bounds all spatial
 mass integrals.
 
-The per-scanpath layer evaluates the self-exciting variant on the pair band
+The per-scanpath layer evaluates the excitation on the pair band
 ``mathutil._band``, in O(n·w) time and memory. A source's kernel
 a_j·exp(-b_j·age) decays exponentially in its age on the kernel clock c, so
 the band runs on c with cutoff w. Each row's intensity is complete within
 its block. What weights a pair by its row stays per pair, as scatter-adds
-over the block's pairs: lam, the per-event compensator increments when
-scoring asks for them, and the gradient's sums weighted by
+over the block's pairs: lam, the per-event compensator increments under
+"terms" and "increments", and the gradient's sums weighted by
 P_i = 1/lambda_i. The compensator's sums per source, of
 I0_ij = ∫ exp(-b_j·age) and I1_ij = ∫ age·exp(-b_j·age) over row i's
 window, need no pair. Source j's kept rows are j+1..hi_j, as each row's
-first kept source (``mathutil._first_kept``) never falls, and their windows
-tile (c_j, c_hi_j] on the kernel clock. So each sum is one integral over
-ages [0, c_hi_j - c_j], in closed form for any b_j (Ozaki 1979). It
-integrates over the kept rows only, so the tail bound below holds for it as
-for the per-pair sums. The gradient reads both sums, and the training
-total reads the first: it is
+first kept source (``mathutil._first_kept``, or the row before under the
+last-fixation variant) never falls, and their windows tile (c_j, c_hi_j]
+on the kernel clock. So each sum is one integral over ages
+[0, c_hi_j - c_j], in closed form for any b_j (Ozaki 1979). It integrates
+over the kept rows only, so the tail bound below holds for it as for the
+per-pair sums. The gradient reads both sums, and the training total reads
+the first: it is
 
     sum_i log lambda_i - nu·|Omega|·sum_i gap_i - sum_j a_j·m_j·I0_j,
 
-with m_j the screen mass of source j's center, under the self-exciting
-variant; under the other two it is the sum of the per-event terms, bit for
-bit. So the total equals the sum of ``loglik_terms``'s per-event terms up
-to rounding, as it adds the same integrals in another order: the tests
-allow 1e-13 of the sum of the terms' magnitudes, each taken at least 1,
-and the golden cases differ by at most 2.4e-16 of it. Where the clock
-steps back by less than the gap tolerance, the windows overlap by that
-step, and the two sums, for the total as for the gradient, can differ
-also by the integral over the overlap: at most sum_j a_j·m_j times the
-step, per step.
+with m_j the screen mass of source j's center; under the Poisson variant
+it is the sum of the per-event terms, bit for bit. So the total equals the
+sum of ``loglik_terms``'s per-event terms up to rounding, as it adds the
+same integrals in another order: the tests allow 1e-13 of the sum of the
+terms' magnitudes, each taken at least 1, and the golden cases differ by at
+most 2.4e-16 of it. Where the clock steps back by less than the gap
+tolerance, the windows overlap by that step, and the two sums, for the
+total as for the gradient, can differ also by the integral over the
+overlap: at most sum_j a_j·m_j times the step, per step.
 
 The cutoff w is derived on each call from (a, b, nu, sigma2, n), one for the
 whole batch: n is the length of its longest segment, and A and b_min below
@@ -410,11 +407,17 @@ def _row_terms(X: np.ndarray, spec: SaccadeSpec, params: SaccadeParams) -> dict[
     return terms
 
 
-def _centers(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeSpec,
-             params: SaccadeParams, omega: Optional[Rect]) -> dict[str, np.ndarray]:
-    """``mu``, the excitation center of each source row at ``locations`` (m, 2),
-    from its ``_row_terms``; given a screen ``omega``, also ``mass``, each
-    center's screen mass."""
+def _sources(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeSpec,
+             params: SaccadeParams, omega: Optional[Rect] = None) -> dict[str, np.ndarray]:
+    """Per-source fields of the source rows at ``locations`` (m, 2) with row terms ``terms``.
+
+    ``terms`` are the ``_row_terms`` of the rows' design. ``mu``, each
+    excitation center, A·s + b (+ C·x) under the center map; given a screen
+    ``omega``, ``mass``, each center's screen mass; under the self-exciting
+    variant ``a`` and ``b``, the link outputs. The products are matrix
+    products over all m rows, so a row formed alone, as ``append`` forms it,
+    may differ in its last bits from the same row formed among many.
+    """
     mu = locations
     if spec.mean_fn != "baseline":
         mu = locations @ params.A.T + params.b
@@ -423,22 +426,6 @@ def _centers(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeS
     fields = {"mu": mu}
     if omega is not None:
         fields["mass"] = _screen_mass(mu, params.sigma2, omega, grad=False)[0]
-    return fields
-
-
-def _sources(locations: np.ndarray, terms: dict[str, np.ndarray], spec: SaccadeSpec,
-             params: SaccadeParams, omega: Optional[Rect] = None) -> dict[str, np.ndarray]:
-    """Per-source fields of the source rows at ``locations`` (m, 2) with row terms ``terms``.
-
-    ``terms`` are the ``_row_terms`` of the rows' design. ``mu``, each
-    excitation center; under the self-exciting variant ``a`` and ``b``, the
-    link outputs; given a screen ``omega``, ``mass``, each center's screen
-    mass: the ``_centers`` at ``locations``, then the terms' link outputs.
-    The products are matrix products over all m rows, so a row formed
-    alone, as ``HistoryState.append`` forms it, may differ in its last bits
-    from the same row formed among many.
-    """
-    fields = _centers(locations, terms, spec, params, omega)
     if spec.variant == "hawkes":
         fields["a"], fields["b"] = terms["a"], terms["b"]
     return fields
@@ -511,8 +498,9 @@ class HistoryState:
         self.omega = omega
         self.a = self.b = np.empty(0)
         self.mass = None
-        # the bytes of the design row last appended, and its _row_terms
-        self._row = (None, None)
+        # the shape and bytes of the design row last appended, and its
+        # _row_terms; None before the first append
+        self._row = None
         self.last_end = last_end
         self.total_duration = total_duration
         self._adopt(n, buffers)
@@ -552,9 +540,10 @@ class HistoryState:
         The event obeys the rule a built history's fixations obey: a finite
         onset >= 0, duration > 0 and location (else a ``ValidationError``),
         and an onset not before the end of the last fixation (else a
-        ``DomainError``). The row's location-free terms are reused while its
-        value stays that of the row appended last, as it does over a sampled
-        path; only the center and its screen mass are formed per event.
+        ``DomainError``). The row's check and its location-free terms are
+        reused while its shape and value stay those of the row appended last,
+        as they do over a sampled path; only the center and its screen mass
+        are formed per event.
         """
         location = np.asarray(location, dtype=float).reshape(1, 2)
         # scalar checks, as the sampler appends once per event
@@ -566,9 +555,9 @@ class HistoryState:
         if not (math.isfinite(sx) and math.isfinite(sy)):
             raise ValidationError(f"appended fixation location must be finite, got ({sx}, {sy})")
         self._require_after_history(onset)
-        x = check_design(x, self.spec.p)
-        key = x.tobytes()
-        if key != self._row[0]:
+        key = None if x is None else (np.shape(x), np.asarray(x, dtype=float).tobytes())
+        if self._row is None or key != self._row[0]:
+            x = check_design(x, self.spec.p)
             self._row = (key, _row_terms(x[None], self.spec, self.params))
         fields = _sources(location, self._row[1], self.spec, self.params, self.omega)
         row = dict(onsets=onset, durations=duration, locations=location[0],
@@ -633,10 +622,9 @@ class HistoryState:
 
 @dataclass(frozen=True, eq=False)
 class ScanpathLoglik:
-    """Per-event log-densities plus their sum and the count of -inf terms."""
+    """Per-event log-densities plus their sum."""
 
     per_event: np.ndarray
-    invalid_count: int
 
     @property
     def total(self) -> float:
@@ -646,8 +634,7 @@ class ScanpathLoglik:
 def _finish(lam: np.ndarray, comp: np.ndarray, invalid: np.ndarray) -> ScanpathLoglik:
     with np.errstate(divide="ignore", invalid="ignore"):
         per = np.where(lam > 0.0, np.log(np.maximum(lam, 1e-300)), -np.inf) - comp
-    per = np.where(invalid, -np.inf, per)
-    return ScanpathLoglik(per, int(np.sum(~np.isfinite(per))))
+    return ScanpathLoglik(np.where(invalid, -np.inf, per))
 
 
 def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> float:
@@ -677,56 +664,40 @@ def _window(a: np.ndarray, b: np.ndarray, nu: float, sigma2: float, n: int) -> f
     return w if math.isfinite(w) else math.inf
 
 
-def _last_fixation_terms(pd: PathData, params: SaccadeParams, omega: Rect, gaps: np.ndarray,
-                         lam: Optional[np.ndarray], comp: np.ndarray, grad: bool) -> dict:
-    """Add the excitation of each event ``pd.after_first`` by the fixation before it.
+def _band_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
+                gaps: np.ndarray, lam: Optional[np.ndarray], comp: np.ndarray,
+                request: str) -> tuple[float, dict]:
+    """Add the excitation to lam and comp in place, one block of the band at a
+    time, for ``_evaluate``'s ``request``; lam is None under "increments".
 
-    lam, unless None, and comp change in place; with ``grad`` the sigma2
-    gradient comes back.
+    Under the self-exciting variant one cutoff serves every segment of
+    ``pd``, from the batch's largest a, its smallest b and its longest
+    segment; under the last-fixation variant row i keeps only source i - 1
+    of its segment. Under "terms" and "increments" each event's increment
+    takes its pairs' integrals, and the excited total that comes back is
+    0.0. Under "total" and "grad" it comes back from each source's integral
+    in closed form after the pass, and under "grad" the gradient too, in
+    every key of the variant but nu: the P-weighted per-source sums take
+    the same pass, as each row's lam is complete within its block. With no
+    sources they are zeros of the right shapes.
     """
-    s2 = params.sigma2
-    k = pd.after_first
-    prev = pd.locations[k - 1]
-    mass, dmass_ds2, _ = _screen_mass(prev, s2, omega, grad)
-    comp[k] += mass * gaps[k]
-    if lam is None:
-        return {}
-    r2 = np.sum((pd.locations[k] - prev) ** 2, axis=1)
-    psi = np.exp(-r2 / (2.0 * s2)) / (2.0 * np.pi * s2)
-    lam[k] += psi
-    if not grad:
-        return {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        P = 1.0 / lam[k]
-    dpsi = psi * (r2 / (2.0 * s2 * s2) - 1.0 / s2)
-    return {"sigma2": float(np.sum(P * dpsi) - np.sum(gaps[k] * dmass_ds2))}
-
-
-def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-                  gaps: np.ndarray, lam: Optional[np.ndarray], comp: Optional[np.ndarray],
-                  grad: bool) -> tuple[float, dict]:
-    """Add the excitation to lam in place, one block of the band at a time.
-
-    One cutoff serves every segment of ``pd``, from the batch's largest a,
-    its smallest b and its longest segment. Given ``comp``, each event's
-    compensator increment takes its pairs' integrals in place, and the
-    excited total that comes back is 0.0; with lam None as well, a pair forms
-    only its integral, and no kernel, Gaussian or intensity. With comp None,
-    no pair forms an integral: the excited compensator total comes back,
-    from each source's integral in closed form after the pass. ``grad``
-    takes lam and comp None. Each
-    row's lam is complete within its block, so the P-weighted per-source
-    sums of the gradient take the same pass, and the compensator's
-    per-source sums come in closed form after it. With no sources they are
-    zeros of the right shapes.
-    """
+    hawkes = spec.variant == "hawkes"
+    grad = request == "grad"
     fields = _sources(pd.locations, _row_terms(pd.design, spec, params), spec, params)
-    a, b, mu = fields["a"], fields["b"], fields["mu"]
+    mu = fields["mu"]
     clock = pd.clock
+    s2 = params.sigma2
+    if hawkes:
+        a, b = fields["a"], fields["b"]
+        w = _window(a, b, params.nu, s2, int(pd.lengths.max(initial=0)))
+        lo = mathutil._first_kept(clock, w, pd.starts)
+    else:
+        a, b = np.ones(pd.n), np.zeros(pd.n)
+        lo = np.arange(pd.n)
+        lo[pd.after_first] -= 1
     # gathers from contiguous columns
     sx, sy = np.ascontiguousarray(pd.locations.T)
     mx, my = np.ascontiguousarray(mu.T)
-    s2 = params.sigma2
     mass, dmass_ds2, dmass_dmu = _screen_mass(mu, s2, omega, grad)
     am = mass * a
     # Per-source sums over the kept pairs: sum_i P_i E_ij psi_ij, sum_i P_i
@@ -735,17 +706,16 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
     sum_a, sum_b = np.zeros(pd.n), np.zeros(pd.n)
     sum_mu = np.zeros((pd.n, 2))
     sum_s2 = 0.0
-    w = _window(a, b, params.nu, s2, int(pd.lengths.max(initial=0)))
-    lo = mathutil._first_kept(clock, w, pd.starts)
+    per_event = request in ("terms", "increments")
     for r0, r1, rows, cols in mathutil._band(lo):
         if not cols.size:
             continue
         bj = b[cols]
         local = rows - r0
-        if comp is not None:
+        if per_event:
             I0 = exp_integral_0(bj, pd.clock_prev[rows] - clock[cols], gaps[rows])
             comp[r0:r1] += np.bincount(local, am[cols] * I0, minlength=r1 - r0)
-        if lam is None:
+        if request == "increments":
             continue
         dhi = clock[rows] - clock[cols]
         E = np.exp(-bj * dhi)
@@ -759,34 +729,42 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
             continue
         with np.errstate(divide="ignore", invalid="ignore"):
             P = (1.0 / lam[r0:r1])[local]
+        PW = P * W
+        sum_s2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
+        if not hawkes:
+            continue
         j0 = int(cols.min())
         src = cols - j0
 
         def add(total, weights):
             total[j0:r1] += np.bincount(src, weights, minlength=r1 - j0)
 
-        PW = P * W
         add(sum_a, P * EP)
         add(sum_b, PW * dhi)
-        sum_s2 += float(np.sum(PW * (r2 / (2.0 * s2 * s2) - 1.0 / s2)))
         if spec.mean_fn != "baseline":
             add(sum_mu[:, 0], PW * dx)
             add(sum_mu[:, 1], PW * dy)
-    if comp is not None:
+    if per_event:
         return 0.0, {}
     # Source j's kept rows are j+1..hi_j, whose exposure windows tile
     # (c_j, c_hi_j] on the kernel clock, so its sums of the pair integrals
     # are the integrals over that span.
     hi = np.searchsorted(lo, np.arange(pd.n), side="right") - 1
     span = clock[hi] - clock
+    if grad and hawkes:
+        sum_I0, sum_I1 = exp_integrals(b, 0.0, span)
+    else:
+        sum_I0 = exp_integral_0(b, 0.0, span)
+    excited = float(np.sum(am * sum_I0))
     if not grad:
-        return float(np.sum(am * exp_integral_0(b, 0.0, span))), {}
-    sum_I0, sum_I1 = exp_integrals(b, 0.0, span)
-    X = pd.design
-    d_a = sum_a - mass * sum_I0
-    grads = {"alpha": X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))}
-    d_b = mass * a * sum_I1 - sum_b
-    grads["beta"] = X.T @ (d_b * link_deriv(spec.link, X @ params.beta))
+        return excited, {}
+    grads = {}
+    if hawkes:
+        X = pd.design
+        d_a = sum_a - mass * sum_I0
+        grads["alpha"] = X.T @ (d_a * link_deriv(spec.link, X @ params.alpha))
+        d_b = mass * a * sum_I1 - sum_b
+        grads["beta"] = X.T @ (d_b * link_deriv(spec.link, X @ params.beta))
     grads["sigma2"] = sum_s2 - float(np.sum(a * sum_I0 * dmass_ds2))
     if spec.mean_fn != "baseline":
         grad_mu = sum_mu / s2
@@ -795,22 +773,22 @@ def _hawkes_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega:
         grads["b"] = np.sum(grad_mu, axis=0)
         if spec.mean_fn == "full":
             grads["C"] = grad_mu.T @ X
-    return float(np.sum(am * sum_I0)), grads
+    return excited, grads
+
+
+_REQUESTS = ("terms", "increments", "total", "grad")
 
 
 def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
-              total: bool, grad: bool = False, intensities: bool = True
-              ) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, float, Optional[dict]]:
-    """Each event's intensity, compensator increment and invalid-gap flag,
-    and the excited compensator total.
-
-    With ``total`` the self-exciting excitation's compensator is not split
-    by event: the increments leave it out, and its batch total comes back,
-    else 0.0. With ``grad``, which takes ``total``, also the gradient that
-    ``loglik_grad`` documents, else None. Without ``intensities``, which
-    takes neither, no intensity is formed and None comes in its place: the
-    increments, flags and cutoff are the same, bit for bit.
+              request: str):
+    """One pass over the batch for one of the ``_REQUESTS``: "terms", each
+    event's intensity, compensator increment and invalid-gap flag;
+    "increments", the same increments alone, bit for bit; "total", the
+    log-likelihood total and None; "grad", the same total and the gradient
+    that ``loglik_grad`` documents.
     """
+    if request not in _REQUESTS:
+        raise ValueError(f"unknown request {request!r}; expected one of {_REQUESTS}")
     check_compatible(spec, params)
     X = check_design(pd.design, spec.p, pd.n)
     if pd.n == 0:
@@ -818,25 +796,28 @@ def _evaluate(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rec
     area = omega.area
     invalid = pd.gaps < -_GAP_TOL
     gaps = np.maximum(pd.gaps, 0.0)
-    lam = np.full(pd.n, float(params.nu)) if intensities else None
+    lam = None if request == "increments" else np.full(pd.n, float(params.nu))
     comp = params.nu * area * gaps
     excited, grads = 0.0, {}
-    if spec.variant == "last_fixation":
-        grads = _last_fixation_terms(pd, params, omega, gaps, lam, comp, grad)
-    elif spec.variant == "hawkes":
-        excited, grads = _hawkes_terms(pd, spec, params, omega, gaps, lam,
-                                       None if total else comp, grad)
-    if not grad:
-        return lam, comp, invalid, excited, None
+    if spec.variant != "poisson":
+        excited, grads = _band_terms(pd, spec, params, omega, gaps, lam, comp, request)
+    if request == "increments":
+        return comp
+    if request == "terms":
+        return lam, comp, invalid
+    total = _finish(lam, comp, invalid).total - excited
+    total = total if math.isfinite(total) else -math.inf
+    if request == "total":
+        return total, None
     with np.errstate(divide="ignore"):
         d_nu = float(np.sum(1.0 / lam) - area * np.sum(gaps))
-    return lam, comp, invalid, excited, {"nu": d_nu, **grads}
+    return total, {"nu": d_nu, **grads}
 
 
 def event_intensities(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
                       omega: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intensity at each event, compensator increments, and the invalid-gap mask."""
-    return _evaluate(pd, spec, params, omega, total=False)[:3]
+    return _evaluate(pd, spec, params, omega, "terms")
 
 
 def loglik_terms(pd: PathData, spec: SaccadeSpec, params: SaccadeParams,
@@ -853,7 +834,7 @@ def compensator_increments(pd: PathData, spec: SaccadeSpec, params: SaccadeParam
     time-rescaling property. They are ``event_intensities``'s, bit for bit,
     from a pass that forms no intensity.
     """
-    return _evaluate(pd, spec, params, omega, total=False, intensities=False)[1]
+    return _evaluate(pd, spec, params, omega, "increments")
 
 
 def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: Rect,
@@ -865,12 +846,10 @@ def loglik_grad(pd: PathData, spec: SaccadeSpec, params: SaccadeParams, omega: R
     not > 0, as ``loglik_terms`` has it, and wherever the sum is not finite.
     Else it equals the sum of ``loglik_terms``'s terms within the bound the
     module docstring states, and it is the same, bit for bit, with the
-    gradient or without it. Gradient keys depend on the variant: nu always; sigma2 for the
-    last-fixation and self-exciting variants; alpha and beta for the
-    self-exciting variant; A and b under the affine center map; C under the
-    full map. Values are only meaningful when the total is finite.
+    gradient or without it. Gradient keys, in this order, depend on the
+    variant: nu always; alpha and beta under the self-exciting variant;
+    sigma2 under the last-fixation and self-exciting variants; A and b
+    under the affine center map; and C as well under the full map. Values
+    are only meaningful when the total is finite.
     """
-    lam, comp, invalid, excited, grads = _evaluate(pd, spec, params, omega, total=True,
-                                                   grad=grad)
-    total = _finish(lam, comp, invalid).total - excited
-    return (total if math.isfinite(total) else -math.inf), grads
+    return _evaluate(pd, spec, params, omega, "grad" if grad else "total")

@@ -3,14 +3,15 @@
 Every document is line-oriented, newline-terminated, and versioned by its
 first line. Floats are written with ``repr`` so round-trips are exact;
 loading a document and dumping it again reproduces the bytes. Constrained
-``param`` lines are derived output: loaders trust only the ``raw`` vector
-and recompute the rest.
+``param`` lines are derived output: loaders trust only the ``raw`` vector,
+whose entries must be finite, and recompute the rest.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -122,7 +123,10 @@ def loads_params(text: str) -> LoadedParams:
         elif key == "spill":
             spill.append(rest)
         elif key == "raw":
-            raw_entries.append(_named_value(rest, lineno))
+            name, value = _named_value(rest, lineno)
+            if not math.isfinite(value):
+                raise ParseError(f"raw {name} must be finite, got {value!r}", line=lineno)
+            raw_entries.append((name, value))
         elif key == "param":
             _named_value(rest, lineno)
         elif key in ("kind", "variant", "mean_fn", "link", "omega",

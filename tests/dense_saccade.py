@@ -80,8 +80,7 @@ def _gap_terms(pd, nu, area):
 def _finish(lam, comp, invalid):
     with np.errstate(divide="ignore", invalid="ignore"):
         per = np.where(lam > 0.0, np.log(np.maximum(lam, 1e-300)), -np.inf) - comp
-    per = np.where(invalid, -np.inf, per)
-    return ScanpathLoglik(per, int(np.sum(~np.isfinite(per))))
+    return ScanpathLoglik(np.where(invalid, -np.inf, per))
 
 
 def _centers(locations, X, spec, params):
@@ -157,7 +156,7 @@ def lam_comp(pd, spec, params, omega):
 
 def loglik_terms(pd, spec, params, omega):
     if pd.n == 0:
-        return ScanpathLoglik(np.empty(0), 0)
+        return ScanpathLoglik(np.empty(0))
     lam, comp, invalid = lam_comp(pd, spec, params, omega)
     return _finish(lam, comp, invalid)
 
@@ -179,7 +178,7 @@ def loglik_grad(pd, spec, params, omega, keep=None):
                 grads["b"] = np.zeros(2)
             if spec.mean_fn == "full":
                 grads["C"] = np.zeros((2, spec.p))
-        return ScanpathLoglik(np.empty(0), 0), grads
+        return ScanpathLoglik(np.empty(0)), grads
 
     gaps, invalid, lam, comp = _gap_terms(pd, params.nu, area)
     s2 = params.sigma2

@@ -37,6 +37,24 @@ def write_config(tmp_path, grid=None, **over):
     return str(out), config
 
 
+
+def nonfinite_params(tmp_path):
+    """A saccade and duration document whose ``raw alpha[intercept]`` line
+    reads nan, and that line's number."""
+    spec = sp.SaccadeSpec(variant="hawkes", columns=("intercept",))
+    model = SaccadeModel(spec, OMEGA)
+    raw = model.pack(sp.SaccadeParams.initial(spec, nu=1e-5, sigma2=400.0))
+    lines = serialize.dumps_params(model, raw).split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith("raw alpha[intercept] "))
+    lines[k] = "raw alpha[intercept] nan"
+    dur_spec = sp.DurationSpec(columns=("intercept",))
+    dur_model = DurationModel(dur_spec)
+    dur_raw = dur_model.pack(sp.DurationParams.initial(dur_spec, sigma2=0.01).replace(
+        w=np.array([np.log(0.5)])))
+    path = tmp_path / "nan.txt"
+    serialize.write_text(str(path), "\n".join(lines) + serialize.dumps_params(dur_model, dur_raw))
+    return str(path), k + 1
+
 class TestParsing:
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -565,6 +583,30 @@ class TestSimulate:
         assert "ERROR horizon must be > 0, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_raw_entry_fails_at_load(self, tmp_path, capsys):
+        path, line = nonfinite_params(tmp_path)
+        out = tmp_path / "s.csv"
+        t0 = time.perf_counter()
+        code = main(["simulate", "--params", path, "--horizon", "5", "--out", str(out)])
+        assert code == 1 and time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert f"ERROR line {line}: raw alpha[intercept] must be finite, got nan" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--x-row", "--x-dur-row"])
+    def test_non_finite_predictor_row_fails_before_sampling(self, tmp_path, capsys, flag):
+        path, _ = nonfinite_params(tmp_path)
+        text = Path(path).read_text().replace("raw alpha[intercept] nan",
+                                              "raw alpha[intercept] 0.0")
+        Path(path).write_text(text)
+        out = tmp_path / "s.csv"
+        t0 = time.perf_counter()
+        code = main(["simulate", "--params", path, "--horizon", "5", flag, "nan",
+                     "--out", str(out)])
+        assert code == 1 and time.perf_counter() - t0 < 5.0
+        assert "ERROR column 0 of the design row must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_file_without_parameters(self, tmp_path):
         bogus = tmp_path / "empty.txt"
         bogus.write_text("nothing here\n")
@@ -620,6 +662,17 @@ class TestPlot:
                      "--times", "abc", "--grid", "3",
                      "--out-prefix", str(tmp_path / "p")])
         assert code == 2
+
+    def test_non_finite_raw_entry_fails_at_load(self, tmp_path, capsys):
+        _, history_path, *_ = self.setup_files(tmp_path)
+        params_path, line = nonfinite_params(tmp_path)
+        t0 = time.perf_counter()
+        code = main(["plot", "--params", params_path, "--history", history_path,
+                     "--times", "0.9", "--grid", "4", "--out-prefix", str(tmp_path / "p")])
+        assert code == 1 and time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert f"ERROR line {line}: raw alpha[intercept] must be finite, got nan" in err
+        assert not list(tmp_path.glob("p_*"))
 
     def test_reader_filter_without_match(self, tmp_path):
         params_path, history_path, *_ = self.setup_files(tmp_path)

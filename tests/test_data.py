@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scanpp as sp
-from scanpp.data import Box, POOLED_READER
+from scanpp.data import Box, POOLED_READER, check_design
 from scanpp.fileio import dumps_scanpaths, loads_scanpaths
 
 from conftest import LINE_BREAKS, make_fixations, on_word, random_scanpath
@@ -283,6 +283,17 @@ class TestPooling:
 
 
 class TestDesign:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_check_design_rejects_non_finite_values(self, value):
+        rows = np.ones((3, 2))
+        rows[2, 1] = value
+        with pytest.raises(sp.ValidationError,
+                           match=f"^column 1 of design row 2 must be finite, got {value}$"):
+            check_design(rows, 2, 3)
+        with pytest.raises(sp.ValidationError,
+                           match=f"^column 1 of the design row must be finite, got {value}$"):
+            check_design(rows[2], 2)
+        assert check_design(rows[:2], 2, 2) is not None
     def test_column_schema_two_readers_one_effect(self):
         cols = sp.design_columns(["r2", "r1"], ["freq"])
         assert cols == ("intercept", "reader:r1", "reader:r2", "freq",

@@ -217,6 +217,13 @@ class TestDesignRows:
             with pytest.raises(sp.ValidationError, match="design rows"):
                 duration_loglik_grad(sp.PathData.from_scanpath(path, design), spec, params)
 
+    def test_non_finite_design_row_rejected(self):
+        path, spec, params = self.case()
+        design = np.array([[1.0], [np.nan]])
+        with pytest.raises(sp.ValidationError,
+                           match="^column 0 of design row 1 must be finite, got nan$"):
+            duration_loglik_grad(sp.PathData.from_scanpath(path, design), spec, params)
+
 
 def mean_setup(variant, distribution, rng, n=40):
     """Random onsets and a three-column design; spillover from both effects."""

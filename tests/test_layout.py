@@ -67,6 +67,23 @@ def test_golden_documents_load_back():
         np.testing.assert_array_equal(loaded.raw, fixed_raw(model.dim))
 
 
+
+@pytest.mark.parametrize("value,shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                         ("1e400", "inf")])
+def test_non_finite_raw_entry_is_parse_error(value, shown):
+    model = SaccadeModel(sp.SaccadeSpec(variant="hawkes", columns=COLUMNS), OMEGA)
+    lines = dumps_params(model, fixed_raw(model.dim)).split("\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith("raw alpha[intercept] "))
+    lines[k] = f"raw alpha[intercept] {value}"
+    with pytest.raises(sp.ParseError, match=rf"^line {k + 1}: raw alpha\[intercept\] "
+                                            rf"must be finite, got {shown}$"):
+        loads_params("\n".join(lines))
+    # the derived param lines stay ignored
+    lines[k] = "raw alpha[intercept] 0.25"
+    k = next(i for i, line in enumerate(lines) if line.startswith("param alpha[intercept] "))
+    lines[k] = f"param alpha[intercept] {value}"
+    assert loads_params("\n".join(lines)).raw[model.names.index("alpha[intercept]")] == 0.25
+
 def constrained_value(model, params, name):
     """The params entry a name addresses, found by parsing the name."""
     field, _, label = name.partition("[")

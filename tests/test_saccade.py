@@ -33,6 +33,11 @@ def sources(locations, X, spec, params, omega=None):
     return saccade._sources(locations, saccade._row_terms(X, spec, params), spec, params, omega)
 
 
+def nonfinite(terms):
+    """How many of the per-event terms are not finite."""
+    return int(np.sum(~np.isfinite(terms.per_event)))
+
+
 def softplus_ref(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
@@ -610,6 +615,27 @@ class TestLoglik:
         ll_pois = loglik_terms(sp.PathData.from_scanpath(path), pois, pois_params, omega).total
         assert ll_hawkes == pytest.approx(ll_pois, rel=1e-12)
 
+    def test_one_request_per_pass(self):
+        path, design, spec, params, omega = small_instance(np.random.default_rng(8), n=4)
+        pd = sp.PathData.from_scanpath(path, design)
+        total, grads = saccade._evaluate(pd, spec, params, omega, "grad")
+        assert saccade._evaluate(pd, spec, params, omega, "total") == (total, None)
+        assert set(grads) == {"nu", "alpha", "beta", "sigma2", "A", "b", "C"}
+        comp = saccade._evaluate(pd, spec, params, omega, "terms")[1]
+        assert np.array_equal(saccade._evaluate(pd, spec, params, omega, "increments"), comp)
+        with pytest.raises(ValueError, match="unknown request 'gradient'"):
+            saccade._evaluate(pd, spec, params, omega, "gradient")
+
+    @pytest.mark.parametrize("op", [loglik_terms, loglik_grad, compensator_increments])
+    def test_non_finite_design_row_rejected(self, op):
+        # the last row is the one whose source excites no event
+        path, design, spec, params, omega = small_instance(np.random.default_rng(8), n=4)
+        design = design.copy()
+        design[-1, 1] = np.nan
+        with pytest.raises(sp.ValidationError,
+                           match="^column 1 of design row 3 must be finite, got nan$"):
+            op(sp.PathData.from_scanpath(path, design), spec, params, omega)
+
     @pytest.mark.parametrize("op", [loglik_terms, loglik_grad, compensator_increments])
     def test_design_width_checked(self, op):
         path, design, spec, params, omega = small_instance(np.random.default_rng(8), n=4)
@@ -627,7 +653,7 @@ class TestLoglik:
         spec = sp.SaccadeSpec(variant="poisson")
         params = sp.SaccadeParams.initial(spec, nu=1.0)
         result = loglik_terms(pd, spec, params, omega)
-        assert result.invalid_count == 1
+        assert nonfinite(result) == 1
         assert result.per_event[1] == -np.inf
         assert np.isfinite(result.per_event[0])
 
@@ -635,8 +661,7 @@ class TestLoglik:
 # --- The band against the dense evaluation -----------------------------------
 
 def assert_terms_match(got, want):
-    """Same -inf positions and count; finite terms within 1e-12, relative or absolute."""
-    assert got.invalid_count == want.invalid_count
+    """Same -inf positions; finite terms within 1e-12, relative or absolute."""
     assert np.array_equal(np.isfinite(got.per_event), np.isfinite(want.per_event))
     fin = np.isfinite(want.per_event)
     assert np.array_equal(got.per_event[~fin], want.per_event[~fin])
@@ -659,7 +684,7 @@ def assert_matches_dense(pd, spec, params, omega):
     want_comp = dense.lam_comp(pd, spec, params, omega)[1]
     assert np.all(np.abs(comp - want_comp) <= 1e-12 * np.maximum(1.0, np.abs(want_comp)))
     assert grads.keys() == want_grads.keys()
-    if want.invalid_count:
+    if nonfinite(want):
         return terms, grads
     for key, value in want_grads.items():
         err = np.linalg.norm(np.asarray(grads[key]) - value)
@@ -736,7 +761,7 @@ class TestBandAgainstDense:
         assert math.isfinite(w)
         assert kept <= 0.2 * pd.n * (pd.n - 1) / 2
         terms, _ = assert_matches_dense(pd, spec, params, RSE_OMEGA)
-        assert terms.invalid_count == 0
+        assert nonfinite(terms) == 0
 
     def test_relu_zero_decay_keeps_every_pair(self):
         pd, spec, params, omega = long_case("relu", alpha=[1.0, 0.3], beta=[0.0, 1.5])
@@ -783,7 +808,7 @@ class TestBandAgainstDense:
         kept, w = kept_pairs(pd, spec, params)
         assert kept < 0.8 * pd.n * (pd.n - 1) / 2 and w < 20.0
         terms, _ = assert_matches_dense(pd, spec, params, omega)
-        assert terms.invalid_count == 1 and terms.per_event[k] == -np.inf
+        assert nonfinite(terms) == 1 and terms.per_event[k] == -np.inf
 
     def test_pause_longer_than_the_cutoff(self):
         # sources just before a 30 s pause are older than the cutoff at its
@@ -848,15 +873,15 @@ def assert_batch_matches(units, spec, params, omega):
     for parts in ([loglik_terms(u, spec, params, omega) for u in units],
                   [t for t, _ in dense_path]):
         assert_terms_match(terms, saccade.ScanpathLoglik(
-            np.concatenate([t.per_event for t in parts]), sum(t.invalid_count for t in parts)))
+            np.concatenate([t.per_event for t in parts])))
     assert_total_matches(total, terms.per_event)
     assert_total_matches(total, np.concatenate([t.per_event for t, _ in dense_path]),
                          rtol=1e-12)
-    if not terms.invalid_count:
+    if not nonfinite(terms):
         assert total == pytest.approx(sum(t for t, _ in per_path), rel=TOTAL_RTOL)
     for results in (per_path, dense_path):
         assert grads.keys() == results[0][1].keys()
-        if terms.invalid_count:
+        if nonfinite(terms):
             continue
         for key in grads:
             value = sum(np.asarray(g[key], dtype=float) for _, g in results)
@@ -976,12 +1001,38 @@ class TestBatchAgainstPerPath:
         if variant == "hawkes":
             assert_shrunk(blocks, 10)
 
+    @pytest.mark.parametrize("op", [loglik_terms, loglik_grad, compensator_increments])
+    def test_last_fixation_keeps_the_fixation_before(self, monkeypatch, op):
+        """Under the last-fixation variant the band yields exactly one pair per
+        event that follows another of its own segment: the fixation before it."""
+        spec = sp.SaccadeSpec(variant="last_fixation")
+        params = sp.SaccadeParams.initial(spec, nu=0.5, sigma2=0.2)
+        omega = sp.Rect(0.0, 0.0, 3.0, 2.0)
+        rng = np.random.default_rng(59)
+        batch = sp.PathData.concat([random_segment(rng, m, omega, 0, f"r{k}/t{k}")
+                                    for k, m in enumerate(LENGTHS)])
+        blocks = shrink_blocks(monkeypatch)
+        inner = mathutil._band
+        pairs = []
+
+        def recorded(lo):
+            for block in inner(lo):
+                pairs.append(np.stack(block[2:]))
+                yield block
+
+        monkeypatch.setattr(mathutil, "_band", recorded)
+        op(batch, spec, params, omega)
+        rows, cols = np.concatenate(pairs, axis=1)
+        assert np.array_equal(rows, batch.after_first)
+        assert np.array_equal(cols, rows - 1)
+        assert_shrunk(blocks, 20)
+
     def test_banded_segments(self, monkeypatch):
         units, spec, params, omega = long_segments("softplus", [0.5, 0.2], [2.5, 0.5])
         batch, terms = assert_batch_matches(units, spec, params, omega)
         kept, w = batch_kept_pairs(batch, spec, params)
         assert math.isfinite(w) and kept < 0.8 * within_pairs(batch)
-        assert terms.invalid_count == 0
+        assert nonfinite(terms) == 0
         # at one cutoff, the batch keeps exactly each segment's own band
         pairs = np.concatenate([np.stack([rows, cols]) for *_, rows, cols
                                 in band(batch.clock, w, batch.starts)], axis=1)
@@ -1105,7 +1156,7 @@ class TestClosedFormCompensatorSums:
         assert_shrunk(blocks, 10 if batch.n else 0)
         assert saccade.loglik_grad(batch, spec, params, omega, grad=False) == (total, None)
         terms = loglik_terms(batch, spec, params, omega)
-        assert terms.invalid_count == 0
+        assert nonfinite(terms) == 0
         assert_total_matches(total, terms.per_event)
         want = {}
         want_terms = []
@@ -1131,7 +1182,7 @@ class TestClosedFormCompensatorSums:
         total, _ = saccade.loglik_grad(batch, spec, params, omega)
         assert saccade.loglik_grad(batch, spec, params, omega, grad=False)[0] == total
         terms = loglik_terms(batch, spec, params, omega)
-        assert terms.invalid_count == 0
+        assert nonfinite(terms) == 0
         # the windows of events 60 and 61 overlap by the step, which the terms
         # integrate twice and the total once: at most sum_j a_j m_j per second
         src = sources(batch.locations, batch.design, spec, params, omega)
@@ -1292,6 +1343,24 @@ class TestAppendRowTerms:
             rows.append(x.copy())
             state.append(fix.onset, fix.duration, (fix.x, fix.y), x)
         self.assert_rows(state, path, rows, spec, params, omega)
+
+    def test_changed_row_is_checked(self):
+        path, X, spec, params, omega = history_case("hawkes", "full", "softplus", True, 2)
+        first, second = path.fixations
+        state = sp.HistoryState.empty(spec, params, omega)
+        state.append(first.onset, first.duration, (first.x, first.y), X[0])
+        at = (second.onset, second.duration, (second.x, second.y))
+        # the same bytes in another shape, then a value that is not finite
+        with pytest.raises(sp.ValidationError, match="design rows have shape"):
+            state.append(*at, X[0][None])
+        bad = X[1].copy()
+        bad[1] = np.nan
+        with pytest.raises(sp.ValidationError,
+                           match="^column 1 of the design row must be finite, got nan$"):
+            state.append(*at, bad)
+        assert state.n == 1
+        state.append(*at, X[1])
+        self.assert_rows(state, path, X, spec, params, omega)
 
     def test_sampled_path_forms_its_row_terms_once(self, monkeypatch):
         spec, params = rse_model()

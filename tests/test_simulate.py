@@ -443,6 +443,16 @@ class TestHawkesSampling:
             sample_scanpath(spec, params, dspec, dparams, config,
                             x_row=np.ones(2), x_dur_row=np.ones(1))
 
+    @pytest.mark.parametrize("rows", [dict(x_row=np.array([np.nan]), x_dur_row=np.ones(1)),
+                                      dict(x_row=np.ones(1), x_dur_row=np.array([np.nan]))])
+    def test_non_finite_design_row_rejected(self, rows):
+        spec, params = hawkes_setup()
+        dspec, dparams = plain_durations()
+        config = SimConfig(horizon=10.0, omega=UNIT, seed=21)
+        with pytest.raises(sp.ValidationError,
+                           match="^column 0 of the design row must be finite, got nan$"):
+            sample_scanpath(spec, params, dspec, dparams, config, **rows)
+
     def test_truncation_flag(self):
         spec, params = hawkes_setup()
         dspec, dparams = plain_durations()
