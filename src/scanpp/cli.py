@@ -28,12 +28,12 @@ from .data import (
     filter_scanpath,
     pool_across_readers,
 )
-from .duration import DurationParams, DurationSpec
+from .duration import DISTRIBUTIONS, MEAN_VARIANTS, DurationParams, DurationSpec
 from .errors import ParseError, ScanppError, UsageError, ValidationError
 from .evaluate import _block_labels, _compare, _units, model_name
 from .fit import DurationModel, GridSpec, SaccadeModel, TrainConfig, grid_search, split, train
 from .plotting import plot_intensity
-from .saccade import PathData, SaccadeSpec
+from .saccade import LINK_NAMES, MEAN_FNS, VARIANTS, PathData, SaccadeSpec
 from .simulate import SimConfig, sample_scanpath, spawn_rngs
 
 log = logging.getLogger("scanpp")
@@ -71,9 +71,16 @@ def _blas_threads(n: Optional[int] = None) -> dict[str, int]:
     return counts
 
 
+def _counts_text(counts: dict[str, int]) -> str:
+    return ", ".join(f"{c} in {name}" for name, c in counts.items()) or "no loaded OpenBLAS"
+
+
 def _setup_threads() -> None:
     value = os.environ.get("SCANPP_THREADS")
     if value is None or value == "":
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("BLAS thread count %s (read back from OpenBLAS)",
+                      _counts_text(_blas_threads()))
         return
     try:
         n = int(value)
@@ -89,7 +96,7 @@ def _setup_threads() -> None:
         log.warning("SCANPP_THREADS=%d: no loaded OpenBLAS found; BLAS threads unchanged", n)
         return
     log.info("thread count %s (SCANPP_THREADS=%d, read back from OpenBLAS)",
-             ", ".join(f"{c} in {name}" for name, c in counts.items()), n)
+             _counts_text(counts), n)
 
 
 def _resolve_config(args) -> tuple[TrainConfig, Optional[GridSpec]]:
@@ -289,15 +296,9 @@ def cmd_eval(args) -> int:
 
 
 def _load_params_docs(path: str) -> list[serialize.LoadedParams]:
-    text = serialize.read_text(path)
-    lines = text.split("\n")
-    starts = [i for i, line in enumerate(lines) if line == serialize.PARAMS_MAGIC]
-    if not starts:
+    docs = serialize.loads_params_docs(serialize.read_text(path))
+    if not docs:
         raise ParseError(f"no parameter document found in {path}")
-    docs = []
-    for a, b in zip(starts, starts[1:] + [len(lines)]):
-        chunk = "\n".join(lines[a:b]).strip("\n") + "\n"
-        docs.append(serialize.loads_params(chunk))
     return docs
 
 
@@ -439,11 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="JSON file with train/grid sections")
     p.add_argument("--kind", choices=("saccade", "duration"), default="saccade")
-    p.add_argument("--variant", choices=("poisson", "last_fixation", "hawkes"),
-                   default="hawkes")
-    p.add_argument("--mean-fn", choices=("baseline", "affine", "full"),
-                   default="baseline")
-    p.add_argument("--link", choices=("softplus", "relu"), default="softplus")
+    p.add_argument("--variant", choices=VARIANTS, default="hawkes")
+    p.add_argument("--mean-fn", choices=MEAN_FNS, default="baseline")
+    p.add_argument("--link", choices=LINK_NAMES, default="softplus")
     p.add_argument("--screen", help="screen extent WxH in pixels")
     p.add_argument("--layout", help="layout CSV supplying the screen extent")
     p.add_argument("--effects", help="per-fixation effects CSV")
@@ -453,10 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit per-reader columns")
     p.add_argument("--no-interactions", dest="interactions", action="store_false",
                    help="omit effect-by-reader interaction columns")
-    p.add_argument("--duration-variant",
-                   choices=("plain", "convolution", "markov"), default="plain")
-    p.add_argument("--distribution", choices=("lognormal", "gamma"),
-                   default="lognormal")
+    p.add_argument("--duration-variant", choices=MEAN_VARIANTS, default="plain")
+    p.add_argument("--distribution", choices=DISTRIBUTIONS, default="lognormal")
     p.add_argument("--spillover", default="",
                    help="comma-separated spillover column names")
     p.add_argument("--lags", type=int, default=0)

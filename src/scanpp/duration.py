@@ -10,12 +10,12 @@ The likelihood and its gradient share two helpers. ``_means`` checks its
 inputs and returns the means with the spillover features they used and,
 for the gradient, the convolution's kernel sums, which the gradient reads
 rather than rebuilds. ``_log_density`` is the one place the output
-distribution is chosen, for the likelihood, its gradient and the fitting
-adapter alike.
+distribution is chosen, for the likelihood and its gradient alike.
 
-``duration_loglik_grad`` and the fitting adapter evaluate a ``PathData``,
-one scanpath or a batch, in one pass; no spillover reaches from one
-scanpath into another. The convolution sums over the pair band of
+``duration_loglik_grad`` evaluates a ``PathData``, one scanpath or a
+batch, in one pass, with the gradient or without it; the fitting adapter
+reads it for scoring and for both training passes. No spillover reaches
+from one scanpath into another. The convolution sums over the pair band of
 ``mathutil._band`` on the onsets with no cutoff, so it drops no pair and
 forms no n x n array: ``_pair_sums`` accumulates each row's feature
 c_ik = sum_j K(t_i - t_j)·x_jk and, for the gradient, the same sum weighted
@@ -334,17 +334,22 @@ def _log_density(durations: np.ndarray, xi: np.ndarray, spec: DurationSpec,
     return per, resid / s2, {"sigma2": float(np.sum(-0.5 / s2 + resid ** 2 / (2.0 * s2 * s2)))}
 
 
-def duration_loglik_grad(pd: PathData, spec: DurationSpec, params: DurationParams
-                         ) -> tuple[np.ndarray, dict[str, np.ndarray | float]]:
-    """Log-density of every event of a batch, in path order, and the gradient of their sum.
+def duration_loglik_grad(pd: PathData, spec: DurationSpec, params: DurationParams,
+                         grad: bool = True
+                         ) -> tuple[np.ndarray, Optional[dict[str, np.ndarray | float]]]:
+    """Log-density of every event of a batch, in path order, and with ``grad``
+    the gradient of their sum; without ``grad`` the gradient is None and the
+    terms are the same, bit for bit.
 
     The gradient is in constrained parameter space. Keys: w always;
     w_prime plus kernel_alpha/kernel_beta/kernel_theta for the convolution
     variant; w_prime for markov; sigma2 (log-normal) or shape (gamma).
     ``pd.design`` holds the events' rows, under ``data.check_design``.
     """
-    design, xi, feats, sums = _means(pd.onsets, pd.design, pd.starts, spec, params, grad=True)
-    per, dxi, grads = _log_density(pd.durations, xi, spec, params, grad=True)
+    design, xi, feats, sums = _means(pd.onsets, pd.design, pd.starts, spec, params, grad)
+    per, dxi, grads = _log_density(pd.durations, xi, spec, params, grad)
+    if not grad:
+        return np.atleast_1d(per), None
     grads["w"] = design.T @ dxi
     if spec.mean_variant == "convolution":
         grads["w_prime"] = feats.T @ dxi

@@ -1,7 +1,7 @@
 """Readers and writers for the three delimiter-separated file formats.
 
 Scanpath files carry fixation rows, layout files carry glyph bounding boxes,
-effects files carry per-fixation predictor values. Lines starting with ``#``
+effects files carry finite per-fixation predictor values. Lines starting with ``#``
 are pragmas: ``# unit=ms|s`` declares the time unit of a scanpath file
 (default seconds) and ``# screen=WxH`` declares the screen extent of a layout
 file. Writers emit a canonical form (pragma, header, rows, shortest
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -267,6 +268,9 @@ def loads_effects(text: str) -> EffectsTable:
         if index < 0:
             raise ParseError(f"fixation_index must be >= 0, got {index}", line=lineno)
         value = _float_field(fields, 4, "value", lineno)
+        if not math.isfinite(value):
+            raise ParseError(f"value of effect {name!r} must be finite, got {value!r}",
+                             line=lineno)
         if name not in names:
             names.append(name)
         per_path = values.setdefault((reader_id, text_id), {})

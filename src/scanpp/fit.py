@@ -49,8 +49,6 @@ from .data import Rect
 from .duration import (
     DurationParams,
     DurationSpec,
-    _log_density,
-    _means,
     check_kernel,
     duration_loglik_grad,
 )
@@ -493,9 +491,7 @@ class DurationModel(Model):
         super().__init__(spec, ParamLayout(blocks, fill))
 
     def per_event_loglik(self, raw: np.ndarray, unit: PathData) -> np.ndarray:
-        params = self.unpack(raw)
-        xi = _means(unit.onsets, unit.design, unit.starts, self.spec, params)[1]
-        return _log_density(unit.durations, xi, self.spec, params, grad=False)[0]
+        return duration_loglik_grad(unit, self.spec, self.unpack(raw), grad=False)[0]
 
     def _event_detail(self, raw: np.ndarray, unit: PathData, per_event: np.ndarray,
                       k: int) -> str:
@@ -503,11 +499,10 @@ class DurationModel(Model):
 
     def grad_unit(self, raw: np.ndarray, unit: PathData,
                   want_grad: bool = True) -> tuple[float, Optional[np.ndarray]]:
-        if not want_grad:
-            return _total(self.per_event_loglik(raw, unit)), None
         raw = np.asarray(raw, dtype=float)
-        per_event, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw))
-        return _total(per_event), self.layout.chain(raw, grads)
+        per_event, grads = duration_loglik_grad(unit, self.spec, self.unpack(raw),
+                                                grad=want_grad)
+        return _total(per_event), (self.layout.chain(raw, grads) if want_grad else None)
 
     def default_init(self, units: Sequence[PathData],
                      kernel: Optional[tuple[float, float, float]] = None) -> np.ndarray:

@@ -5,6 +5,13 @@ first line. Floats are written with ``repr`` so round-trips are exact;
 loading a document and dumping it again reproduces the bytes. Constrained
 ``param`` lines are derived output: loaders trust only the ``raw`` vector,
 whose entries must be finite, and recompute the rest.
+
+A file may hold several documents, each starting at a line that equals its
+header: a fit document is its head followed by one parameter document, a
+``--params`` file one or more parameter documents written back to back,
+and a report file one report per compared fit. ``_parts`` is the one place
+that cuts a file at its headers. A ``ParseError`` from any part names the
+line of the whole file.
 """
 
 from __future__ import annotations
@@ -29,6 +36,10 @@ PARAMS_MAGIC = "scanpp-params 1"
 FIT_MAGIC = "scanpp-fit 1"
 REPORT_MAGIC = "scanpp-report 1"
 
+# Each kind's setting lines in document order, and how each is read; the spec holds defaults.
+_SPEC_KEYS = {"saccade": {"variant": str, "mean_fn": str, "link": str},
+              "duration": {"mean_variant": str, "distribution": str, "lags": int}}
+
 
 def _param_lines(model: Model, raw: np.ndarray) -> list[str]:
     raw = np.asarray(raw, dtype=float)
@@ -44,20 +55,14 @@ def _param_lines(model: Model, raw: np.ndarray) -> list[str]:
 def dumps_params(model: Model, raw: np.ndarray) -> str:
     """Versioned key-value document holding one model's fitted parameters."""
     lines = [PARAMS_MAGIC, f"kind {model.kind}"]
-    spec = model.spec
+    lines += [f"{key} {getattr(model.spec, key)}" for key in _SPEC_KEYS[model.kind]]
     if model.kind == "saccade":
         om = model.omega
-        lines += [f"variant {spec.variant}", f"mean_fn {spec.mean_fn}",
-                  f"link {spec.link}",
-                  "omega " + " ".join(format_float(v) for v in
-                                      (om.x0, om.y0, om.width, om.height))]
-        lines += [f"column {c}" for c in spec.columns]
-    else:
-        lines += [f"mean_variant {spec.mean_variant}",
-                  f"distribution {spec.distribution}",
-                  f"lags {spec.lags}"]
-        lines += [f"column {c}" for c in spec.columns]
-        lines += [f"spill {s}" for s in spec.spillover]
+        lines.append("omega " + " ".join(format_float(v) for v in
+                                         (om.x0, om.y0, om.width, om.height)))
+    lines += [f"column {c}" for c in model.spec.columns]
+    if model.kind == "duration":
+        lines += [f"spill {s}" for s in model.spec.spillover]
     lines += _param_lines(model, raw)
     return "\n".join(lines) + "\n"
 
@@ -74,25 +79,30 @@ class LoadedParams:
         return self.model.unpack(self.raw)
 
 
-def _split_kv(line: str, lineno: int) -> tuple[str, str]:
-    if " " not in line:
-        return line, ""
-    key, rest = line.split(" ", 1)
-    return key, rest
-
-
-def _collect(text: str, magic: str):
+def _collect(text: str, magic: str) -> list[tuple[int, str, str]]:
+    """(line number, key, rest) of each non-blank line after the header ``magic``."""
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != magic:
+    if lines[0] != magic:
         raise ParseError(f"expected header {magic!r}", line=1)
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        out.append((i, *_split_kv(line, i)))
-    return out
+    return [(i, *line.partition(" ")[::2]) for i, line in enumerate(lines[1:], start=2) if line]
+
+
+def _parts(text: str, header: str) -> list[tuple[int, str]]:
+    """``text`` cut before each line equal to ``header``, as (file line number of the
+    part's first line, part); first the text before the first header, maybe ""."""
+    lines = text.split("\n")
+    cuts = [0] + [i for i, line in enumerate(lines) if line == header]
+    return [(a + 1, "\n".join(lines[a:b]))
+            for a, b in zip(cuts, cuts[1:] + [len(lines)])]
+
+
+def _load_part(load, first: int, part: str):
+    """``load(part)`` for a part from line ``first`` of its file, whose line a ParseError names."""
+    try:
+        return load(part)
+    except ParseError as exc:
+        message = str(exc).removeprefix(f"line {exc.line}: ")
+        raise ParseError(message, line=first - 1 + exc.line) from None
 
 
 def _number(token: str, lineno: int, kind=float):
@@ -113,15 +123,13 @@ def _named_value(rest: str, lineno: int) -> tuple[str, float]:
 
 def loads_params(text: str) -> LoadedParams:
     entries = _collect(text, PARAMS_MAGIC)
-    fields: dict[str, str] = {}
-    columns: list[str] = []
-    spill: list[str] = []
+    settings = {"kind", "omega"}.union(*_SPEC_KEYS.values())
+    fields: dict[str, tuple[int, str]] = {}
+    lists: dict[str, list[str]] = {"column": [], "spill": []}
     raw_entries: list[tuple[str, float]] = []
     for lineno, key, rest in entries:
-        if key == "column":
-            columns.append(rest)
-        elif key == "spill":
-            spill.append(rest)
+        if key in lists:
+            lists[key].append(rest)
         elif key == "raw":
             name, value = _named_value(rest, lineno)
             if not math.isfinite(value):
@@ -129,40 +137,40 @@ def loads_params(text: str) -> LoadedParams:
             raw_entries.append((name, value))
         elif key == "param":
             _named_value(rest, lineno)
-        elif key in ("kind", "variant", "mean_fn", "link", "omega",
-                     "mean_variant", "distribution", "lags"):
-            fields[key] = rest
+        elif key in settings:
+            fields[key] = (lineno, rest)
         else:
             raise ParseError(f"unknown key {key!r}", line=lineno)
-    kind = fields.get("kind")
+    at, kind = fields.get("kind", (1, None))
+    if kind not in _SPEC_KEYS:
+        raise ParseError(f"unknown model kind {kind!r}", line=at)
+    spec_fields = {key: _number(fields[key][1], fields[key][0], read)
+                   for key, read in _SPEC_KEYS[kind].items() if key in fields}
     if kind == "saccade":
+        at, omega = fields.get("omega", (1, ""))
         try:
-            x0, y0, w, h = (float(v) for v in fields["omega"].split(" "))
-        except (KeyError, ValueError):
-            raise ParseError("saccade document needs 'omega x0 y0 width height'") from None
-        spec = SaccadeSpec(variant=fields.get("variant", "hawkes"),
-                           mean_fn=fields.get("mean_fn", "baseline"),
-                           link=fields.get("link", "softplus"),
-                           columns=tuple(columns))
-        model: Model = SaccadeModel(spec, Rect(x0, y0, w, h))
-    elif kind == "duration":
-        try:
-            lags = int(fields.get("lags", "0"))
+            x0, y0, w, h = (float(v) for v in omega.split(" "))
         except ValueError:
-            raise ParseError(f"bad lag count {fields['lags']!r}") from None
-        spec = DurationSpec(mean_variant=fields.get("mean_variant", "plain"),
-                            spillover=tuple(spill), lags=lags,
-                            distribution=fields.get("distribution", "lognormal"),
-                            columns=tuple(columns))
-        model = DurationModel(spec)
+            raise ParseError("saccade document needs 'omega x0 y0 width height'",
+                             line=at) from None
+        model: Model = SaccadeModel(SaccadeSpec(**spec_fields, columns=tuple(lists["column"])),
+                                    Rect(x0, y0, w, h))
     else:
-        raise ParseError(f"unknown model kind {kind!r}")
+        model = DurationModel(DurationSpec(**spec_fields, spillover=tuple(lists["spill"]),
+                                           columns=tuple(lists["column"])))
     names = tuple(name for name, _ in raw_entries)
     if names != model.names:
         raise ValidationError(
             f"parameter names {names} do not match the model's {model.names}")
     raw = np.array([v for _, v in raw_entries], dtype=float)
     return LoadedParams(model=model, raw=raw)
+
+
+def loads_params_docs(text: str) -> list[LoadedParams]:
+    """The parameter documents of ``text`` in file order, written back to back or as
+    a fit document's section; the text before the first header is not read."""
+    return [_load_part(loads_params, first, part)
+            for first, part in _parts(text, PARAMS_MAGIC)[1:]]
 
 
 def _kernel_str(kern) -> str:
@@ -197,10 +205,7 @@ def dumps_fit(model: Model, result: FitResult) -> str:
             lines.append(f"selected {key} {format_float(value)}")
     for tag, trace in (("train_trace", result.train_trace),
                        ("val_trace", result.val_trace)):
-        if trace:
-            lines.append(tag + " " + " ".join(format_float(v) for v in trace))
-        else:
-            lines.append(tag)
+        lines.append(" ".join([tag, *map(format_float, trace)]))
     for hp, loss in result.grid_trace:
         lines.append("grid {} {} {} {} {}".format(
             hp["batch_size"], format_float(hp["learning_rate"]),
@@ -216,10 +221,10 @@ class LoadedFit:
 
 
 def loads_fit(text: str) -> LoadedFit:
-    head, sep, tail = text.partition(PARAMS_MAGIC)
-    if not sep:
-        raise ParseError("fit document is missing its parameter section")
-    loaded = loads_params(sep + tail)
+    (_, head), *sections = _parts(text, PARAMS_MAGIC)
+    if len(sections) != 1:
+        raise ParseError(f"fit document needs one parameter section, has {len(sections)}",
+                         line=sections[1][0] if sections else 1)
     entries = _collect(head, FIT_MAGIC)
     ints = {"seed": 0, "best_epoch": 0, "test_events": 0}
     test_loglik = float("nan")
@@ -250,6 +255,7 @@ def loads_fit(text: str) -> LoadedFit:
             grid_trace.append((hp, _number(parts[4], lineno)))
         else:
             raise ParseError(f"unknown key {key!r}", line=lineno)
+    loaded = _load_part(loads_params, *sections[0])
     model = loaded.model
     result = FitResult(names=model.names, raw=loaded.raw,
                        params=model.unpack(loaded.raw),
@@ -298,7 +304,14 @@ def loads_report(text: str) -> ComparisonReport:
                                 dataset_variant=fields["dataset_variant"],
                                 test_events=fields["test_events"])
     except KeyError as exc:
-        raise ParseError(f"report document is missing {exc.args[0]!r}") from None
+        raise ParseError(f"report document is missing {exc.args[0]!r}", line=1) from None
+
+
+def loads_reports(text: str) -> list[ComparisonReport]:
+    """The reports ``dumps_reports`` wrote, in order. Text before the first
+    header is read as a report too, so it fails for want of one."""
+    return [_load_part(loads_report, first, part)
+            for first, part in _parts(text, REPORT_MAGIC) if part]
 
 
 def reports_csv(reports: Sequence[ComparisonReport]) -> str:

@@ -112,6 +112,24 @@ class TestThreads:
         assert self.run_ingest(tmp_path) == 0
         assert os.environ["OMP_NUM_THREADS"] == "3"
 
+    def test_verbose_run_logs_the_blas_threads(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SCANPP_THREADS", raising=False)
+        data, _ = write_dataset(tmp_path)
+        capsys.readouterr()
+        assert main(["-v", "ingest", "--data", data, "--out", str(tmp_path / "o.csv")]) == 0
+        counts = cli._blas_threads()
+        want = (", ".join(f"{c} in {name}" for name, c in counts.items())
+                or "no loaded OpenBLAS")
+        assert (f"DEBUG BLAS thread count {want} (read back from OpenBLAS)"
+                in capsys.readouterr().err.splitlines())
+
+    def test_quiet_run_does_not_probe_the_blas(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SCANPP_THREADS", raising=False)
+        probes = []
+        monkeypatch.setattr(cli, "_blas_threads", lambda n=None: probes.append(n) or {})
+        assert self.run_ingest(tmp_path) == 0
+        assert probes == []
+
     def test_limit_reaches_the_loaded_blas(self, tmp_path):
         """The count is set in the OpenBLAS numpy loaded, and the log reads it back."""
         data, _ = write_dataset(tmp_path)
@@ -426,6 +444,11 @@ class TestEval:
         ("selected learning_rate", "bad float ''"),
         ("grid x 0.01 0.0 - 1.5", "bad integer 'x'"),
         ("grid 4 0.01 0.0 - abc", "bad float 'abc'"),
+        # lines of the parameter section, each in place of the line it edits
+        ("raw nu nan", "raw nu must be finite, got nan"),
+        ("param nu abc", "bad float 'abc'"),
+        ("omega 0.0 0.0 640.0", "saccade document needs 'omega x0 y0 width height'"),
+        ("kind markov", "unknown model kind 'markov'"),
     ])
     def test_malformed_baseline_field_is_parse_error(self, tmp_path, capsys, bad, message):
         data, _ = write_dataset(tmp_path)
@@ -435,7 +458,13 @@ class TestEval:
                      "--screen", "640x480", "--config", cfg]) == 0
         lines = good.read_text().split("\n")
         at = lines.index("scanpp-params 1")
-        lines.insert(at, bad)
+        prefix = bad.rsplit(" ", 1)[0] + " "
+        edits = [i for i in range(at, len(lines)) if lines[i].startswith(prefix)]
+        if edits:
+            at = edits[0]
+            lines[at] = bad
+        else:
+            lines.insert(at, bad)
         baseline = tmp_path / "bad.fit"
         baseline.write_text("\n".join(lines))
         code = main(["eval", "--data", data, "--baseline", str(baseline), "--fit", str(good),
@@ -592,6 +621,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"ERROR line {line}: raw alpha[intercept] must be finite, got nan" in err
         assert not out.exists()
+
+    def test_error_in_a_later_document_names_the_file_line(self, tmp_path, capsys):
+        """A duration document, then the saccade one with its bad raw line: the
+        error names the line of the file, not of the saccade document."""
+        path, line = nonfinite_params(tmp_path)
+        text = Path(path).read_text()
+        at = text.index("scanpp-params 1", 1)
+        Path(path).write_text(text[at:] + text[:at])
+        line += text[at:].count("\n")
+        assert line == 19
+        code = main(["simulate", "--params", path, "--horizon", "5",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert (f"ERROR line {line}: raw alpha[intercept] must be finite, got nan"
+                in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("flag", ["--x-row", "--x-dur-row"])
     def test_non_finite_predictor_row_fails_before_sampling(self, tmp_path, capsys, flag):

@@ -447,6 +447,16 @@ class TestBandAgainstDense:
         assert_matches(got, grads, got, want_grads)
         assert_matches(got, grads, *dense.loglik_grad(batch, spec, params))
 
+    @pytest.mark.parametrize("distribution", ["lognormal", "gamma"])
+    @pytest.mark.parametrize("variant", ["plain", "convolution", "markov"])
+    def test_terms_without_the_gradient(self, variant, distribution):
+        """Without the gradient the terms are the same, bit for bit, and the gradient None."""
+        spec, params = spill_case(variant, distribution, 0 if variant == "plain" else 2)
+        batch = sp.PathData.concat(duration_units((0, 1, 2, 90, 40)))
+        per, grads = duration_loglik_grad(batch, spec, params, grad=False)
+        assert grads is None
+        assert per.tobytes() == duration_loglik_grad(batch, spec, params)[0].tobytes()
+
     def test_long_path_memory(self):
         spec, params = spill_case("convolution", "lognormal", 1)
         (unit,) = duration_units((4000,))

@@ -200,6 +200,15 @@ class TestEffectsFiles:
             fio.loads_effects(text)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        text = ("reader_id,text_id,fixation_index,effect_name,value\n"
+                "r1,t1,0,freq,1.0\n"
+                f"r1,t1,1,freq,{value}\n")
+        with pytest.raises(sp.ParseError, match=rf"^line 3: value of effect 'freq' must be "
+                                                rf"finite, got {value}$"):
+            fio.loads_effects(text)
+
     def test_duplicate_rejected(self):
         text = ("reader_id,text_id,fixation_index,effect_name,value\n"
                 "r1,t1,0,freq,1.0\n"
